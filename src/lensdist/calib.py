@@ -79,7 +79,6 @@ __all__ = [
     "save_scene",
     "write_observations_csv",
     "read_observations_csv",
-    "report_to_json",
 ]
 
 SCENE_FORMAT = "lensdist-scene"
@@ -439,24 +438,18 @@ TABLE_FAMILIES = (
 # --------------------------------------------------------------------------
 
 
-def numeric_jacobian(fun, x, rel_step: float = 1e-6, scheme: str = "central") -> np.ndarray:
-    """Finite-difference Jacobian with per-parameter step rel_step * max(1, |x_i|)."""
+def numeric_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian with per-parameter step rel_step * max(1, |x_i|)."""
     x = np.asarray(x, dtype=float)
-    if scheme not in ("central", "forward"):
-        raise ValueError("scheme must be 'central' or 'forward'")
-    f0 = np.asarray(fun(x), dtype=float) if scheme == "forward" else None
     cols = []
     for i in range(x.size):
         h = rel_step * max(1.0, abs(x[i]))
         xp = x.copy()
         xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
         fp = np.asarray(fun(xp), dtype=float)
-        if scheme == "central":
-            xm = x.copy()
-            xm[i] -= h
-            cols.append((fp - np.asarray(fun(xm), dtype=float)) / (2.0 * h))
-        else:
-            cols.append((fp - f0) / h)
+        cols.append((fp - np.asarray(fun(xm), dtype=float)) / (2.0 * h))
     return np.column_stack(cols)
 
 
@@ -480,7 +473,7 @@ def _levenberg_marquardt(fun, x0, options: FitOptions):
     n = x.size
     while iterations < options.max_iter:
         iterations += 1
-        jac = numeric_jacobian(fun, x, options.jac_rel_step, "central")
+        jac = numeric_jacobian(fun, x, options.jac_rel_step)
         grad = jac.T @ r
         hess = jac.T @ jac
         improved = False
@@ -606,7 +599,7 @@ def _fit_lm(scene: Scene, obs: Observations, family, options: FitOptions) -> Fit
         if best is None or cost < best[0]:
             best = (cost, x, r, iterations, converged)
     _, x, r, iterations, converged = best
-    jac = numeric_jacobian(residual_fn, x, options.jac_rel_step, "central")
+    jac = numeric_jacobian(residual_fn, x, options.jac_rel_step)
     return _report_from_residuals(
         r, n_views, obs.n_points, x[:p], iterations, converged, jac[:, :p]
     )
@@ -799,7 +792,3 @@ def read_observations_csv(path) -> Observations:
     for (v, i), uv in rows.items():
         pixels[v, i] = uv
     return Observations(pixels)
-
-
-def report_to_json(report: FitReport) -> dict:
-    return report.to_json_dict()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -65,19 +64,6 @@ def _load_scene_checked(path) -> calib.Scene:
 def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _threads_env() -> int:
-    """Validated LENSDIST_THREADS value (0 = auto). Evaluation is sequential
-    and bit-reproducible for every setting."""
-    raw = os.environ.get("LENSDIST_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _InputError(f"LENSDIST_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise _InputError("LENSDIST_THREADS must be >= 0")
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -135,12 +121,15 @@ def _svg_field(samples, size: int = 640, margin: int = 30) -> str:
 
 def _cmd_render(args) -> int:
     func = _load_model_checked(args.model)
-    if args.shape == "circle":
-        count = args.count if args.count is not None else 64
-        points = warp.circle_points(args.radius, count)
-    else:
-        count = args.count if args.count is not None else 9
-        points = warp.grid_points(args.extent, count)
+    try:
+        if args.shape == "circle":
+            count = args.count if args.count is not None else 64
+            points = warp.circle_points(args.radius, count)
+        else:
+            count = args.count if args.count is not None else 9
+            points = warp.grid_points(args.extent, count)
+    except ValueError as err:
+        raise _InputError(str(err)) from err
     samples = warp.sample_field(func, points)
     _write_text(args.out, _svg_field(samples))
     return EXIT_OK
@@ -149,7 +138,10 @@ def _cmd_render(args) -> int:
 def _cmd_verify(args) -> int:
     if args.model:
         func = _load_model_checked(args.model)
-        report = reflection_symmetry(func, tol=args.tol)
+        try:
+            report = reflection_symmetry(func, tol=args.tol)
+        except ValueError as err:
+            raise _InputError(str(err)) from err
         payload = report.to_json_dict()
         if args.json:
             print(json.dumps(payload, indent=2))
@@ -198,7 +190,7 @@ def _cmd_fit(args) -> int:
         raise _InputError(str(err)) from err
     obs = calib.synthesize(scene)
     report = calib.fit(scene, obs, family, _fit_options(args))
-    text = json.dumps(calib.report_to_json(report), indent=2) + "\n"
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
     else:
@@ -363,7 +355,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_env()
         return args.handler(args)
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Constructors for the named distortion model families.
 
-Each constructor returns a concrete ``DistortionFunction`` (a displacement
-with both coefficient forms cached).  Linear models are represented as a
-``ModelSpace``: an ordered, linearly independent list of basis displacement
-functions whose real span is the model.
+Each constructor returns a concrete ``DistortionFunction``: a displacement
+stored as one ``ComplexPoly``, with the real block form derived on access.
+Linear models are represented as a ``ModelSpace``: an ordered, linearly
+independent list of basis displacement functions whose real span is the
+model.
 
 The quadratic catalog and its identities:
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,22 +75,25 @@ SPACE_VERSION = 1
 
 @dataclass(frozen=True)
 class DistortionFunction:
-    """A concrete displacement with both coefficient forms kept consistent."""
+    """A concrete displacement, stored as its complex coefficients only.
+
+    ``real_form`` is the equivalent per-degree real block form, derived from
+    ``poly`` on first access and cached.
+    """
 
     poly: ComplexPoly
-    real_form: RealPolyModel
 
-    def __post_init__(self):
-        if not self.poly.to_real().isclose(self.real_form, tol=1e-12):
-            raise ValueError("real_form is inconsistent with the complex coefficients")
+    @cached_property
+    def real_form(self) -> RealPolyModel:
+        return self.poly.to_real()
 
     @classmethod
     def from_poly(cls, poly: ComplexPoly) -> "DistortionFunction":
-        return cls(poly, poly.to_real())
+        return cls(poly)
 
     @classmethod
     def from_real(cls, model: RealPolyModel) -> "DistortionFunction":
-        return cls(model.to_complex(), model)
+        return cls(model.to_complex())
 
     @classmethod
     def zero(cls) -> "DistortionFunction":
@@ -328,10 +333,14 @@ class ModelSpace:
             raise ValueError(
                 f"expected {len(self.basis)} coefficients, got shape {coeffs.shape}"
             )
-        total = ComplexPoly.zero()
+        # The products and sums of the chain sum(f.poly * c), in the same
+        # order, so the result matches it bit for bit.
+        total: dict[MonomialKey, complex] = {}
         for c, f in zip(coeffs, self.basis):
-            total = total + f.poly * float(c)
-        return DistortionFunction.from_poly(total)
+            scale = complex(float(c))
+            for key, gamma in f.poly.terms.items():
+                total[key] = total.get(key, 0j) + gamma * scale
+        return DistortionFunction.from_poly(ComplexPoly(total))
 
     def relabeled(self, label: str) -> "ModelSpace":
         return ModelSpace(self.basis, label)

@@ -37,8 +37,6 @@ from .families import (
     ModelSpace,
     coefficient_keys,
     coefficient_matrix,
-    radial_homogeneous,
-    tangential_homogeneous,
 )
 from .poly import ComplexPoly, DEFAULT_TOL
 
@@ -53,7 +51,6 @@ __all__ = [
     "classify",
     "radial_tangential_at",
     "in_radial_tangential_span",
-    "radial_tangential_span_residual",
     "sphere_point",
 ]
 
@@ -387,25 +384,6 @@ def in_radial_tangential_span(func: DistortionFunction, tol: float = DEFAULT_TOL
     with k = 0 (the pure zbar^n terms) has magnitude below tol.
     """
     return all(abs(c) <= tol for (k, l), c in func.poly.terms.items() if k == 0)
-
-
-def radial_tangential_span_residual(func: DistortionFunction) -> float:
-    """Rank-test counterpart: residual of the function against the degreewise
-    radial/tangential homogeneous bases.  Agrees with the coefficient test."""
-    degrees = sorted({k + l for k, l in func.poly.terms})
-    if not degrees:
-        return 0.0
-    basis: list[DistortionFunction] = []
-    for n in degrees:
-        for j in range(n):
-            w = np.zeros(n)
-            w[j] = 1.0
-            basis.append(radial_homogeneous(n, w))
-            basis.append(tangential_homogeneous(n, w))
-    keys = coefficient_keys(basis + [func])
-    basis_mat = coefficient_matrix(basis, keys)
-    vec = coefficient_matrix([func], keys)[0]
-    return _span_residual(basis_mat, vec)
 
 
 def sphere_point(mu: complex, nu: complex) -> tuple[float, float, float]:

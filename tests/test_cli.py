@@ -64,11 +64,15 @@ def test_render_zero_model_zero_length_segments(tmp_path):
             assert parts["x1"] == parts["x2"] and parts["y1"] == parts["y2"]
 
 
-def test_render_bad_model_exit_2(tmp_path):
+def test_render_bad_model_exit_2(tmp_path, rri_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
-    assert main(["render", "--model", str(bad), "--out", str(tmp_path / "x.svg")]) == 2
+    out = str(tmp_path / "x.svg")
+    assert main(["render", "--model", str(bad), "--out", out]) == 2
     assert main(["render", "--model", str(tmp_path / "none.json"), "--out", "x.svg"]) == 2
+    assert main(["render", "--model", rri_file, "--radius", "-1", "--out", out]) == 2
+    argv = ["render", "--model", rri_file, "--shape", "grid", "--count", "1", "--out", out]
+    assert main(argv) == 2
 
 
 def test_render_unwritable_output_exit_3(tmp_path, rri_file):
@@ -85,6 +89,10 @@ def test_verify_model_json(capsys, model_file):
     assert report["symmetric"] is True
     assert report["pairwise_ok"] is True
     assert isinstance(report["axis"], float)
+
+
+def test_verify_nonpositive_tol_exit_2(model_file):
+    assert main(["verify", "--model", model_file, "--tol", "0"]) == 2
 
 
 def test_verify_opencv_prism_not_symmetric(tmp_path, capsys):
@@ -284,13 +292,3 @@ def test_sphere_deterministic(tmp_path):
     assert main(["sphere", "--samples", "6", "--out", str(out1)]) == 0
     assert main(["sphere", "--samples", "6", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-# -- environment ----------------------------------------------------------------
-
-
-def test_threads_env_validation(monkeypatch, tmp_path):
-    monkeypatch.setenv("LENSDIST_THREADS", "junk")
-    assert main(["sphere", "--samples", "2", "--out", str(tmp_path / "x.csv")]) == 2
-    monkeypatch.setenv("LENSDIST_THREADS", "2")
-    assert main(["sphere", "--samples", "2", "--out", str(tmp_path / "y.csv")]) == 0

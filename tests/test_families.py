@@ -1,10 +1,12 @@
 """Model family constructors, their identities, and linear space machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from lensdist import calib
 from lensdist.families import (
     CATALOG_NAMES,
     DistortionFunction,
@@ -28,7 +30,7 @@ from lensdist.families import (
     tangential_homogeneous,
     thin_prism,
 )
-from lensdist.poly import ComplexPoly
+from lensdist.poly import ComplexPoly, RealPolyModel
 
 
 def block2(func):
@@ -368,7 +370,52 @@ def test_space_json_round_trip(tmp_path):
         assert a.isclose(b, tol=1e-12)
 
 
-def test_distortion_function_consistency_check():
-    good = decentering(0.1, 0.2)
-    with pytest.raises(ValueError):
-        DistortionFunction(good.poly, thin_prism(1, 0).real_form)
+def test_distortion_function_stores_only_the_complex_form():
+    assert [f.name for f in dataclasses.fields(DistortionFunction)] == ["poly"]
+
+
+def test_from_real_derives_an_equivalent_real_form():
+    rng = np.random.default_rng(62)
+    for _ in range(50):
+        degrees = rng.choice(range(2, 8), size=3, replace=False)
+        model = RealPolyModel({int(n): rng.normal(size=(2, n + 1)) for n in degrees})
+        assert DistortionFunction.from_real(model).real_form.isclose(model, tol=1e-12)
+
+
+def _reference_member(space, coeffs):
+    # The plain chain of ComplexPoly sums that ModelSpace.member must equal.
+    total = ComplexPoly.zero()
+    for c, f in zip(coeffs, space.basis):
+        total = total + f.poly * float(c)
+    return total
+
+
+def test_member_matches_reference_sum_bit_for_bit():
+    spaces = [named_space(name) for name in CATALOG_NAMES]
+    for name in calib.TABLE_FAMILIES:
+        family = calib.parse_family(name)
+        if family.linear:
+            spaces.append(family.space)
+    rng = np.random.default_rng(63)
+    # Dense random basis: every coefficient gets several summands, so the
+    # summation order shows in the last bits.
+    keys = [(k, n - k) for n in (2, 3) for k in range(n + 1)]
+    dense = [
+        DistortionFunction.from_poly(
+            ComplexPoly({kl: complex(*rng.normal(size=2)) for kl in keys})
+        )
+        for _ in range(5)
+    ]
+    spaces.append(ModelSpace(tuple(dense), "dense"))
+    for space in spaces:
+        for _ in range(20):
+            coeffs = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=space.dimension)
+            coeffs[rng.random(space.dimension) < 0.2] = 0.0
+            got = space.member(coeffs).poly.terms
+            want = _reference_member(space, coeffs).terms
+            assert list(got) == list(want), space.label
+            assert all(
+                got[key].real.hex() == want[key].real.hex()
+                and got[key].imag.hex() == want[key].imag.hex()
+                for key in want
+            ), space.label

@@ -9,11 +9,14 @@ from lensdist.families import (
     DistortionFunction,
     IrreducibleSpec,
     ModelSpace,
+    coefficient_keys,
+    coefficient_matrix,
     conjugate_quadratic,
     decentering,
     irreducible_space,
     named_space,
     opencv_thin_prism,
+    radial_homogeneous,
     rri,
     space_sum,
     symmetric_cubic,
@@ -29,7 +32,6 @@ from lensdist.symmetry import (
     is_rotation_invariant,
     pairwise_conditions,
     radial_tangential_at,
-    radial_tangential_span_residual,
     reflection_symmetry,
     sphere_point,
     structural_rsf,
@@ -365,6 +367,26 @@ def test_in_radial_tangential_span():
     assert in_radial_tangential_span(decentering(*rng.normal(size=2)))
     assert in_radial_tangential_span(rri(rng.normal(size=3)))
     assert not in_radial_tangential_span(conjugate_quadratic(1.0, 0.0))
+
+
+def radial_tangential_span_residual(func: DistortionFunction) -> float:
+    """Rank-test counterpart: residual of the function against the degreewise
+    radial/tangential homogeneous bases.  Agrees with the coefficient test."""
+    degrees = sorted({k + l for k, l in func.poly.terms})
+    if not degrees:
+        return 0.0
+    basis: list[DistortionFunction] = []
+    for n in degrees:
+        for j in range(n):
+            w = np.zeros(n)
+            w[j] = 1.0
+            basis.append(radial_homogeneous(n, w))
+            basis.append(tangential_homogeneous(n, w))
+    keys = coefficient_keys(basis + [func])
+    basis_mat = coefficient_matrix(basis, keys)
+    vec = coefficient_matrix([func], keys)[0]
+    sol, *_ = np.linalg.lstsq(basis_mat.T, vec, rcond=None)
+    return float(np.linalg.norm(basis_mat.T @ sol - vec))
 
 
 def test_span_rank_test_agrees_with_coefficient_test():
