@@ -15,10 +15,11 @@ observations bit for bit.
 minimizing the summed squared reprojection residuals.  Linear families with
 frozen poses have residuals affine in the coefficients and are solved
 directly by a truncated SVD least squares; everything else goes through
-Levenberg-Marquardt with a central-difference Jacobian (relative step 1e-6,
-initial lambda 1e-3, times 10 on reject, divided by 10 on accept, stop at
-relative cost decrease below 1e-12 or 200 iterations).  Non-convergence is
-reported through ``converged=False``, never silently.
+Levenberg-Marquardt with an analytic Jacobian (initial lambda 1e-3, times
+10 on reject, divided by 10 on accept, stop at relative cost decrease below
+1e-12 or 200 iterations).  Non-convergence is reported through
+``converged=False``, never silently.  With refined poses the reported
+standard errors are marginal over the poses.
 
 Residual evaluation is sequential with a fixed accumulation order, so every
 fit is reproducible regardless of environment.
@@ -49,7 +50,7 @@ from .families import (
     symmetric_quadratic,
     CATALOG_NAMES,
 )
-from .poly import model_from_json, model_to_json
+from .poly import ComplexPoly, model_from_json, model_to_json
 
 __all__ = [
     "Intrinsics",
@@ -72,7 +73,6 @@ __all__ = [
     "fit",
     "compare",
     "sweep_axis_ratio",
-    "numeric_jacobian",
     "scene_to_json",
     "scene_from_json",
     "load_scene",
@@ -119,12 +119,17 @@ class Pose:
         object.__setattr__(self, "translation", tr)
 
 
+def _skew(v) -> np.ndarray:
+    """Cross-product matrix [v]x: [v]x u = v x u."""
+    kx, ky, kz = v
+    return np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+
+
 def rotation_matrix(axis_angle) -> np.ndarray:
     """Rodrigues rotation matrix for an axis-angle vector."""
     rvec = np.asarray(axis_angle, dtype=float)
     theta = float(np.linalg.norm(rvec))
-    kx, ky, kz = rvec
-    skew = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    skew = _skew(rvec)
     if theta < 1e-8:
         # Series expansion keeps the zero-rotation case exact.
         a = 1.0 - theta**2 / 6.0
@@ -231,7 +236,6 @@ class FitOptions:
     max_iter: int = 200
     lambda0: float = 1e-3
     cost_tol: float = 1e-12
-    jac_rel_step: float = 1e-6
     force_lm: bool = False
 
 
@@ -262,20 +266,15 @@ class CompareRow:
 # --------------------------------------------------------------------------
 
 
-def _normalized_view(pose: Pose, points3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    cam = points3 @ rotation_matrix(pose.axis_angle).T + np.asarray(pose.translation)
-    depths = cam[:, 2]
-    if np.any(depths <= 0):
-        raise ValueError("point behind camera (nonpositive depth)")
-    return cam[:, 0] / depths, cam[:, 1] / depths
-
-
 def project_points(
     intrinsics: Intrinsics, pose: Pose, func: DistortionFunction, points3
 ) -> np.ndarray:
     """Pixel projections of an (N, 3) array of target points."""
     pts = np.asarray(points3, dtype=float).reshape(-1, 3)
-    xn, yn = _normalized_view(pose, pts)
+    cam = pts @ rotation_matrix(pose.axis_angle).T + np.asarray(pose.translation)
+    if np.any(cam[:, 2] <= 0):
+        raise ValueError("point behind camera (nonpositive depth)")
+    xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
     dx, dy = func.displacement(xn, yn)
     u = intrinsics.fx * (xn + dx) + intrinsics.cx
     v = intrinsics.fy * (yn + dy) + intrinsics.cy
@@ -345,6 +344,14 @@ class LinearFamily:
     def build(self, coeffs) -> DistortionFunction:
         return self.space.member(coeffs)
 
+    def derivatives(self, coeffs, func: DistortionFunction) -> list[ComplexPoly]:
+        """Partial derivatives of the model in each coefficient: the basis."""
+        return [f.poly for f in self.space.basis]
+
+    def canonical(self, coeffs) -> np.ndarray:
+        """Basis weights are unique, so every coefficient vector is canonical."""
+        return coeffs
+
     def starts(self) -> list[np.ndarray]:
         return [np.zeros(self.n_params)]
 
@@ -356,6 +363,11 @@ class SharedAxisFamily:
     amplitudes (d, e, f, g), and two higher invariant radial coefficients
     (degrees 5 and 7); d doubles as the degree-3 radial coefficient, so the
     radial rotationally invariant part has three coefficients in total.
+
+    Quadratic monomials have odd winding numbers and cubic ones even, so
+    (theta + pi, -a, -b, -c, d, ..., a3) is the same function as
+    (theta, a, b, c, d, ..., a3).  Fits report the canonical form with theta
+    in [0, pi).
     """
 
     linear = False
@@ -365,13 +377,38 @@ class SharedAxisFamily:
     rri = False
     rsf = True
 
-    def build(self, coeffs) -> DistortionFunction:
-        theta, a, b, c, d, e, f, g, a2, a3 = (float(v) for v in coeffs)
+    @staticmethod
+    def _member(theta, a, b, c, d, e, f, g, a2, a3) -> DistortionFunction:
         return (
             symmetric_quadratic(theta, a, b, c)
             + symmetric_cubic(theta, d, e, f, g)
             + rri([0.0, a2, a3])
         )
+
+    def build(self, coeffs) -> DistortionFunction:
+        return self._member(*(float(v) for v in coeffs))
+
+    def derivatives(self, coeffs, func: DistortionFunction) -> list[ComplexPoly]:
+        """Partial derivatives of ``func = build(coeffs)``: the axis rotates
+        gamma_kl by exp(-i theta (k - l - 1)), and the derivatives in the
+        amplitudes are the unit-amplitude members at the same axis."""
+        theta = float(coeffs[0])
+        d_theta = ComplexPoly(
+            {(k, l): -1j * (k - l - 1) * c for (k, l), c in func.poly.terms.items()}
+        )
+        units = np.eye(self.n_params - 1)
+        return [d_theta] + [self._member(theta, *unit).poly for unit in units]
+
+    def canonical(self, coeffs) -> np.ndarray:
+        """The equivalent coefficient vector with theta in [0, pi)."""
+        out = np.array(coeffs, dtype=float)
+        turns, theta = divmod(float(out[0]), math.pi)
+        if theta == math.pi:  # a tiny negative theta rounds up to pi
+            turns, theta = turns + 1, 0.0
+        out[0] = theta
+        if int(turns) % 2:
+            out[1:4] = -out[1:4]
+        return out
 
     def starts(self) -> list[np.ndarray]:
         starts = []
@@ -438,21 +475,6 @@ TABLE_FAMILIES = (
 # --------------------------------------------------------------------------
 
 
-def numeric_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-parameter step rel_step * max(1, |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        fp = np.asarray(fun(xp), dtype=float)
-        cols.append((fp - np.asarray(fun(xm), dtype=float)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray, rcond: float = _SVD_RCOND) -> np.ndarray:
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
@@ -463,7 +485,7 @@ def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray, rcond: float = _SVD_RC
     return vt.T @ ((u.T @ rhs) * inv)
 
 
-def _levenberg_marquardt(fun, x0, options: FitOptions):
+def _levenberg_marquardt(fun, x0, options: FitOptions, jacobian):
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fun(x), dtype=float)
     cost = float(r @ r)
@@ -473,7 +495,7 @@ def _levenberg_marquardt(fun, x0, options: FitOptions):
     n = x.size
     while iterations < options.max_iter:
         iterations += 1
-        jac = numeric_jacobian(fun, x, options.jac_rel_step)
+        jac = jacobian(x)
         grad = jac.T @ r
         hess = jac.T @ jac
         improved = False
@@ -515,10 +537,11 @@ def _report_from_residuals(
     per_view_rms = tuple(
         float(math.sqrt(np.mean(per_view[v] ** 2))) for v in range(n_views)
     )
-    dof = max(m - coeffs.size, 1)
+    # Marginal over the columns after the coefficients (refined poses).
+    dof = max(m - jac.shape[1], 1)
     sigma2 = float(residuals @ residuals) / dof
     cov = sigma2 * np.linalg.pinv(jac.T @ jac, rcond=_SVD_RCOND)
-    std = tuple(float(v) for v in np.sqrt(np.clip(np.diag(cov), 0.0, None)))
+    std = tuple(float(v) for v in np.sqrt(np.clip(np.diag(cov)[: coeffs.size], 0.0, None)))
     return FitReport(
         rms_px=rms,
         coefficients=tuple(float(c) for c in coeffs),
@@ -530,33 +553,15 @@ def _report_from_residuals(
 
 
 def _fit_linear_frozen(scene: Scene, obs: Observations, family: LinearFamily) -> FitReport:
-    pts = scene.target_points
-    intr = scene.intrinsics
-    norm_views = [_normalized_view(pose, pts) for pose in scene.poses]
-    xn = np.concatenate([v[0] for v in norm_views])
-    yn = np.concatenate([v[1] for v in norm_views])
-
-    u0 = intr.fx * xn + intr.cx
-    v0 = intr.fy * yn + intr.cy
-    meas = obs.pixels.reshape(-1, 2)
-    rhs = np.stack([meas[:, 0] - u0, meas[:, 1] - v0], axis=1).ravel()
-
-    columns = []
-    for basis_func in family.space.basis:
-        dx, dy = basis_func.displacement(xn, yn)
-        columns.append(np.stack([intr.fx * dx, intr.fy * dy], axis=1).ravel())
-    design = np.column_stack(columns)
-
+    # The residuals are affine in the coefficients: r(c) = r(0) - design @ c.
+    problem = _Reprojection(scene, obs, family, refine_poses=False)
+    zero = np.zeros(family.n_params)
+    rhs = problem(zero)
+    design = -problem.jacobian(zero)
     coeffs = _solve_truncated(design, rhs)
     residuals = rhs - design @ coeffs
     return _report_from_residuals(
-        residuals,
-        obs.n_views,
-        obs.n_points,
-        coeffs,
-        iterations=1,
-        converged=True,
-        jac=design,
+        residuals, obs.n_views, obs.n_points, coeffs, iterations=1, converged=True, jac=design
     )
 
 
@@ -564,44 +569,118 @@ def _pack_poses(poses: Sequence[Pose]) -> np.ndarray:
     return np.concatenate([np.concatenate([p.axis_angle, p.translation]) for p in poses])
 
 
-def _unpack_poses(vec: np.ndarray, n_views: int) -> list[Pose]:
-    out = []
-    for v in range(n_views):
-        chunk = vec[6 * v : 6 * v + 6]
-        out.append(Pose(tuple(chunk[:3]), tuple(chunk[3:])))
-    return out
+def _rotation_derivatives(axis_angle) -> np.ndarray:
+    """The matrices G_i with dR/dw_i = G_i R for R = rotation_matrix(w):
+    G_i = (w_i [w]x + [w x (I - R) e_i]x) / |w|^2 (Gallego and Yezzi, 2015),
+    and [e_i]x where rotation_matrix uses its series."""
+    w = np.asarray(axis_angle, dtype=float)
+    theta2 = float(w @ w)
+    if math.sqrt(theta2) < 1e-8:
+        return np.stack([_skew(e) for e in np.eye(3)])
+    w_cross = _skew(w)
+    v = w_cross @ (np.eye(3) - rotation_matrix(w))  # column i is w x (I - R) e_i
+    return np.stack([(w[i] * w_cross + _skew(v[:, i])) / theta2 for i in range(3)])
+
+
+class _Reprojection:
+    """Reprojection residuals of one fit problem and their analytic Jacobian.
+
+    Parameters are the family coefficients, then, with refined poses, each
+    view's (axis_angle, translation).  Residuals are measured minus projected
+    pixels, ordered (view, point, u/v).  The state of the last evaluated
+    vector is kept, so the Jacobian at an accepted step reuses it.
+    """
+
+    def __init__(self, scene: Scene, obs: Observations, family, refine_poses: bool):
+        self.family = family
+        self.intrinsics = scene.intrinsics
+        self.points = scene.target_points
+        self.meas = obs.pixels.reshape(-1, 2)
+        self.refine_poses = refine_poses
+        self.frozen = None if refine_poses else self._camera_points(_pack_poses(scene.poses))
+        self._last = None  # (x, state) of the last evaluated vector
+
+    def _camera_points(self, pose_vec: np.ndarray):
+        """Camera-frame points of all views, stacked; None when one is not in front."""
+        cam = np.concatenate(
+            [self.points @ rotation_matrix(c[:3]).T + c[3:] for c in pose_vec.reshape(-1, 6)]
+        )
+        return cam if np.all(cam[:, 2] > 0) else None
+
+    def _state(self, x: np.ndarray):
+        if self._last is not None and np.array_equal(self._last[0], x):
+            return self._last[1]
+        p = self.family.n_params
+        func = self.family.build(x[:p])
+        cam = self._camera_points(x[p:]) if self.refine_poses else self.frozen
+        state = None
+        if cam is not None:
+            xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
+            dx, dy = func.displacement(xn, yn)
+            u = self.intrinsics.fx * (xn + dx) + self.intrinsics.cx
+            v = self.intrinsics.fy * (yn + dy) + self.intrinsics.cy
+            r = (self.meas - np.stack([u, v], axis=1)).ravel()
+            state = (func, cam, xn + 1j * yn, r)
+        self._last = (x.copy(), state)
+        return state
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        state = self._state(x)
+        return np.full(self.meas.size, _BAD_RESIDUAL) if state is None else state[3]
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        state = self._state(x)
+        if state is None:
+            return np.zeros((self.meas.size, x.size))
+        func, cam, z, _ = state
+        fx, fy = self.intrinsics.fx, self.intrinsics.fy
+        p = self.family.n_params
+        jac = np.zeros((z.size, 2, x.size))
+        for j, deriv in enumerate(self.family.derivatives(x[:p], func)):
+            w = deriv.evaluate(z)
+            jac[:, 0, j] = -fx * w.real
+            jac[:, 1, j] = -fy * w.imag
+        if self.refine_poses:
+            # Wirtinger derivatives: a step dz of the normalized point moves
+            # the distorted point by dz + f_z dz + f_zbar conj(dz).
+            zc = np.conj(z)
+            f_z, f_zc = np.zeros_like(z), np.zeros_like(z)
+            for (k, l), c in func.poly.terms.items():
+                if k:
+                    f_z = f_z + c * k * z ** (k - 1) * zc**l
+                if l:
+                    f_zc = f_zc + c * l * z**k * zc ** (l - 1)
+            n = self.points.shape[0]
+            for v in range(len(cam) // n):
+                rows, cols = slice(v * n, (v + 1) * n), slice(p + 6 * v, p + 6 * v + 6)
+                # Camera-frame point velocities: G_i R X per rotation
+                # parameter, the unit vector e_i per translation parameter.
+                vel = np.empty((6, n, 3))
+                rx = cam[rows] - x[cols][3:]  # R X
+                vel[:3] = rx @ _rotation_derivatives(x[cols][:3]).transpose(0, 2, 1)
+                vel[3:] = np.eye(3)[:, None, :]
+                dz = (vel[..., 0] + 1j * vel[..., 1] - z[rows] * vel[..., 2]) / cam[rows, 2]
+                dw = dz + f_z[rows] * dz + f_zc[rows] * np.conj(dz)
+                jac[rows, 0, cols] = -fx * dw.real.T
+                jac[rows, 1, cols] = -fy * dw.imag.T
+        return jac.reshape(self.meas.size, x.size)
 
 
 def _fit_lm(scene: Scene, obs: Observations, family, options: FitOptions) -> FitReport:
-    pts = scene.target_points
-    intr = scene.intrinsics
-    meas = obs.pixels
-    n_views = obs.n_views
-    p = family.n_params
-
-    def residual_fn(x):
-        func = family.build(x[:p])
-        poses = _unpack_poses(x[p:], n_views) if options.refine_poses else scene.poses
-        out = np.empty((n_views, pts.shape[0], 2))
-        for v, pose in enumerate(poses):
-            try:
-                out[v] = meas[v] - project_points(intr, pose, func, pts)
-            except ValueError:
-                return np.full(n_views * pts.shape[0] * 2, _BAD_RESIDUAL)
-        return out.ravel()
-
+    problem = _Reprojection(scene, obs, family, options.refine_poses)
     pose_init = _pack_poses(scene.poses) if options.refine_poses else np.zeros(0)
     best = None
     for start in family.starts():
         x0 = np.concatenate([start, pose_init])
-        x, r, iterations, converged = _levenberg_marquardt(residual_fn, x0, options)
+        x, r, iterations, converged = _levenberg_marquardt(problem, x0, options, problem.jacobian)
         cost = float(r @ r)
         if best is None or cost < best[0]:
             best = (cost, x, r, iterations, converged)
     _, x, r, iterations, converged = best
-    jac = numeric_jacobian(residual_fn, x, options.jac_rel_step)
+    p = family.n_params
+    x = np.concatenate([family.canonical(x[:p]), x[p:]])
     return _report_from_residuals(
-        r, n_views, obs.n_points, x[:p], iterations, converged, jac[:, :p]
+        r, obs.n_views, obs.n_points, x[:p], iterations, converged, problem.jacobian(x)
     )
 
 

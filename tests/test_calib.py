@@ -13,7 +13,6 @@ from lensdist.calib import (
     Pose,
     Scene,
     default_scene,
-    numeric_jacobian,
     parse_family,
     project,
     read_observations_csv,
@@ -40,6 +39,22 @@ TRUE_COEFFS = np.array([0.02, -0.01, 0.08, -0.02, 0.005])
 def noisy_setup():
     scene = default_scene(truth=TRUTH, noise_sigma=0.2, seed=0)
     return scene, synthesize(scene)
+
+
+def numeric_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian with per-parameter step rel_step * max(1, |x_i|);
+    the oracle for the analytic Jacobians of the fits."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        h = rel_step * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
+        fp = np.asarray(fun(xp), dtype=float)
+        cols.append((fp - np.asarray(fun(xm), dtype=float)) / (2.0 * h))
+    return np.column_stack(cols)
 
 
 # -- geometry -------------------------------------------------------------------
@@ -228,6 +243,62 @@ def test_numeric_jacobian_matches_exact_linear_jacobian(noisy_setup):
     assert np.max(np.abs(numeric - exact) / scale) < 1e-6
 
 
+def test_rotation_derivatives_match_central_differences():
+    rng = np.random.default_rng(62)
+    for w in [np.zeros(3)] + [rng.normal(scale=0.5, size=3) for _ in range(5)]:
+        rot = rotation_matrix(w)
+        exact = calib._rotation_derivatives(w) @ rot
+        for i, e in enumerate(np.eye(3)):
+            numeric = numeric_jacobian(lambda t: rotation_matrix(w + t[0] * e).ravel(), [0.0])
+            assert np.max(np.abs(numeric[:, 0] - exact[i].ravel())) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "name, refine_poses",
+    [("decentering+rri3", True), ("sym_quad_cubic_rri3", False)],
+)
+def test_analytic_jacobian_matches_central_differences(noisy_setup, name, refine_poses):
+    scene, obs = noisy_setup
+    # Pose 0 is exactly the zero rotation, where the rotation derivative
+    # takes its special form.
+    assert scene.poses[0].axis_angle == (0.0, 0.0, 0.0)
+    family = parse_family(name)
+    rng = np.random.default_rng(63)
+    coeffs = rng.normal(scale=0.02, size=family.n_params)
+    if not family.linear:
+        coeffs[0] = 0.37  # an axis away from every start
+    poses = calib._pack_poses(scene.poses) if refine_poses else np.zeros(0)
+    x = np.concatenate([coeffs, poses])
+    problem = calib._Reprojection(scene, obs, family, refine_poses)
+    analytic = problem.jacobian(x)
+    numeric = numeric_jacobian(problem, x)
+    assert analytic.shape == numeric.shape == (obs.pixels.size, x.size)
+    scale = np.maximum(np.abs(analytic), 1.0)
+    assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
+
+
+def test_refine_poses_std_errors_are_marginal_over_the_poses(noisy_setup):
+    scene, obs = noisy_setup
+    family = parse_family("decentering+rri3")
+    options = FitOptions(refine_poses=True)
+    report = calib.fit(scene, obs, family, options)
+    # The same single-start solve, to recover the refined poses.
+    problem = calib._Reprojection(scene, obs, family, refine_poses=True)
+    x0 = np.concatenate([np.zeros(5), calib._pack_poses(scene.poses)])
+    x, r, _, _ = calib._levenberg_marquardt(problem, x0, options, problem.jacobian)
+    assert tuple(x[:5]) == report.coefficients
+    jac = numeric_jacobian(problem, x)
+    m, n = jac.shape
+    assert n == 5 + 6 * len(scene.poses)
+    cov = float(r @ r) / (m - n) * np.linalg.pinv(jac.T @ jac, rcond=1e-10)
+    marginal = np.sqrt(np.diag(cov)[:5])
+    assert np.allclose(report.std_errors, marginal, rtol=1e-6, atol=0.0)
+    # Conditioning on known poses, as a frozen-pose fit does, understates them.
+    coef = jac[:, :5]
+    conditional = np.sqrt(np.diag(float(r @ r) / (m - 5) * np.linalg.pinv(coef.T @ coef)))
+    assert np.all(marginal > 1.5 * conditional)
+
+
 # -- family parsing -----------------------------------------------------------------
 
 
@@ -270,6 +341,41 @@ def test_nonlinear_family_fit_recovers_symmetric_truth():
     report = calib.fit(scene, obs, "sym_quad_cubic_rri3")
     assert report.converged
     assert report.rms_px < 0.22
+
+
+def test_shared_axis_canonical_form_is_the_same_function():
+    family = calib.SharedAxisFamily()
+    rng = np.random.default_rng(64)
+    for theta in (-7.0, -0.464, 0.0, 1.2, math.pi, 2.677, 9.5):
+        coeffs = np.concatenate([[theta], rng.normal(scale=0.02, size=9)])
+        canon = family.canonical(coeffs)
+        assert 0.0 <= canon[0] < math.pi
+        assert np.array_equal(canon[4:], coeffs[4:])
+        assert family.build(canon).isclose(family.build(coeffs), tol=1e-14)
+    shifted = np.array([0.5 + math.pi, -1.0, -2.0, -3.0, 4, 5, 6, 7, 8, 9])
+    assert np.allclose(family.canonical(shifted), [0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+
+
+def test_shared_axis_starts_agree_in_canonical_form(noisy_setup):
+    # The starts reach one minimum in two forms, theta and theta + pi.
+    scene, obs = noisy_setup
+
+    class OneStart(calib.SharedAxisFamily):
+        def __init__(self, start):
+            self.start = start
+
+        def starts(self):
+            return [self.start]
+
+    reports = [
+        calib.fit(scene, obs, OneStart(start))
+        for start in calib.SharedAxisFamily().starts()
+    ]
+    coeffs = np.array([r.coefficients for r in reports])
+    assert np.all((0.0 <= coeffs[:, 0]) & (coeffs[:, 0] < math.pi))
+    assert np.max(np.abs(coeffs - coeffs[0])) < 1e-8
+    best = calib.fit(scene, obs, "sym_quad_cubic_rri3")
+    assert np.max(np.abs(np.array(best.coefficients) - coeffs[0])) < 1e-8
 
 
 # -- compare and sweep ----------------------------------------------------------------
