@@ -58,7 +58,6 @@ from .symmetry import (
 )
 from .warp import (
     FieldSample,
-    InversionConfig,
     NoConvergence,
     SingularJacobian,
     apply_distortion,

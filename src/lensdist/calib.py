@@ -27,8 +27,6 @@ fit is reproducible regardless of environment.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -37,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._io import check_header, load_json, read_csv, save_json, write_csv
 from .families import (
     DistortionFunction,
     ModelSpace,
@@ -87,6 +86,10 @@ SCENE_VERSION = 1
 # Relative singular-value cutoff for rank-deficient least squares.
 _SVD_RCOND = 1e-10
 _BAD_RESIDUAL = 1e6
+# Levenberg-Marquardt budget and damping schedule.
+_MAX_ITER = 200
+_LAMBDA0 = 1e-3
+_COST_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,8 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
 
@@ -144,8 +149,8 @@ def target_grid(rows: int, cols: int, spacing: float) -> np.ndarray:
     """Planar rows x cols grid on z = 0, centered at the origin, row-major."""
     if rows < 2 or cols < 2:
         raise ValueError("target needs at least 2 rows and 2 columns")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < math.inf:
+        raise ValueError("spacing must be finite and positive")
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
     pts = [(x, y, 0.0) for y in ys for x in xs]
@@ -171,8 +176,8 @@ class Scene:
             raise ValueError("need at least 4 poses for fitting")
         if self.rows * self.cols < 12:
             raise ValueError("need at least 12 target points")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
         pts = self.target_points
         for i, pose in enumerate(self.poses):
             depths = pts @ rotation_matrix(pose.axis_angle).T[:, 2] + pose.translation[2]
@@ -233,10 +238,6 @@ class FitReport:
 @dataclass(frozen=True)
 class FitOptions:
     refine_poses: bool = False
-    max_iter: int = 200
-    lambda0: float = 1e-3
-    cost_tol: float = 1e-12
-    force_lm: bool = False
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,14 @@ class CompareRow:
 # --------------------------------------------------------------------------
 
 
+def _pixels(intrinsics: Intrinsics, func: DistortionFunction, xn, yn) -> np.ndarray:
+    """(N, 2) pixels u = fx Fx(xn, yn) + cx, v = fy Fy(xn, yn) + cy."""
+    dx, dy = func.displacement(xn, yn)
+    u = intrinsics.fx * (xn + dx) + intrinsics.cx
+    v = intrinsics.fy * (yn + dy) + intrinsics.cy
+    return np.stack([u, v], axis=1)
+
+
 def project_points(
     intrinsics: Intrinsics, pose: Pose, func: DistortionFunction, points3
 ) -> np.ndarray:
@@ -274,11 +283,7 @@ def project_points(
     cam = pts @ rotation_matrix(pose.axis_angle).T + np.asarray(pose.translation)
     if np.any(cam[:, 2] <= 0):
         raise ValueError("point behind camera (nonpositive depth)")
-    xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
-    dx, dy = func.displacement(xn, yn)
-    u = intrinsics.fx * (xn + dx) + intrinsics.cx
-    v = intrinsics.fy * (yn + dy) + intrinsics.cy
-    return np.stack([u, v], axis=1)
+    return _pixels(intrinsics, func, cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2])
 
 
 def project(intrinsics: Intrinsics, pose: Pose, func: DistortionFunction, point3):
@@ -393,11 +398,8 @@ class SharedAxisFamily:
         gamma_kl by exp(-i theta (k - l - 1)), and the derivatives in the
         amplitudes are the unit-amplitude members at the same axis."""
         theta = float(coeffs[0])
-        d_theta = ComplexPoly(
-            {(k, l): -1j * (k - l - 1) * c for (k, l), c in func.poly.terms.items()}
-        )
         units = np.eye(self.n_params - 1)
-        return [d_theta] + [self._member(theta, *unit).poly for unit in units]
+        return [func.poly.generator(-1)] + [self._member(theta, *unit).poly for unit in units]
 
     def canonical(self, coeffs) -> np.ndarray:
         """The equivalent coefficient vector with theta in [0, pi)."""
@@ -439,6 +441,16 @@ def _part_space(part: str) -> ModelSpace:
     raise ValueError(f"unknown model family part {part!r}")
 
 
+def _as_family(family):
+    """A LinearFamily or SharedAxisFamily for a family name, a ModelSpace or
+    a family object."""
+    if isinstance(family, str):
+        return parse_family(family)
+    if isinstance(family, ModelSpace):
+        return LinearFamily(family)
+    return family
+
+
 def parse_family(name: str):
     """Resolve a family name: catalog spaces, rriN, full_* spaces, '+' sums,
     and the nonlinear shared-axis family 'sym_quad_cubic_rri3'."""
@@ -475,25 +487,25 @@ TABLE_FAMILIES = (
 # --------------------------------------------------------------------------
 
 
-def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray, rcond: float = _SVD_RCOND) -> np.ndarray:
+def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros(matrix.shape[1])
     inv = np.zeros_like(s)
-    keep = s > rcond * s[0]
+    keep = s > _SVD_RCOND * s[0]
     inv[keep] = 1.0 / s[keep]
     return vt.T @ ((u.T @ rhs) * inv)
 
 
-def _levenberg_marquardt(fun, x0, options: FitOptions, jacobian):
+def _levenberg_marquardt(fun, x0, jacobian):
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fun(x), dtype=float)
     cost = float(r @ r)
-    lam = options.lambda0
+    lam = _LAMBDA0
     iterations = 0
     converged = False
     n = x.size
-    while iterations < options.max_iter:
+    while iterations < _MAX_ITER:
         iterations += 1
         jac = jacobian(x)
         grad = jac.T @ r
@@ -509,7 +521,7 @@ def _levenberg_marquardt(fun, x0, options: FitOptions, jacobian):
                 x, r, cost = x_try, r_try, cost_try
                 lam = max(lam / 10.0, 1e-15)
                 improved = True
-                if rel_decrease < options.cost_tol:
+                if rel_decrease < _COST_TOL:
                     converged = True
                 break
             lam *= 10.0
@@ -616,10 +628,7 @@ class _Reprojection:
         state = None
         if cam is not None:
             xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
-            dx, dy = func.displacement(xn, yn)
-            u = self.intrinsics.fx * (xn + dx) + self.intrinsics.cx
-            v = self.intrinsics.fy * (yn + dy) + self.intrinsics.cy
-            r = (self.meas - np.stack([u, v], axis=1)).ravel()
+            r = (self.meas - _pixels(self.intrinsics, func, xn, yn)).ravel()
             state = (func, cam, xn + 1j * yn, r)
         self._last = (x.copy(), state)
         return state
@@ -641,15 +650,9 @@ class _Reprojection:
             jac[:, 0, j] = -fx * w.real
             jac[:, 1, j] = -fy * w.imag
         if self.refine_poses:
-            # Wirtinger derivatives: a step dz of the normalized point moves
-            # the distorted point by dz + f_z dz + f_zbar conj(dz).
-            zc = np.conj(z)
-            f_z, f_zc = np.zeros_like(z), np.zeros_like(z)
-            for (k, l), c in func.poly.terms.items():
-                if k:
-                    f_z = f_z + c * k * z ** (k - 1) * zc**l
-                if l:
-                    f_zc = f_zc + c * l * z**k * zc ** (l - 1)
+            # A step dz of the normalized point moves the distorted point
+            # by dz + f_z dz + f_zbar conj(dz).
+            f_z, f_zc = func.poly.wirtinger(z)
             n = self.points.shape[0]
             for v in range(len(cam) // n):
                 rows, cols = slice(v * n, (v + 1) * n), slice(p + 6 * v, p + 6 * v + 6)
@@ -666,13 +669,13 @@ class _Reprojection:
         return jac.reshape(self.meas.size, x.size)
 
 
-def _fit_lm(scene: Scene, obs: Observations, family, options: FitOptions) -> FitReport:
-    problem = _Reprojection(scene, obs, family, options.refine_poses)
-    pose_init = _pack_poses(scene.poses) if options.refine_poses else np.zeros(0)
+def _fit_lm(scene: Scene, obs: Observations, family, refine_poses: bool) -> FitReport:
+    problem = _Reprojection(scene, obs, family, refine_poses)
+    pose_init = _pack_poses(scene.poses) if refine_poses else np.zeros(0)
     best = None
     for start in family.starts():
         x0 = np.concatenate([start, pose_init])
-        x, r, iterations, converged = _levenberg_marquardt(problem, x0, options, problem.jacobian)
+        x, r, iterations, converged = _levenberg_marquardt(problem, x0, problem.jacobian)
         cost = float(r @ r)
         if best is None or cost < best[0]:
             best = (cost, x, r, iterations, converged)
@@ -692,16 +695,13 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     geometry unless ``options.refine_poses`` is set; intrinsics are always
     frozen.
     """
-    opts = options if options is not None else FitOptions()
-    if isinstance(family, str):
-        family = parse_family(family)
-    elif isinstance(family, ModelSpace):
-        family = LinearFamily(family)
+    refine_poses = options is not None and options.refine_poses
+    family = _as_family(family)
     if obs.n_views != len(scene.poses) or obs.n_points != scene.n_points:
         raise ValueError("observations do not match the scene geometry")
-    if family.linear and not opts.refine_poses and not opts.force_lm:
+    if family.linear and not refine_poses:
         return _fit_linear_frozen(scene, obs, family)
-    return _fit_lm(scene, obs, family, opts)
+    return _fit_lm(scene, obs, family, refine_poses)
 
 
 def compare(
@@ -715,9 +715,7 @@ def compare(
 
     rows = []
     for entry in families:
-        family = parse_family(entry) if isinstance(entry, str) else entry
-        if isinstance(family, ModelSpace):
-            family = LinearFamily(family)
+        family = _as_family(entry)
         report = fit(scene, obs, family, options)
         if family.linear:
             cls = classify(family.space)
@@ -791,12 +789,7 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(data) -> Scene:
-    if not isinstance(data, dict):
-        raise ValueError("scene JSON must be an object")
-    if data.get("format") != SCENE_FORMAT:
-        raise ValueError(f"expected format {SCENE_FORMAT!r}, got {data.get('format')!r}")
-    if data.get("version") != SCENE_VERSION:
-        raise ValueError(f"unsupported scene version {data.get('version')!r}")
+    check_header(data, "scene", SCENE_FORMAT, SCENE_VERSION)
     try:
         target = data["target"]
         poses = tuple(
@@ -820,47 +813,31 @@ def scene_from_json(data) -> Scene:
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON ({err})") from err
-    return scene_from_json(data)
+    return scene_from_json(load_json(path))
 
 
 def save_scene(path, scene: Scene) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_json(scene), fh, indent=2)
-        fh.write("\n")
+    save_json(path, scene_to_json(scene))
+
+
+_OBSERVATION_HEADER = ["view", "point", "u", "v"]
 
 
 def write_observations_csv(path, obs: Observations) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["view", "point", "u", "v"])
-        for v in range(obs.n_views):
-            for i in range(obs.n_points):
-                writer.writerow(
-                    [
-                        v,
-                        i,
-                        format(obs.pixels[v, i, 0], ".17g"),
-                        format(obs.pixels[v, i, 1], ".17g"),
-                    ]
-                )
+    write_csv(
+        path,
+        _OBSERVATION_HEADER,
+        ((v, i, u, w) for v in range(obs.n_views) for i, (u, w) in enumerate(obs.pixels[v])),
+    )
 
 
 def read_observations_csv(path) -> Observations:
     rows: dict[tuple[int, int], tuple[float, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["view", "point", "u", "v"]:
-            raise ValueError(f"{path}: expected header 'view,point,u,v', got {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            rows[(int(row[0]), int(row[1]))] = (float(row[2]), float(row[3]))
+    for view, point, u, v in read_csv(path, _OBSERVATION_HEADER):
+        key = (int(view), int(point))
+        if min(key) < 0 or key in rows:
+            raise ValueError(f"{path}: negative or repeated index in row {key}")
+        rows[key] = (float(u), float(v))
     if not rows:
         raise ValueError(f"{path}: no observations")
     n_views = max(k[0] for k in rows) + 1

@@ -40,25 +40,12 @@ class _InputError(Exception):
     pass
 
 
-def _load_model_checked(path) -> DistortionFunction:
+def _load_checked(loader, what: str, path):
+    """loader(path), with unreadable or malformed input as an input error."""
     try:
-        return DistortionFunction.from_poly(load_model(path))
+        return loader(path)
     except (OSError, ValueError) as err:
-        raise _InputError(f"cannot read model {path}: {err}") from err
-
-
-def _load_space_checked(path):
-    try:
-        return load_space(path)
-    except (OSError, ValueError) as err:
-        raise _InputError(f"cannot read space {path}: {err}") from err
-
-
-def _load_scene_checked(path) -> calib.Scene:
-    try:
-        return calib.load_scene(path)
-    except (OSError, ValueError) as err:
-        raise _InputError(f"cannot read scene {path}: {err}") from err
+        raise _InputError(f"cannot read {what} {path}: {err}") from err
 
 
 def _write_text(path, text: str) -> None:
@@ -120,7 +107,7 @@ def _svg_field(samples, size: int = 640, margin: int = 30) -> str:
 
 
 def _cmd_render(args) -> int:
-    func = _load_model_checked(args.model)
+    func = DistortionFunction.from_poly(_load_checked(load_model, "model", args.model))
     try:
         if args.shape == "circle":
             count = args.count if args.count is not None else 64
@@ -137,7 +124,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.model:
-        func = _load_model_checked(args.model)
+        func = DistortionFunction.from_poly(_load_checked(load_model, "model", args.model))
         try:
             report = reflection_symmetry(func, tol=args.tol)
         except ValueError as err:
@@ -152,7 +139,7 @@ def _cmd_verify(args) -> int:
             print(f"pairwise_ok: {report.pairwise_ok}")
             print(f"residual:    {report.residual:.6e}")
     else:
-        space = _load_space_checked(args.space)
+        space = _load_checked(load_space, "space", args.space)
         report = classify(space)
         payload = report.to_json_dict()
         if args.json:
@@ -167,8 +154,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    poly = _load_model_checked(getattr(args, "in"))
-    save_model(args.out, poly.poly, form=args.to)
+    poly = _load_checked(load_model, "model", getattr(args, "in"))
+    save_model(args.out, poly, form=args.to)
     return EXIT_OK
 
 
@@ -176,14 +163,14 @@ def _fit_options(args) -> calib.FitOptions:
     return calib.FitOptions(refine_poses=getattr(args, "refine_poses", False))
 
 
-def _scene_with_seed(scene: calib.Scene, seed) -> calib.Scene:
-    if seed is None:
-        return scene
-    return replace(scene, seed=int(seed))
+def _load_scene(args) -> calib.Scene:
+    """The --scene file, with its noise seed replaced by --seed if given."""
+    scene = _load_checked(calib.load_scene, "scene", args.scene)
+    return scene if args.seed is None else replace(scene, seed=args.seed)
 
 
 def _cmd_fit(args) -> int:
-    scene = _scene_with_seed(_load_scene_checked(args.scene), args.seed)
+    scene = _load_scene(args)
     try:
         family = calib.parse_family(args.family)
     except ValueError as err:
@@ -202,7 +189,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    scene = _scene_with_seed(_load_scene_checked(args.scene), args.seed)
+    scene = _load_scene(args)
     names = [n for n in args.families.split(",") if n]
     if not names:
         raise _InputError("no families given")
@@ -232,7 +219,7 @@ def _cmd_bench(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise _InputError("--steps must be >= 1")
-    scene = _scene_with_seed(_load_scene_checked(args.scene), args.seed)
+    scene = _load_scene(args)
     obs = calib.synthesize(scene)
     phis = [k * math.pi / args.steps for k in range(args.steps)]
     results = calib.sweep_axis_ratio(scene, obs, phis, _fit_options(args))

@@ -23,13 +23,13 @@ space, so they return functions, not spaces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._io import check_header, load_json, save_json
 from .poly import (
     ComplexPoly,
     MonomialKey,
@@ -487,12 +487,7 @@ def space_to_json(space: ModelSpace) -> dict:
 
 
 def space_from_json(data) -> ModelSpace:
-    if not isinstance(data, dict):
-        raise ValueError("space JSON must be an object")
-    if data.get("format") != SPACE_FORMAT:
-        raise ValueError(f"expected format {SPACE_FORMAT!r}, got {data.get('format')!r}")
-    if data.get("version") != SPACE_VERSION:
-        raise ValueError(f"unsupported space version {data.get('version')!r}")
+    check_header(data, "space", SPACE_FORMAT, SPACE_VERSION)
     basis_data = data.get("basis")
     if not isinstance(basis_data, list) or not basis_data:
         raise ValueError("'basis' must be a nonempty list of models")
@@ -506,15 +501,8 @@ def space_from_json(data) -> ModelSpace:
 
 
 def load_space(path) -> ModelSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON ({err})") from err
-    return space_from_json(data)
+    return space_from_json(load_json(path))
 
 
 def save_space(path, space: ModelSpace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_json(space), fh, indent=2)
-        fh.write("\n")
+    save_json(path, space_to_json(space))

@@ -33,7 +33,6 @@ types are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from cmath import exp as cexp
@@ -43,6 +42,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from ._io import check_header, load_json, save_json
 
 __all__ = [
     "MAX_DEGREE",
@@ -202,6 +203,29 @@ class ComplexPoly:
         if np.ndim(z) == 0:
             return complex(out)
         return out
+
+    def wirtinger(self, z):
+        """Wirtinger derivatives (f_z, f_zbar) at a complex scalar or array.
+
+        A step dz moves the value by f_z dz + f_zbar conj(dz).  Python
+        scalars stay Python complex numbers; arrays give arrays, also for
+        the zero polynomial.
+        """
+        zc = z.conjugate()
+        f_z = f_zc = 0 * z
+        for (k, l), c in self.terms.items():
+            if k:
+                f_z = f_z + c * k * z ** (k - 1) * zc**l
+            if l:
+                f_zc = f_zc + c * l * z**k * zc ** (l - 1)
+        return f_z, f_zc
+
+    def generator(self, sign: int = 1) -> "ComplexPoly":
+        """Derivative of rotated(sign * theta) at theta = 0: gamma_kl times
+        sign * i (k - l - 1)."""
+        return ComplexPoly(
+            {(k, l): sign * 1j * (k - l - 1) * c for (k, l), c in self.terms.items()}
+        )
 
     def rotated(self, theta: float) -> "ComplexPoly":
         """Coefficients after a coordinate rotation by theta (radians).
@@ -401,41 +425,25 @@ def monomial_rotation(n: int, theta: float) -> np.ndarray:
 
 def model_to_json(model: ComplexPoly | RealPolyModel, form: str = "complex") -> dict:
     """JSON-serializable dict for a displacement model, in the chosen form."""
+    if not isinstance(model, (ComplexPoly, RealPolyModel)):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
     if form == "complex":
         poly = model.to_complex() if isinstance(model, RealPolyModel) else model
-        if not isinstance(poly, ComplexPoly):
-            raise TypeError(f"cannot serialize {type(model).__name__}")
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "complex": [
-                {"k": k, "l": l, "re": c.real, "im": c.imag}
-                for (k, l), c in poly.terms.items()
-            ],
-        }
-    if form == "real":
+        body = [{"k": k, "l": l, "re": c.real, "im": c.imag} for (k, l), c in poly.terms.items()]
+    elif form == "real":
         real = model.to_real() if isinstance(model, ComplexPoly) else model
-        if not isinstance(real, RealPolyModel):
-            raise TypeError(f"cannot serialize {type(model).__name__}")
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "real": [
-                {"degree": n, "rows": [list(map(float, row)) for row in block]}
-                for n, block in real.blocks.items()
-            ],
-        }
-    raise ValueError(f"form must be 'complex' or 'real', got {form!r}")
+        body = [
+            {"degree": n, "rows": [list(map(float, row)) for row in block]}
+            for n, block in real.blocks.items()
+        ]
+    else:
+        raise ValueError(f"form must be 'complex' or 'real', got {form!r}")
+    return {"format": MODEL_FORMAT, "version": MODEL_VERSION, form: body}
 
 
 def model_from_json(data) -> ComplexPoly:
     """Parse a model dict (either form) into a ComplexPoly."""
-    if not isinstance(data, dict):
-        raise ValueError("model JSON must be an object")
-    if data.get("format") != MODEL_FORMAT:
-        raise ValueError(f"expected format {MODEL_FORMAT!r}, got {data.get('format')!r}")
-    if data.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {data.get('version')!r}")
+    check_header(data, "model", MODEL_FORMAT, MODEL_VERSION)
     has_complex = "complex" in data
     has_real = "real" in data
     if has_complex == has_real:
@@ -447,11 +455,11 @@ def model_from_json(data) -> ComplexPoly:
         terms: dict[MonomialKey, complex] = {}
         for entry in entries:
             try:
-                key = (entry["k"], entry["l"])
+                key = _check_key((entry["k"], entry["l"]))
                 coeff = complex(float(entry["re"]), float(entry["im"]))
             except (KeyError, TypeError, ValueError) as err:
                 raise ValueError(f"malformed complex term {entry!r}") from err
-            terms[_check_key(key)] = terms.get(key, 0j) + coeff
+            terms[key] = terms.get(key, 0j) + coeff
         return ComplexPoly(terms)
     entries = data["real"]
     if not isinstance(entries, list):
@@ -459,27 +467,20 @@ def model_from_json(data) -> ComplexPoly:
     blocks: dict[int, np.ndarray] = {}
     for entry in entries:
         try:
-            degree = entry["degree"]
-            rows = entry["rows"]
-        except (KeyError, TypeError) as err:
+            degree = operator.index(entry["degree"])
+            rows = np.asarray(entry["rows"], dtype=float)
+        except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"malformed real block {entry!r}") from err
         if degree in blocks:
             raise ValueError(f"duplicate degree {degree} in real blocks")
-        blocks[degree] = np.asarray(rows, dtype=float)
+        blocks[degree] = rows
     return RealPolyModel(blocks).to_complex()
 
 
 def load_model(path) -> ComplexPoly:
     """Load a model JSON file, normalizing to ComplexPoly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON ({err})") from err
-    return model_from_json(data)
+    return model_from_json(load_json(path))
 
 
 def save_model(path, model: ComplexPoly | RealPolyModel, form: str = "complex") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model, form=form), fh, indent=2)
-        fh.write("\n")
+    save_json(path, model_to_json(model, form=form))

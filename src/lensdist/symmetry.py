@@ -35,6 +35,7 @@ import numpy as np
 from .families import (
     DistortionFunction,
     ModelSpace,
+    _independent,
     coefficient_keys,
     coefficient_matrix,
 )
@@ -56,6 +57,7 @@ __all__ = [
 
 ISOTROPY_TOL = 1e-9
 SAMPLE_SEED = 0
+SAMPLE_COUNT = 50
 
 # Finite rotation angles used to confirm the generator-based isotropy test.
 _CONFIRM_ANGLES = (math.pi / 7, math.pi / 3, 2.0)
@@ -227,11 +229,7 @@ def is_isotropic(space: ModelSpace, tol: float = ISOTROPY_TOL) -> bool:
     basis_mat = coefficient_matrix(space.basis, keys)
     probes: list[ComplexPoly] = []
     for f in space.basis:
-        probes.append(
-            ComplexPoly(
-                {kl: 1j * (kl[0] - kl[1] - 1) * c for kl, c in f.poly.terms.items()}
-            )
-        )
+        probes.append(f.poly.generator())
         probes.extend(f.poly.rotated(theta) for theta in _CONFIRM_ANGLES)
     probe_mat = _vectorize(probes, keys)
     return all(
@@ -315,7 +313,7 @@ def structural_rsf(space: ModelSpace, tol: float = ISOTROPY_TOL) -> bool:
         return False
     companion = (1j * w1.winding_part(m)) + (-1j * w1.winding_part(-m))
     target_mat = _vectorize([w1, companion], pair_keys)
-    if not _independent_rank2(target_mat):
+    if not _independent(target_mat):
         return False
     # The basis projections must lie inside span{w1, companion}.
     return all(
@@ -324,32 +322,23 @@ def structural_rsf(space: ModelSpace, tol: float = ISOTROPY_TOL) -> bool:
     )
 
 
-def _independent_rank2(matrix: np.ndarray) -> bool:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return s.size >= 2 and s[0] > 0 and s[1] / s[0] > 1e-9
-
-
-def classify(
-    space: ModelSpace,
-    tol: float = ISOTROPY_TOL,
-    n_samples: int = 50,
-    seed: int = SAMPLE_SEED,
-) -> ClassReport:
+def classify(space: ModelSpace, tol: float = ISOTROPY_TOL) -> ClassReport:
     """Aggregate isotropy, rotation invariance and the mirror-symmetry flag.
 
-    rsf combines two certificates: every basis function plus ``n_samples``
-    seeded random combinations must pass the definitional symmetry check, and
-    the space must match the structural normal form.  The details string
-    records both, since sampling alone cannot certify every member and the
-    structural test alone presumes the normal form is exhaustive.
+    rsf combines two certificates: every basis function plus ``SAMPLE_COUNT``
+    (50) random combinations, drawn from a generator seeded with
+    ``SAMPLE_SEED`` (0), must pass the definitional symmetry check, and the
+    space must match the structural normal form.  The details string records
+    both, since sampling alone cannot certify every member and the structural
+    test alone presumes the normal form is exhaustive.
     """
     iso = is_isotropic(space, tol)
     rot = all(is_rotation_invariant(f, DEFAULT_TOL) for f in space.basis)
     structural = structural_rsf(space, tol)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     sampled = list(space.basis) + [
-        space.member(rng.standard_normal(space.dimension)) for _ in range(n_samples)
+        space.member(rng.standard_normal(space.dimension)) for _ in range(SAMPLE_COUNT)
     ]
     worst = 0.0
     sampled_ok = True

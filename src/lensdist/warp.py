@@ -13,19 +13,17 @@ domain validity, nothing is clamped.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._io import read_csv, write_csv
 from .families import DistortionFunction
 
 __all__ = [
     "NoConvergence",
     "SingularJacobian",
-    "InversionConfig",
     "apply_distortion",
     "jacobian",
     "invert",
@@ -41,6 +39,9 @@ __all__ = [
 
 Point = tuple[float, float]
 
+_MAX_ITER = 50
+_RESIDUAL_TOL = 1e-12
+_STEP_TOL = 1e-14
 _SINGULAR_DET = 1e-14
 _MIN_STEP_SCALE = 2.0**-40
 # Newton steps are capped at the working-domain scale (the unit disc).  Near a
@@ -55,22 +56,6 @@ class NoConvergence(RuntimeError):
 
 class SingularJacobian(RuntimeError):
     """The forward Jacobian became singular at an iterate."""
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    max_iter: int = 50
-    step_tol: float = 1e-14
-    residual_tol: float = 1e-12
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.step_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must be in (0, 1]")
 
 
 def apply_distortion(
@@ -91,33 +76,23 @@ def jacobian(func: DistortionFunction, p) -> np.ndarray:
     Uses the Wirtinger derivatives of the complex form; every term has total
     degree >= 2, so the result is exactly the identity at the origin.
     """
-    x, y = float(p[0]), float(p[1])
-    z = complex(x, y)
-    zc = z.conjugate()
-    fz = 0j
-    fzb = 0j
-    for (k, l), c in func.poly.terms.items():
-        if k:
-            fz += c * k * z ** (k - 1) * zc**l
-        if l:
-            fzb += c * l * z**k * zc ** (l - 1)
+    fz, fzb = func.poly.wirtinger(complex(float(p[0]), float(p[1])))
     wx = fz + fzb
     wy = 1j * (fz - fzb)
-    return np.array(
-        [[1.0 + wx.real, wy.real], [wx.imag, 1.0 + wy.imag]]
-    )
+    return np.array([[1.0 + wx.real, wy.real], [wx.imag, 1.0 + wy.imag]])
 
 
-def invert(
-    func: DistortionFunction, target, config: InversionConfig | None = None
-) -> Point:
+def invert(func: DistortionFunction, target) -> Point:
     """Solve F(q) = target by damped Newton from q0 = target.
 
-    Raises SingularJacobian when |det J| < 1e-14 at an iterate and
-    NoConvergence when the iteration budget or the monotone line search is
-    exhausted; both mean the target is outside the local invertibility region.
+    The budget is fixed: at most 50 Newton iterations, success once the
+    residual norm is below 1e-12, and a stop when the Newton step is below
+    1e-14.  Each line search starts at the full (capped) step and halves it
+    down to 2^-40.  Raises SingularJacobian when |det J| < 1e-14 at an
+    iterate and NoConvergence when the iteration budget or the monotone line
+    search is exhausted; both mean the target is outside the local
+    invertibility region.
     """
-    cfg = config if config is not None else InversionConfig()
     t = np.asarray(target, dtype=float)
     q = t.copy()
 
@@ -127,8 +102,8 @@ def invert(
 
     r = residual(q)
     rnorm = math.hypot(r[0], r[1])
-    for _ in range(cfg.max_iter):
-        if rnorm < cfg.residual_tol:
+    for _ in range(_MAX_ITER):
+        if rnorm < _RESIDUAL_TOL:
             return float(q[0]), float(q[1])
         jac = jacobian(func, q)
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -136,11 +111,11 @@ def invert(
             raise SingularJacobian(f"|det J| = {abs(det):.3e} at iterate {tuple(q)}")
         step = np.linalg.solve(jac, r)
         step_norm = math.hypot(step[0], step[1])
-        if step_norm < cfg.step_tol:
+        if step_norm < _STEP_TOL:
             break
         if step_norm > _MAX_STEP:
             step *= _MAX_STEP / step_norm
-        alpha = cfg.damping
+        alpha = 1.0
         while True:
             q_try = q - alpha * step
             r_try = residual(q_try)
@@ -153,10 +128,10 @@ def invert(
                 raise NoConvergence(
                     f"line search stalled with residual {rnorm:.3e}"
                 )
-    if rnorm < cfg.residual_tol:
+    if rnorm < _RESIDUAL_TOL:
         return float(q[0]), float(q[1])
     raise NoConvergence(
-        f"no convergence after {cfg.max_iter} iterations (residual {rnorm:.3e})"
+        f"no convergence after {_MAX_ITER} iterations (residual {rnorm:.3e})"
     )
 
 
@@ -191,45 +166,20 @@ def sample_field(func: DistortionFunction, points: Sequence[Point]) -> list[Fiel
     return [FieldSample((float(p[0]), float(p[1])), d) for p, d in zip(points, displaced)]
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def write_points_csv(path, points: Sequence[Point]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in points:
-            writer.writerow([_fmt(x), _fmt(y)])
+    write_csv(path, ["x", "y"], points)
 
 
 def read_points_csv(path) -> list[Point]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y"]:
-            raise ValueError(f"{path}: expected header 'x,y', got {header!r}")
-        return [(float(row[0]), float(row[1])) for row in reader if row]
+    return [(float(x), float(y)) for x, y in read_csv(path, ["x", "y"])]
 
 
 def write_field_csv(path, samples: Sequence[FieldSample]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "xd", "yd"])
-        for s in samples:
-            writer.writerow(
-                [_fmt(s.source[0]), _fmt(s.source[1]), _fmt(s.displaced[0]), _fmt(s.displaced[1])]
-            )
+    write_csv(path, ["x", "y", "xd", "yd"], ((*s.source, *s.displaced) for s in samples))
 
 
 def read_field_csv(path) -> list[FieldSample]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "y", "xd", "yd"]:
-            raise ValueError(f"{path}: expected header 'x,y,xd,yd', got {header!r}")
-        return [
-            FieldSample((float(r[0]), float(r[1])), (float(r[2]), float(r[3])))
-            for r in reader
-            if r
-        ]
+    return [
+        FieldSample((float(x), float(y)), (float(xd), float(yd)))
+        for x, y, xd, yd in read_csv(path, ["x", "y", "xd", "yd"])
+    ]

@@ -185,7 +185,7 @@ def test_fast_path_matches_generic_lm(noisy_setup):
     scene, obs = noisy_setup
     fam = parse_family("decentering+rri3")
     fast = calib.fit(scene, obs, fam)
-    lm = calib.fit(scene, obs, fam, FitOptions(force_lm=True))
+    lm = calib._fit_lm(scene, obs, fam, refine_poses=False)
     assert lm.converged
     assert abs(fast.rms_px - lm.rms_px) < 1e-8
 
@@ -280,12 +280,11 @@ def test_analytic_jacobian_matches_central_differences(noisy_setup, name, refine
 def test_refine_poses_std_errors_are_marginal_over_the_poses(noisy_setup):
     scene, obs = noisy_setup
     family = parse_family("decentering+rri3")
-    options = FitOptions(refine_poses=True)
-    report = calib.fit(scene, obs, family, options)
+    report = calib.fit(scene, obs, family, FitOptions(refine_poses=True))
     # The same single-start solve, to recover the refined poses.
     problem = calib._Reprojection(scene, obs, family, refine_poses=True)
     x0 = np.concatenate([np.zeros(5), calib._pack_poses(scene.poses)])
-    x, r, _, _ = calib._levenberg_marquardt(problem, x0, options, problem.jacobian)
+    x, r, _, _ = calib._levenberg_marquardt(problem, x0, problem.jacobian)
     assert tuple(x[:5]) == report.coefficients
     jac = numeric_jacobian(problem, x)
     m, n = jac.shape
@@ -482,6 +481,25 @@ def test_scene_json_validation():
         scene_from_json(data)
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("intrinsics", "fx", math.nan),
+        ("intrinsics", "fy", math.inf),
+        ("intrinsics", "cx", math.nan),
+        ("intrinsics", "cy", -math.inf),
+        ("target", "spacing", math.nan),
+        (None, "sigma", math.nan),
+        (None, "sigma", math.inf),
+    ],
+)
+def test_scene_json_rejects_non_finite_values(section, field, value):
+    data = scene_to_json(default_scene(truth=TRUTH))
+    (data[section] if section else data)[field] = value
+    with pytest.raises(ValueError):
+        scene_from_json(data)
+
+
 def test_observations_csv_round_trip(tmp_path, noisy_setup):
     _, obs = noisy_setup
     path = tmp_path / "obs.csv"
@@ -489,6 +507,21 @@ def test_observations_csv_round_trip(tmp_path, noisy_setup):
     loaded = read_observations_csv(path)
     assert np.array_equal(loaded.pixels, obs.pixels)
     assert path.read_text().splitlines()[0] == "view,point,u,v"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,0,1,2\n0,1,3,4\n1,0,5,6\n-1,1,7,8\n",  # (1, 1) only through a wrapped index
+        "0,0,1,2\n0,1,3\n",  # short row
+        "0,0,1,2\n0,0,9,9\n0,1,3,4\n1,0,5,6\n1,1,7,8\n",  # repeated (0, 0)
+    ],
+)
+def test_observations_csv_rejects_bad_rows(tmp_path, body):
+    path = tmp_path / "obs.csv"
+    path.write_text("view,point,u,v\n" + body)
+    with pytest.raises(ValueError):
+        read_observations_csv(path)
 
 
 def test_report_json_fields(noisy_setup):

@@ -95,6 +95,21 @@ def test_verify_nonpositive_tol_exit_2(model_file):
     assert main(["verify", "--model", model_file, "--tol", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"complex": [{"k": 2.5, "l": 0, "re": 1.0, "im": 0.0}]},
+        {"complex": [{"k": "2", "l": 0, "re": 1.0, "im": 0.0}]},
+        {"real": [{"degree": "2", "rows": [[1, 0, 0], [0, 1, 0]]}]},
+    ],
+)
+def test_verify_malformed_model_exit_2(tmp_path, capsys, entries):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"format": "lensdist-model", "version": 1, **entries}))
+    assert main(["verify", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read model")
+
+
 def test_verify_opencv_prism_not_symmetric(tmp_path, capsys):
     from lensdist.families import opencv_thin_prism
 
@@ -202,6 +217,18 @@ def test_bench_deterministic(tmp_path, capsys, scene_file):
     assert main(argv + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "section, field", [("intrinsics", "fx"), ("target", "spacing"), (None, "sigma")]
+)
+def test_fit_non_finite_scene_exit_2(tmp_path, capsys, scene_file, section, field):
+    data = json.loads(open(scene_file).read())
+    (data[section] if section else data)[field] = math.nan
+    path = tmp_path / "nan_scene.json"
+    path.write_text(json.dumps(data))
+    assert main(["fit", "--scene", str(path), "--family", "rri1", "--strict"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read scene")
 
 
 def test_bench_unknown_family_exit_2(scene_file):

@@ -224,6 +224,63 @@ def test_rotation_commutation_property():
         assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_generator_is_the_rotation_derivative(sign):
+    rng = np.random.default_rng(12)
+    h = 1e-6
+    for _ in range(20):
+        f = random_poly(rng, max_degree=9)
+        gen = f.generator(sign)
+        plus, minus = f.rotated(sign * h).terms, f.rotated(-sign * h).terms
+        assert set(gen.terms) <= set(f.terms)
+        for key in f.terms:
+            diff = (plus[key] - minus[key]) / (2 * h)
+            assert abs(gen.terms.get(key, 0j) - diff) < 1e-7
+
+
+# -- Wirtinger derivatives ------------------------------------------------------
+
+
+def test_wirtinger_scalar_matches_forward_jacobian():
+    from lensdist.families import DistortionFunction
+    from lensdist.warp import jacobian
+
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        f = random_poly(rng, max_degree=9)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        f_z, f_zc = f.wirtinger(z)
+        assert type(f_z) is complex and type(f_zc) is complex
+        wx, wy = f_z + f_zc, 1j * (f_z - f_zc)
+        expected = np.array([[1.0 + wx.real, wy.real], [wx.imag, 1.0 + wy.imag]])
+        assert np.array_equal(jacobian(DistortionFunction(f), (z.real, z.imag)), expected)
+
+
+def test_wirtinger_array_matches_per_element_results():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        f = random_poly(rng, max_degree=MAX_DEGREE)
+        z = rng.uniform(-1, 1, 37) + 1j * rng.uniform(-1, 1, 37)
+        f_z, f_zc = f.wirtinger(z)
+        assert f_z.shape == f_zc.shape == z.shape
+        for i in range(z.size):
+            # Bit for bit against the same element alone ...
+            one_z, one_zc = f.wirtinger(z[i : i + 1])
+            assert one_z[0] == f_z[i] and one_zc[0] == f_zc[i]
+            # ... and to rounding against Python scalar arithmetic, whose
+            # complex multiply may round differently from numpy's vectorized one.
+            s_z, s_zc = f.wirtinger(complex(z[i]))
+            assert abs(s_z - f_z[i]) <= 1e-12 * max(1.0, abs(s_z))
+            assert abs(s_zc - f_zc[i]) <= 1e-12 * max(1.0, abs(s_zc))
+
+
+def test_wirtinger_of_zero_polynomial_is_zero_shaped_like_z():
+    z = np.array([[0.1 + 0.2j, -0.3j], [0.5, 0.0]])
+    for d in ComplexPoly.zero().wirtinger(z):
+        assert isinstance(d, np.ndarray) and d.shape == z.shape and not d.any()
+    assert ComplexPoly.zero().wirtinger(0.3 - 0.1j) == (0j, 0j)
+
+
 # -- monomial vector and its rotation matrix ----------------------------------
 
 
@@ -302,6 +359,21 @@ def test_model_json_validation():
         model_from_json(
             {"format": "lensdist-model", "version": 1, "complex": [], "real": []}
         )
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"complex": [{"k": 2.5, "l": 0, "re": 1.0, "im": 0.0}]},
+        {"complex": [{"k": "2", "l": 0, "re": 1.0, "im": 0.0}]},
+        {"real": [{"degree": "2", "rows": [[1, 0, 0], [0, 1, 0]]}]},
+        {"real": [{"degree": 2.0, "rows": [[1, 0, 0], [0, 1, 0]]}]},
+        {"real": [{"degree": 2, "rows": {"a": 1}}]},
+    ],
+)
+def test_model_json_malformed_entries_raise_value_error(entries):
+    with pytest.raises(ValueError):
+        model_from_json({"format": "lensdist-model", "version": 1, **entries})
 
 
 def test_load_model_rejects_bad_json(tmp_path):

@@ -9,7 +9,6 @@ from lensdist.families import DistortionFunction, decentering, rri
 from lensdist.poly import ComplexPoly
 from lensdist.warp import (
     FieldSample,
-    InversionConfig,
     NoConvergence,
     SingularJacobian,
     apply_distortion,
@@ -130,25 +129,15 @@ def test_invert_failure_outside_local_region():
 
 def test_invert_round_trip_many_small_functions():
     rng = np.random.default_rng(53)
-    cfg = InversionConfig()
     for _ in range(100):
         f = small_random_poly(rng)
         for _ in range(10):
             r = 0.8 * math.sqrt(rng.uniform())
             a = rng.uniform(0, 2 * math.pi)
             target = (r * math.cos(a), r * math.sin(a))
-            q = invert(f, target, cfg)
+            q = invert(f, target)
             forward = apply_distortion(f, [q])[0]
             assert math.hypot(forward[0] - target[0], forward[1] - target[1]) < 1e-9
-
-
-def test_inversion_config_validation():
-    with pytest.raises(ValueError):
-        InversionConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        InversionConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        InversionConfig(residual_tol=-1.0)
 
 
 # -- composition closure -----------------------------------------------------------
@@ -210,6 +199,17 @@ def test_point_csv_round_trip(tmp_path):
     write_points_csv(path, pts)
     assert path.read_text().splitlines()[0] == "x,y"
     assert read_points_csv(path) == pts
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [(read_points_csv, "x,y\n0.1,0.2\n0.3\n"), (read_field_csv, "x,y,xd,yd\n0,0,0\n")],
+)
+def test_csv_short_row_raises_value_error(tmp_path, reader, text):
+    path = tmp_path / "short.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        reader(path)
 
 
 def test_field_csv_round_trip(tmp_path):
