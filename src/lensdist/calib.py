@@ -28,10 +28,10 @@ fit is reproducible regardless of environment.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from ._io import check_header, load_json, read_csv, save_json, write_csv
 from .families import (
     DistortionFunction,
     ModelSpace,
-    full_poly_space,
     mixed_quadratic,
     named_space,
     rri,
@@ -47,7 +46,6 @@ from .families import (
     space_sum,
     symmetric_cubic,
     symmetric_quadratic,
-    CATALOG_NAMES,
 )
 from .poly import ComplexPoly, model_from_json, model_to_json
 
@@ -225,14 +223,7 @@ class FitReport:
     std_errors: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "rms_px": self.rms_px,
-            "coefficients": list(self.coefficients),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "per_view_rms": list(self.per_view_rms),
-            "std_errors": list(self.std_errors),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -251,15 +242,7 @@ class CompareRow:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n_params": self.n_params,
-            "linear": self.linear,
-            "rri": self.rri,
-            "rsf": self.rsf,
-            "rms_px": self.rms_px,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -361,6 +344,16 @@ class LinearFamily:
         return [np.zeros(self.n_params)]
 
 
+# The shared-axis amplitudes at axis 0: symmetric_quadratic's 3 and
+# symmetric_cubic's 4 unit members, then the degree-5 and -7 radial terms.
+_SYMMETRIC_BASE = ModelSpace(
+    tuple(symmetric_quadratic(0.0, *unit) for unit in np.eye(3))
+    + tuple(symmetric_cubic(0.0, *unit) for unit in np.eye(4))
+    + (rri([0.0, 1.0]), rri([0.0, 0.0, 1.0])),
+    "sym_quad_cubic_rri3 at axis 0",
+)
+
+
 class SharedAxisFamily:
     """Nonlinear mirror-symmetric family with one shared axis angle.
 
@@ -368,6 +361,9 @@ class SharedAxisFamily:
     amplitudes (d, e, f, g), and two higher invariant radial coefficients
     (degrees 5 and 7); d doubles as the degree-3 radial coefficient, so the
     radial rotationally invariant part has three coefficients in total.
+
+    The member at theta is the member of the fixed 9-dimensional space
+    ``_SYMMETRIC_BASE`` (axis 0) with the same amplitudes, rotated by -theta.
 
     Quadratic monomials have odd winding numbers and cubic ones even, so
     (theta + pi, -a, -b, -c, d, ..., a3) is the same function as
@@ -382,24 +378,15 @@ class SharedAxisFamily:
     rri = False
     rsf = True
 
-    @staticmethod
-    def _member(theta, a, b, c, d, e, f, g, a2, a3) -> DistortionFunction:
-        return (
-            symmetric_quadratic(theta, a, b, c)
-            + symmetric_cubic(theta, d, e, f, g)
-            + rri([0.0, a2, a3])
-        )
-
     def build(self, coeffs) -> DistortionFunction:
-        return self._member(*(float(v) for v in coeffs))
+        return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
     def derivatives(self, coeffs, func: DistortionFunction) -> list[ComplexPoly]:
         """Partial derivatives of ``func = build(coeffs)``: the axis rotates
         gamma_kl by exp(-i theta (k - l - 1)), and the derivatives in the
-        amplitudes are the unit-amplitude members at the same axis."""
-        theta = float(coeffs[0])
-        units = np.eye(self.n_params - 1)
-        return [func.poly.generator(-1)] + [self._member(theta, *unit).poly for unit in units]
+        amplitudes are the base basis rotated to the same axis."""
+        axis = -float(coeffs[0])
+        return [func.poly.generator(-1)] + [f.poly.rotated(axis) for f in _SYMMETRIC_BASE.basis]
 
     def canonical(self, coeffs) -> np.ndarray:
         """The equivalent coefficient vector with theta in [0, pi)."""
@@ -421,26 +408,6 @@ class SharedAxisFamily:
         return starts
 
 
-_RRI_PATTERN = re.compile(r"rri(\d+)")
-
-_PART_BUILDERS: dict[str, Callable[[], ModelSpace]] = {
-    "full_quad": lambda: full_poly_space([2], label="full_quad"),
-    "full_cubic": lambda: full_poly_space([3], label="full_cubic"),
-    "full_quad_cubic": lambda: full_poly_space([2, 3], label="full_quad_cubic"),
-}
-
-
-def _part_space(part: str) -> ModelSpace:
-    if part in CATALOG_NAMES:
-        return named_space(part)
-    if part in _PART_BUILDERS:
-        return _PART_BUILDERS[part]()
-    match = _RRI_PATTERN.fullmatch(part)
-    if match:
-        return rri_space(int(match.group(1)))
-    raise ValueError(f"unknown model family part {part!r}")
-
-
 def _as_family(family):
     """A LinearFamily or SharedAxisFamily for a family name, a ModelSpace or
     a family object."""
@@ -459,7 +426,7 @@ def parse_family(name: str):
     parts = name.split("+")
     if not all(parts):
         raise ValueError(f"malformed family name {name!r}")
-    space = reduce(space_sum, (_part_space(p) for p in parts))
+    space = reduce(space_sum, map(named_space, parts))
     if space.label != name:
         space = space.relabeled(name)
     return LinearFamily(space)
@@ -797,8 +764,8 @@ def scene_from_json(data) -> Scene:
         )
         intr = data["intrinsics"]
         return Scene(
-            rows=int(target["rows"]),
-            cols=int(target["cols"]),
+            rows=operator.index(target["rows"]),
+            cols=operator.index(target["cols"]),
             spacing=float(target["spacing"]),
             poses=poses,
             intrinsics=Intrinsics(
@@ -806,7 +773,7 @@ def scene_from_json(data) -> Scene:
             ),
             truth=DistortionFunction.from_poly(model_from_json(data["truth"])),
             noise_sigma=float(data["sigma"]),
-            seed=int(data["seed"]),
+            seed=operator.index(data["seed"]),
         )
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed scene JSON: {err}") from err

@@ -23,6 +23,7 @@ space, so they return functions, not spaces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -460,16 +461,21 @@ _CATALOG = {
 
 CATALOG_NAMES = tuple(sorted(_CATALOG))
 
+_FULL_DEGREES = {"full_quad": [2], "full_cubic": [3], "full_quad_cubic": [2, 3]}
+
 
 def named_space(name: str) -> ModelSpace:
-    """Catalog lookup for the named model spaces (see CATALOG_NAMES)."""
-    try:
-        builder = _CATALOG[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown model space {name!r}; known names: {', '.join(CATALOG_NAMES)}"
-        ) from None
-    return builder()
+    """The model space of one name: a CATALOG_NAMES entry, rriN for any
+    N >= 1, or full_quad, full_cubic and full_quad_cubic."""
+    if name in _CATALOG:
+        return _CATALOG[name]()
+    if name in _FULL_DEGREES:
+        return full_poly_space(_FULL_DEGREES[name], label=name)
+    match = re.fullmatch(r"rri(\d+)", name)
+    if match:
+        return rri_space(int(match.group(1)))
+    known = ", ".join(CATALOG_NAMES + ("rriN",) + tuple(_FULL_DEGREES))
+    raise ValueError(f"unknown model space {name!r}; known names: {known}")
 
 
 # --------------------------------------------------------------------------

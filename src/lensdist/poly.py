@@ -230,8 +230,10 @@ class ComplexPoly:
     def rotated(self, theta: float) -> "ComplexPoly":
         """Coefficients after a coordinate rotation by theta (radians).
 
-        Each gamma_kl picks up the phase exp(i theta (k - l - 1)); monomials
-        with winding number 0 are unchanged for every theta.
+        Each gamma_kl picks up the phase exp(i theta (k - l - 1)), giving
+        z -> exp(-i theta) f(exp(i theta) z): the field of f turned by -theta,
+        so a camera roll that turns the image by phi maps f to rotated(-phi).
+        Monomials with winding number 0 are unchanged for every theta.
         """
         return ComplexPoly(
             {
@@ -459,7 +461,9 @@ def model_from_json(data) -> ComplexPoly:
                 coeff = complex(float(entry["re"]), float(entry["im"]))
             except (KeyError, TypeError, ValueError) as err:
                 raise ValueError(f"malformed complex term {entry!r}") from err
-            terms[key] = terms.get(key, 0j) + coeff
+            if key in terms:
+                raise ValueError(f"duplicate monomial {key} in complex terms")
+            terms[key] = coeff
         return ComplexPoly(terms)
     entries = data["real"]
     if not isinstance(entries, list):

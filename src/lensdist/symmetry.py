@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from cmath import exp as cexp, phase
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -79,12 +79,7 @@ class SymmetryReport:
     residual: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "axis": self.axis,
-            "pairwise_ok": self.pairwise_ok,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -98,13 +93,7 @@ class ClassReport:
     details: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "isotropic": self.isotropic,
-            "rotation_invariant": self.rotation_invariant,
-            "rsf": self.rsf,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _axis_mod_pi(theta: float) -> float:

@@ -1,6 +1,7 @@
 """Synthetic calibration: projection, synthesis, fitting, comparison, sweep."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,17 @@ from lensdist.calib import (
 )
 from lensdist.families import (
     DistortionFunction,
+    ModelSpace,
     decentering,
     mixed_quadratic,
     named_space,
     rri,
+    space_sum,
+    symmetric_cubic,
+    symmetric_quadratic,
 )
+from lensdist.poly import ComplexPoly
+from lensdist.symmetry import classify
 
 TRUTH = decentering(0.02, -0.01) + rri([0.08, -0.02, 0.005])
 TRUE_COEFFS = np.array([0.02, -0.01, 0.08, -0.02, 0.005])
@@ -342,6 +349,45 @@ def test_nonlinear_family_fit_recovers_symmetric_truth():
     assert report.rms_px < 0.22
 
 
+def _shared_axis_reference(theta, a, b, c, d, e, f, g, a2, a3) -> DistortionFunction:
+    # The shared-axis member assembled from its three families at the axis:
+    # the oracle for SharedAxisFamily.build and its amplitude derivatives.
+    return (
+        symmetric_quadratic(theta, a, b, c)
+        + symmetric_cubic(theta, d, e, f, g)
+        + rri([0.0, a2, a3])
+    )
+
+
+def _bits(poly: ComplexPoly) -> list:
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in poly.terms.items()]
+
+
+def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
+    family = calib.SharedAxisFamily()
+    rng = np.random.default_rng(65)
+    edge_thetas = (0.0, -0.0, 1e3, -1e3, 999.9, -1000.3)
+    for i in range(1200):
+        coeffs = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=10)
+        if i % 3 == 0:
+            coeffs[0] = edge_thetas[(i // 3) % len(edge_thetas)]
+        coeffs[1:][rng.random(9) < 0.2] = 0.0
+        if i % 5 == 0:  # equal amplitudes cancel the (2, 0) and (3, 0) terms
+            coeffs[2], coeffs[6] = coeffs[1], coeffs[5]
+        if i % 97 == 0:
+            coeffs[1:] = 0.0
+        values = [float(v) for v in coeffs]
+        want = _shared_axis_reference(*values)
+        got = family.build(coeffs)
+        assert _bits(got.poly) == _bits(want.poly), coeffs
+        derivs = [want.poly.generator(-1)] + [
+            _shared_axis_reference(values[0], *unit).poly for unit in np.eye(9)
+        ]
+        assert [_bits(p) for p in family.derivatives(coeffs, got)] == [
+            _bits(p) for p in derivs
+        ], coeffs
+
+
 def test_shared_axis_canonical_form_is_the_same_function():
     family = calib.SharedAxisFamily()
     rng = np.random.default_rng(64)
@@ -375,6 +421,75 @@ def test_shared_axis_starts_agree_in_canonical_form(noisy_setup):
     assert np.max(np.abs(coeffs - coeffs[0])) < 1e-8
     best = calib.fit(scene, obs, "sym_quad_cubic_rri3")
     assert np.max(np.abs(np.array(best.coefficients) - coeffs[0])) < 1e-8
+
+
+# -- camera roll ----------------------------------------------------------------------
+
+
+def _rolled_axis_angle(axis_angle, theta: float) -> tuple:
+    """Axis-angle of Rz(theta) R(axis_angle), by quaternion product."""
+    w = np.asarray(axis_angle, dtype=float)
+    angle = float(np.linalg.norm(w))
+    q_w, q_v = math.cos(angle / 2), w / 2 * np.sinc(angle / (2 * math.pi))
+    r_w, r_v = math.cos(theta / 2), np.array([0.0, 0.0, math.sin(theta / 2)])
+    p_w, p_v = r_w * q_w - r_v @ q_v, r_w * q_v + q_w * r_v + np.cross(r_v, q_v)
+    norm = float(np.linalg.norm(p_v))
+    return tuple(p_v * (2 * math.atan2(norm, p_w) / norm))
+
+
+def _rolled(scene, obs, theta: float):
+    """The scene and observations after a camera roll by theta: each pose is
+    turned by Rz(theta) and each pixel by theta about (cx, cy)."""
+    rz = rotation_matrix([0.0, 0.0, theta])
+    poses = tuple(
+        Pose(_rolled_axis_angle(p.axis_angle, theta), tuple(rz @ p.translation))
+        for p in scene.poses
+    )
+    center = np.array([scene.intrinsics.cx, scene.intrinsics.cy])
+    pixels = (obs.pixels - center) @ rz[:2, :2].T + center
+    return replace(scene, poses=poses), Observations(pixels)
+
+
+ROLL = 0.7
+
+
+@pytest.mark.parametrize(
+    "name, refine_poses, tol",
+    [
+        ("decentering+rri3", False, 1e-12),
+        ("decentering+rri3", True, 1e-12),
+        ("weng+rri3", False, 1e-12),
+        ("sym_quad_cubic_rri3", False, 1e-7),
+    ],
+)
+def test_fit_commutes_with_camera_roll(noisy_setup, name, refine_poses, tol):
+    # fx = fy, so rolling the camera by theta turns the image by theta and
+    # an isotropic family's fit into the original fit rotated(-theta).
+    scene, obs = noisy_setup
+    family = parse_family(name)
+    if family.linear:
+        assert classify(family.space).isotropic
+    options = FitOptions(refine_poses=refine_poses)
+    before = calib.fit(scene, obs, family, options)
+    after = calib.fit(*_rolled(scene, obs, ROLL), family, options)
+    assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
+    want = family.build(np.array(before.coefficients)).poly.rotated(-ROLL)
+    got = family.build(np.array(after.coefficients)).poly
+    assert got.isclose(want, tol=tol)
+    if not family.linear:  # the axis turns with the image
+        turned = family.canonical([before.coefficients[0] + ROLL, *before.coefficients[1:]])
+        assert np.max(np.abs(np.array(after.coefficients) - turned)) <= tol
+
+
+def test_roll_changes_the_fit_of_an_anisotropic_family(noisy_setup):
+    # Real multiples of z^2 only: the control for the roll test above.
+    re_z2 = ModelSpace((DistortionFunction.from_poly(ComplexPoly({(2, 0): 1.0})),), "re_z2")
+    space = space_sum(re_z2, named_space("rri3"))
+    assert not classify(space).isotropic
+    scene, obs = noisy_setup
+    before = calib.fit(scene, obs, space)
+    after = calib.fit(*_rolled(scene, obs, ROLL), space)
+    assert abs(after.rms_px / before.rms_px - 1.0) > 0.05
 
 
 # -- compare and sweep ----------------------------------------------------------------
@@ -491,6 +606,9 @@ def test_scene_json_validation():
         ("target", "spacing", math.nan),
         (None, "sigma", math.nan),
         (None, "sigma", math.inf),
+        ("target", "rows", 6.7),
+        ("target", "cols", 9.5),
+        (None, "seed", 2.9),
     ],
 )
 def test_scene_json_rejects_non_finite_values(section, field, value):

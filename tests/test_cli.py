@@ -101,6 +101,12 @@ def test_verify_nonpositive_tol_exit_2(model_file):
         {"complex": [{"k": 2.5, "l": 0, "re": 1.0, "im": 0.0}]},
         {"complex": [{"k": "2", "l": 0, "re": 1.0, "im": 0.0}]},
         {"real": [{"degree": "2", "rows": [[1, 0, 0], [0, 1, 0]]}]},
+        {
+            "complex": [
+                {"k": 2, "l": 0, "re": 1.0, "im": 0.0},
+                {"k": 2, "l": 0, "re": 2.0, "im": 0.0},
+            ]
+        },
     ],
 )
 def test_verify_malformed_model_exit_2(tmp_path, capsys, entries):
@@ -220,11 +226,18 @@ def test_bench_deterministic(tmp_path, capsys, scene_file):
 
 
 @pytest.mark.parametrize(
-    "section, field", [("intrinsics", "fx"), ("target", "spacing"), (None, "sigma")]
+    "section, field, value",
+    [
+        pytest.param("intrinsics", "fx", math.nan, id="intrinsics-fx"),
+        pytest.param("target", "spacing", math.nan, id="target-spacing"),
+        pytest.param(None, "sigma", math.nan, id="None-sigma"),
+        pytest.param("target", "rows", 6.7, id="target-rows-fractional"),
+        pytest.param(None, "seed", 2.9, id="None-seed-fractional"),
+    ],
 )
-def test_fit_non_finite_scene_exit_2(tmp_path, capsys, scene_file, section, field):
+def test_fit_non_finite_scene_exit_2(tmp_path, capsys, scene_file, section, field, value):
     data = json.loads(open(scene_file).read())
-    (data[section] if section else data)[field] = math.nan
+    (data[section] if section else data)[field] = value
     path = tmp_path / "nan_scene.json"
     path.write_text(json.dumps(data))
     assert main(["fit", "--scene", str(path), "--family", "rri1", "--strict"]) == 2

@@ -343,6 +343,10 @@ def test_named_space_catalog():
         space = named_space(name)
         assert space.dimension == dim
         assert space.label == name
+    # Names outside the catalog: rriN and the full polynomial spaces.
+    assert named_space("rri7").dimension == 7 and named_space("rri7").label == "rri7"
+    assert named_space("full_cubic").dimension == 8
+    assert named_space("full_cubic").label == "full_cubic"
     with pytest.raises(ValueError):
         named_space("nope")
 

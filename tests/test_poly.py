@@ -369,6 +369,12 @@ def test_model_json_validation():
         {"real": [{"degree": "2", "rows": [[1, 0, 0], [0, 1, 0]]}]},
         {"real": [{"degree": 2.0, "rows": [[1, 0, 0], [0, 1, 0]]}]},
         {"real": [{"degree": 2, "rows": {"a": 1}}]},
+        {
+            "complex": [
+                {"k": 2, "l": 0, "re": 1.0, "im": 0.0},
+                {"k": 2, "l": 0, "re": 2.0, "im": 0.0},
+            ]
+        },
     ],
 )
 def test_model_json_malformed_entries_raise_value_error(entries):
