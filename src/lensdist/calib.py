@@ -176,6 +176,11 @@ class Scene:
             raise ValueError("need at least 12 target points")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and nonnegative")
+        if isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer, not a boolean")
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         pts = self.target_points
         for i, pose in enumerate(self.poses):
             depths = pts @ rotation_matrix(pose.axis_angle).T[:, 2] + pose.translation[2]
@@ -773,7 +778,7 @@ def scene_from_json(data) -> Scene:
             ),
             truth=DistortionFunction.from_poly(model_from_json(data["truth"])),
             noise_sigma=float(data["sigma"]),
-            seed=operator.index(data["seed"]),
+            seed=data["seed"],
         )
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed scene JSON: {err}") from err

@@ -166,7 +166,12 @@ def _fit_options(args) -> calib.FitOptions:
 def _load_scene(args) -> calib.Scene:
     """The --scene file, with its noise seed replaced by --seed if given."""
     scene = _load_checked(calib.load_scene, "scene", args.scene)
-    return scene if args.seed is None else replace(scene, seed=args.seed)
+    if args.seed is None:
+        return scene
+    try:
+        return replace(scene, seed=args.seed)
+    except ValueError as err:
+        raise _InputError(f"--seed: {err}") from err
 
 
 def _cmd_fit(args) -> int:

@@ -10,15 +10,13 @@ Checks provided here, all working directly on complex coefficients:
 * ``pairwise_conditions`` checks the necessary two-term phase relations
   Im[gamma^m' conj(gamma')^m] = 0.  They are not sufficient: z^3 + i z zbar^2
   passes them but is not symmetric about any axis.
-* ``is_isotropic`` decides whether a linear space is closed under rotations,
-  combining the infinitesimal generator test (each coefficient multiplied by
-  i m must stay in the span) with confirmation at a few finite angles.
+* ``is_isotropic`` decides whether a linear space is closed under rotations
+  by the infinitesimal generator test: each coefficient multiplied by i m
+  must stay in the span.
 * ``classify`` aggregates the predicates for a space.  The "every member is
-  reflection-symmetric" flag (rsf) is certified two ways at once: a seeded
-  sample of members must pass the definitional check, and the space must have
-  the structural normal form (at most one +/-m winding pair outside winding
-  zero, carried by a conjugate-paired complex line over real polynomials,
-  plus invariant monomials with real coefficients).
+  reflection-symmetric" flag (rsf) holds exactly when one of two exact
+  certificates does: all basis functions share one mirror axis, or the space
+  has the structural normal form of ``structural_rsf``.
 
 Axis angles are reported in [0, pi); axes are lines, defined modulo pi.
 """
@@ -35,11 +33,10 @@ import numpy as np
 from .families import (
     DistortionFunction,
     ModelSpace,
-    _independent,
     coefficient_keys,
     coefficient_matrix,
 )
-from .poly import ComplexPoly, DEFAULT_TOL
+from .poly import DEFAULT_TOL
 
 __all__ = [
     "SymmetryReport",
@@ -56,11 +53,6 @@ __all__ = [
 ]
 
 ISOTROPY_TOL = 1e-9
-SAMPLE_SEED = 0
-SAMPLE_COUNT = 50
-
-# Finite rotation angles used to confirm the generator-based isotropy test.
-_CONFIRM_ANGLES = (math.pi / 7, math.pi / 3, 2.0)
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,11 @@ class SymmetryReport:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Aggregated geometric classification of a linear model space."""
+    """Aggregated geometric classification of a linear model space.
+
+    ``details`` reads ``structural_normal_form=<bool>; common_axis=<axis>``,
+    where the axis is an angle in [0, pi), "any" or None.
+    """
 
     dimension: int
     isotropic: bool
@@ -114,28 +110,17 @@ def _axis_residual(terms, theta: float) -> float:
     return worst
 
 
-def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> SymmetryReport:
-    """Decide mirror symmetry of a displacement and recover the axis.
+def _best_axis(terms) -> tuple[float | str, float]:
+    """The axis that best fits a list of ((k, l), gamma) terms, and its residual.
 
-    Candidate axes come from the stored monomial with the smallest nonzero
-    |winding|: its coefficient alone forces theta = (-arg gamma + j pi) / m,
-    giving at most 2|m| distinct candidates modulo pi.  Every candidate is
-    then scored against all coefficients and the best residual reported.
+    Candidate axes come from the term with the smallest nonzero |winding|:
+    its coefficient alone forces theta = (-arg gamma + j pi) / m, giving at
+    most 2|m| distinct candidates modulo pi.  Every candidate is then scored
+    against all terms.  The axis is "any" when no term winds.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    terms = list(func.poly.terms.items())
-    pairwise_ok = pairwise_conditions(func, tol)
-    if not terms:
-        return SymmetryReport(True, "any", True, 0.0)
-
     swirling = [(kl, c) for kl, c in terms if kl[0] - kl[1] - 1 != 0]
     if not swirling:
-        residual = max(abs(c.imag) for _, c in terms)
-        symmetric = residual < tol
-        return SymmetryReport(
-            symmetric, "any" if symmetric else None, pairwise_ok or symmetric, residual
-        )
+        return "any", max((abs(c.imag) for _, c in terms), default=0.0)
 
     # Smallest |m| first; among those, the largest coefficient for a stable arg.
     (k0, l0), c0 = min(
@@ -160,12 +145,24 @@ def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> S
         if res < best_residual:
             best_residual = res
             best_axis = cand
-    symmetric = best_residual < tol
+    return best_axis, best_residual
+
+
+def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> SymmetryReport:
+    """Decide mirror symmetry of a displacement and recover the axis.
+
+    The best candidate axis of the stored terms (see ``_best_axis``) is
+    reported when its residual is below tol.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    axis, residual = _best_axis(list(func.poly.terms.items()))
+    symmetric = residual < tol
     return SymmetryReport(
         symmetric,
-        best_axis if symmetric else None,
-        pairwise_ok or symmetric,
-        best_residual,
+        axis if symmetric else None,
+        symmetric or pairwise_conditions(func, tol),
+        residual,
     )
 
 
@@ -194,9 +191,10 @@ def is_rotation_invariant(func: DistortionFunction, tol: float = DEFAULT_TOL) ->
     )
 
 
-def _span_residual(basis_matrix: np.ndarray, vector: np.ndarray) -> float:
-    sol, *_ = np.linalg.lstsq(basis_matrix.T, vector, rcond=None)
-    return float(np.linalg.norm(basis_matrix.T @ sol - vector))
+def _span_residuals(basis_mat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``vectors`` from the row span of ``basis_mat``."""
+    sol, *_ = np.linalg.lstsq(basis_mat.T, vectors.T, rcond=None)
+    return np.linalg.norm(basis_mat.T @ sol - vectors.T, axis=0)
 
 
 def _vectorize(polys, keys) -> np.ndarray:
@@ -204,143 +202,102 @@ def _vectorize(polys, keys) -> np.ndarray:
     return coefficient_matrix(funcs, keys)
 
 
-def is_isotropic(space: ModelSpace, tol: float = ISOTROPY_TOL) -> bool:
-    """True when the real span is closed under conjugation by all rotations.
+def is_isotropic(space: ModelSpace) -> bool:
+    """True when the real span is closed under every coordinate rotation.
 
-    The rotation derivative at angle zero multiplies each coefficient by
-    i m; membership of that generator image for every basis function is
-    sufficient for the connected rotation group, and membership of a few
-    finite-angle rotations confirms it numerically.
+    The rotation derivative at angle zero, the generator G, multiplies each
+    coefficient by i m.  A span that G maps into itself is mapped into
+    itself by exp(theta G), which is the rotation by theta, so membership of
+    the generator image of every basis function decides isotropy exactly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     keys = coefficient_keys(space.basis)
     basis_mat = coefficient_matrix(space.basis, keys)
-    probes: list[ComplexPoly] = []
-    for f in space.basis:
-        probes.append(f.poly.generator())
-        probes.extend(f.poly.rotated(theta) for theta in _CONFIRM_ANGLES)
-    probe_mat = _vectorize(probes, keys)
-    return all(
-        _span_residual(basis_mat, probe_mat[i]) <= tol for i in range(probe_mat.shape[0])
-    )
+    images = _vectorize([f.poly.generator() for f in space.basis], keys)
+    return bool(np.all(_span_residuals(basis_mat, images) <= ISOTROPY_TOL))
 
 
-def _common_phase_ok(vec: np.ndarray, tol: float) -> bool:
-    # All nonzero components share one phase modulo pi, i.e. vec is a complex
-    # multiple of a real vector: Im(v_i conj(v_j)) = 0 for all pairs.
-    for i in range(len(vec)):
-        for j in range(i + 1, len(vec)):
-            if abs((vec[i] * np.conj(vec[j])).imag) > tol * max(
-                abs(vec[i]) * abs(vec[j]), 1e-300
-            ):
-                return False
-    return True
+def structural_rsf(space: ModelSpace) -> bool:
+    """Certificate that every member is mirror symmetric, by the normal form.
 
-
-def _conjugate_pairing_ok(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    # Phases of u and v must be opposite modulo pi: Im(u_i v_j) = 0.
-    for ui in u:
-        for vj in v:
-            if abs((ui * vj).imag) > tol * max(abs(ui) * abs(vj), 1e-300):
-                return False
-    return True
-
-
-def structural_rsf(space: ModelSpace, tol: float = ISOTROPY_TOL) -> bool:
-    """Structural certificate that every member of the space is mirror symmetric.
-
-    Requires the normal form: winding-zero coefficients real throughout, at
-    most one +/-m winding pair elsewhere, and the +/-m content forming the
-    conjugate-paired complex line {gamma f + conj(gamma) g} over real f, g.
+    The normal form: winding-zero coefficients real in every basis function,
+    at most one |m| among the other windings, and +/-m content spanning a
+    plane that the generator G maps into itself and that holds a nonzero
+    symmetric element w.  G multiplies winding +/-m coefficients by +/-i m,
+    so G^2 is -m^2 on the plane, which is therefore {r exp(phi G) w}: the
+    multiples of w rotated by phi.  A rotated symmetric function is
+    symmetric about the rotated axis, and real winding-zero content is
+    symmetric about every axis, so every member is symmetric.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    keys = coefficient_keys(space.basis)
-
-    # Invariant (winding 0) content must be real in every basis function.
-    for f in space.basis:
-        for (k, l), c in f.poly.terms.items():
-            if k - l - 1 == 0 and abs(c.imag) > tol:
-                return False
-
     windings = set()
     for f in space.basis:
         for (k, l), c in f.poly.terms.items():
             m = k - l - 1
-            if m != 0 and abs(c) > tol:
-                windings.add(m)
+            if m == 0 and abs(c.imag) > ISOTROPY_TOL:
+                return False
+            if m != 0 and abs(c) > ISOTROPY_TOL:
+                windings.add(abs(m))
     if not windings:
         return True
-    if len({abs(m) for m in windings}) > 1:
+    if len(windings) > 1:
         return False
-    m = max(abs(w) for w in windings)
+    (m,) = windings
 
-    plus_keys = [kl for kl in keys if kl[0] - kl[1] - 1 == m]
-    minus_keys = [kl for kl in keys if kl[0] - kl[1] - 1 == -m]
-    pair_keys = plus_keys + minus_keys
-
+    keys = [kl for kl in coefficient_keys(space.basis) if abs(kl[0] - kl[1] - 1) == m]
     projections = [f.poly.winding_part(m) + f.poly.winding_part(-m) for f in space.basis]
-    proj_mat = _vectorize(projections, pair_keys)
+    proj_mat = _vectorize(projections, keys)
     svals = np.linalg.svd(proj_mat, compute_uv=False)
-    rank = int(np.sum(svals > max(svals) * 1e-9)) if svals.size and max(svals) > 0 else 0
-    if rank == 0:
-        return True
-    if rank != 2:
-        # The conjugate-paired line is 2-dimensional over the reals; a
-        # 1-dimensional or wider projection cannot be of that form.
+    if int(np.sum(svals > svals[0] * 1e-9)) != 2:
         return False
-
-    # A representative nonzero element w1 and the companion with gamma -> i gamma.
-    idx = int(np.argmax(np.linalg.norm(proj_mat, axis=1)))
-    w1 = projections[idx]
-    u = np.array([w1.terms.get(kl, 0j) for kl in plus_keys])
-    v = np.array([w1.terms.get(kl, 0j) for kl in minus_keys])
-    if not _common_phase_ok(u, tol) or not _common_phase_ok(v, tol):
+    images = _vectorize([p.generator() for p in projections], keys)
+    scale = np.maximum(1.0, np.linalg.norm(images, axis=1))
+    if np.any(_span_residuals(proj_mat, images) > ISOTROPY_TOL * scale):
         return False
-    if not _conjugate_pairing_ok(u, v, tol):
-        return False
-    companion = (1j * w1.winding_part(m)) + (-1j * w1.winding_part(-m))
-    target_mat = _vectorize([w1, companion], pair_keys)
-    if not _independent(target_mat):
-        return False
-    # The basis projections must lie inside span{w1, companion}.
-    return all(
-        _span_residual(target_mat, proj_mat[i]) <= tol * max(1.0, np.linalg.norm(proj_mat[i]))
-        for i in range(proj_mat.shape[0])
-    )
+    norms = np.linalg.norm(proj_mat, axis=1)
+    idx = int(np.argmax(norms))
+    w = projections[idx] * (1.0 / norms[idx])
+    return reflection_symmetry(DistortionFunction.from_poly(w)).symmetric
 
 
-def classify(space: ModelSpace, tol: float = ISOTROPY_TOL) -> ClassReport:
+def _common_axis(space: ModelSpace) -> float | str | None:
+    """An axis that every basis function is mirror symmetric about, else None.
+
+    The functions symmetric about one axis form a real subspace, so when the
+    basis lies in it the whole span does.
+    """
+    axis, residual = _best_axis([t for f in space.basis for t in f.poly.terms.items()])
+    return axis if residual < DEFAULT_TOL else None
+
+
+def classify(space: ModelSpace) -> ClassReport:
     """Aggregate isotropy, rotation invariance and the mirror-symmetry flag.
 
-    rsf combines two certificates: every basis function plus ``SAMPLE_COUNT``
-    (50) random combinations, drawn from a generator seeded with
-    ``SAMPLE_SEED`` (0), must pass the definitional symmetry check, and the
-    space must match the structural normal form.  The details string records
-    both, since sampling alone cannot certify every member and the structural
-    test alone presumes the normal form is exhaustive.
-    """
-    iso = is_isotropic(space, tol)
-    rot = all(is_rotation_invariant(f, DEFAULT_TOL) for f in space.basis)
-    structural = structural_rsf(space, tol)
+    rsf is true exactly when the basis has a common axis (``_common_axis``)
+    or the space has the normal form of ``structural_rsf``.  ``details``
+    records both certificates.
 
-    rng = np.random.default_rng(SAMPLE_SEED)
-    sampled = list(space.basis) + [
-        space.member(rng.standard_normal(space.dimension)) for _ in range(SAMPLE_COUNT)
-    ]
-    worst = 0.0
-    sampled_ok = True
-    for f in sampled:
-        report = reflection_symmetry(f, DEFAULT_TOL)
-        worst = max(worst, report.residual)
-        if not report.symmetric:
-            sampled_ok = False
-    details = (
-        f"structural_normal_form={structural}; "
-        f"sampled={len(sampled)} symmetric={sampled_ok} max_residual={worst:.3e}"
+    The two are exhaustive.  Suppose every member of the span V is
+    symmetric.  Then its winding-zero content is real; let Q be the
+    projection of V onto the other windings.  Each axis serves a linear
+    subspace of Q (the members symmetric about it), and two axes whose
+    difference is not a rational multiple of pi serve only 0 together (a
+    function symmetric about both is fixed by an irrational rotation).  A
+    real vector space is no countable union of proper subspaces, so either
+    one axis serves all of Q, or a continuum of axes each serve a proper
+    subspace; counting dimensions, Q is then a plane whose lines have
+    distinct axes.  Two such lines force the +/-m content of Q into
+    {gamma p + conj(gamma) n} with p and n real, for every m; and two
+    different |m| would make the axis turn at two rates as gamma turns
+    once.  That is the normal form.
+    """
+    structural = structural_rsf(space)
+    common = _common_axis(space)
+    return ClassReport(
+        space.dimension,
+        is_isotropic(space),
+        all(is_rotation_invariant(f, DEFAULT_TOL) for f in space.basis),
+        structural or common is not None,
+        f"structural_normal_form={structural}; common_axis={common}",
     )
-    return ClassReport(space.dimension, iso, rot, sampled_ok and structural, details)
 
 
 def radial_tangential_at(func: DistortionFunction, p) -> tuple[float, float]:

@@ -113,6 +113,11 @@ def test_scene_validation():
     with pytest.raises(ValueError):
         Scene(6, 9, 0.08, behind, Intrinsics(800, 800, 640, 360),
               DistortionFunction.zero(), 0.0, 0)
+    # A negative seed would fail only later, in np.random.default_rng, and a
+    # boolean one would be read as 0 or 1.
+    for seed in (-1, True, False):
+        with pytest.raises(ValueError):
+            default_scene(truth=TRUTH, seed=seed)
 
 
 # -- synthesis -------------------------------------------------------------------
@@ -609,6 +614,8 @@ def test_scene_json_validation():
         ("target", "rows", 6.7),
         ("target", "cols", 9.5),
         (None, "seed", 2.9),
+        (None, "seed", -5),
+        (None, "seed", True),
     ],
 )
 def test_scene_json_rejects_non_finite_values(section, field, value):

@@ -233,6 +233,7 @@ def test_bench_deterministic(tmp_path, capsys, scene_file):
         pytest.param(None, "sigma", math.nan, id="None-sigma"),
         pytest.param("target", "rows", 6.7, id="target-rows-fractional"),
         pytest.param(None, "seed", 2.9, id="None-seed-fractional"),
+        pytest.param(None, "seed", True, id="None-seed-boolean"),
     ],
 )
 def test_fit_non_finite_scene_exit_2(tmp_path, capsys, scene_file, section, field, value):
@@ -242,6 +243,23 @@ def test_fit_non_finite_scene_exit_2(tmp_path, capsys, scene_file, section, fiel
     path.write_text(json.dumps(data))
     assert main(["fit", "--scene", str(path), "--family", "rri1", "--strict"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read scene")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--family", "rri1"],
+        ["bench", "--families", "rri1"],
+        ["sweep", "--steps", "2"],
+    ],
+    ids=["fit", "bench", "sweep"],
+)
+def test_negative_seed_exit_2(tmp_path, capsys, scene_file, argv):
+    out = tmp_path / "out"
+    code = main(argv + ["--scene", scene_file, "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --seed")
+    assert not out.exists()
 
 
 def test_bench_unknown_family_exit_2(scene_file):

@@ -1,11 +1,15 @@
 """Reflection symmetry, isotropy, classification, and the pointwise split."""
 
 import math
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lensdist.families import (
+    CATALOG_NAMES,
     DistortionFunction,
     IrreducibleSpec,
     ModelSpace,
@@ -319,6 +323,186 @@ def test_random_real_irreducible_spaces_classify_symmetric():
 
 def _keys_up_to(max_degree):
     return [(k, n - k) for n in range(2, max_degree + 1) for k in range(n + 1)]
+
+
+# -- exact certificates against the sampled and finite-angle oracles -------------------
+
+
+def _sampled_rsf(space, count=50, seed=0) -> bool:
+    """Sampled oracle for rsf: the basis and ``count`` seeded random members
+    all pass the definitional symmetry check."""
+    rng = np.random.default_rng(seed)
+    members = chain(
+        space.basis, (space.member(rng.standard_normal(space.dimension)) for _ in range(count))
+    )
+    return all(reflection_symmetry(f).symmetric for f in members)
+
+
+PROBE_ANGLES = (math.pi / 7, math.pi / 3, 2.0)
+
+
+def _probed_isotropic(space, tol=1e-9) -> bool:
+    """Finite-angle oracle for isotropy: the basis rotated by a few fixed
+    angles stays in the span."""
+    keys = coefficient_keys(space.basis)
+    basis_mat = coefficient_matrix(space.basis, keys)
+    for theta in PROBE_ANGLES:
+        rotated = coefficient_matrix([f.rotated(theta) for f in space.basis], keys)
+        sol, *_ = np.linalg.lstsq(basis_mat.T, rotated.T, rcond=None)
+        if np.any(np.linalg.norm(basis_mat.T @ sol - rotated.T, axis=0) > tol):
+            return False
+    return True
+
+
+def _span(funcs, label="drawn") -> ModelSpace:
+    """Span of the given functions, dependent ones dropped."""
+    lines = [ModelSpace((f,), label) for f in funcs]
+    return reduce(lambda a, b: space_sum(a, b, label), lines)
+
+
+def _random_key(rng, max_degree=5):
+    n = int(rng.integers(2, max_degree + 1))
+    k = int(rng.integers(0, n + 1))
+    return k, n - k
+
+
+def _common_axis_space(draw, rng):
+    # Every basis function symmetric about one axis theta (often theta = 0,
+    # which gives real spans such as span{z^2, z^3 zbar}).
+    theta = 0.0 if draw(st.booleans()) else float(rng.uniform(0, math.pi))
+
+    def symmetric_monomial():
+        k, l = _random_key(rng)
+        return func({(k, l): rng.normal() * np.exp(-1j * (k - l - 1) * theta)})
+
+    makers = {
+        "quad": lambda: symmetric_quadratic(theta, *rng.normal(size=3)),
+        "cubic": lambda: symmetric_cubic(theta, *rng.normal(size=4)),
+        "prism": lambda: thin_prism(math.cos(theta), math.sin(theta)) * rng.normal(),
+        "rri": lambda: rri(rng.normal(size=2)),
+        "monomial": symmetric_monomial,
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=1, max_size=3))
+    return _span([makers[kind]() for kind in kinds])
+
+
+def _irreducible_space(draw, rng):
+    # {gamma plus + conj(gamma) minus}, optionally with a phase twist on the
+    # minus part (which breaks the real pairing) and plus rri3.
+    m = draw(st.integers(1, 3))
+    keys = _keys_up_to(6)
+    parts = draw(st.sampled_from(["both", "plus", "minus"]))
+    plus = ComplexPoly(
+        {kl: rng.normal() for kl in keys if kl[0] - kl[1] - 1 == m} if parts != "minus" else {}
+    )
+    minus = ComplexPoly(
+        {kl: rng.normal() for kl in keys if kl[0] - kl[1] - 1 == -m} if parts != "plus" else {}
+    )
+    if draw(st.booleans()):
+        minus = minus * np.exp(1j * rng.uniform(0.1, 3.0))
+    space = irreducible_space(IrreducibleSpec(m, plus, minus))
+    if draw(st.booleans()):
+        space = space_sum(space, named_space("rri3"))
+    return space
+
+
+def _catalog_sum(draw, rng):
+    names = draw(st.lists(st.sampled_from(CATALOG_NAMES), min_size=1, max_size=3))
+    return reduce(space_sum, map(named_space, names))
+
+
+def _sparse_monomial_space(draw, rng):
+    # Basis functions of one or two monomials with phases 1, i or e^{i pi/4}.
+    phases = st.sampled_from([1.0, 1j, np.exp(1j * math.pi / 4)])
+    funcs = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 2))):
+            terms[_random_key(rng)] = draw(phases) * rng.uniform(0.5, 2.0)
+        funcs.append(func(terms))
+    return _span(funcs)
+
+
+def _random_subspace(draw, rng):
+    base = named_space(
+        draw(st.sampled_from(["decentering", "thin_prism", "radial_quad", "matlab", "weng"]))
+    )
+    k = draw(st.integers(1, base.dimension))
+    rows = rng.standard_normal((k, base.dimension))
+    return _span([base.member(row) for row in rows])
+
+
+SPACE_KINDS = (
+    _common_axis_space,
+    _irreducible_space,
+    _catalog_sum,
+    _sparse_monomial_space,
+    _random_subspace,
+)
+
+
+@st.composite
+def drawn_spaces(draw):
+    kind = draw(st.sampled_from(SPACE_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return kind(draw, rng)
+
+
+ORACLE_SETTINGS = settings(
+    max_examples=400,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# Spans whose members all share one mirror axis, so rsf holds although none
+# of them has the isotropic normal form.
+COMMON_AXIS_SPANS = {
+    "sym_quad": (symmetric_quadratic(0.3, 1, 0.5, -0.2),),
+    "sym_quad+sym_cubic": (
+        symmetric_quadratic(0.3, 1, 0.5, -0.2),
+        symmetric_cubic(0.3, 1, 0.5, -0.2, 0.1),
+    ),
+    "decentering_line": (decentering(0.02, -0.01),),
+    "z2+z3zbar": (func({(2, 0): 1.0}), func({(3, 1): 1.0})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMON_AXIS_SPANS))
+def test_common_axis_spans_are_rsf(name):
+    space = ModelSpace(COMMON_AXIS_SPANS[name], name)
+    assert _sampled_rsf(space)
+    report = classify(space)
+    assert report.rsf
+    assert not structural_rsf(space)
+    assert report.details.startswith("structural_normal_form=False; common_axis=")
+    assert not report.details.endswith("common_axis=None")
+
+
+def test_common_axis_is_reported():
+    report = classify(ModelSpace(COMMON_AXIS_SPANS["sym_quad"], "sym_quad"))
+    axis = float(report.details.rsplit("=", 1)[1])
+    assert axis_distance(axis, 0.3) < 1e-12
+    assert classify(named_space("rri3")).details.endswith("common_axis=any")
+    assert classify(named_space("weng")).details == (
+        "structural_normal_form=False; common_axis=None"
+    )
+
+
+@ORACLE_SETTINGS
+@given(space=drawn_spaces())
+@example(space=ModelSpace((func({(3, 0): 1.0}), func({(1, 2): 1j})), "counterexample_span"))
+def test_rsf_matches_sampled_oracle(space):
+    assert classify(space).rsf == _sampled_rsf(space)
+
+
+@ORACLE_SETTINGS
+@given(space=drawn_spaces())
+@example(space=ModelSpace((func({(2, 0): 1.0}),), "span_z2"))
+@example(space=ModelSpace(COMMON_AXIS_SPANS["sym_quad+sym_cubic"], "sym_quad+sym_cubic"))
+def test_isotropy_matches_finite_angle_oracle(space):
+    assert is_isotropic(space) == _probed_isotropic(space)
 
 
 # -- radial / tangential decomposition ------------------------------------------------
