@@ -25,7 +25,7 @@ from dataclasses import replace
 
 from . import calib, warp
 from .families import DistortionFunction, load_space
-from .poly import load_model, save_model
+from .poly import DEFAULT_TOL, load_model, save_model
 from .symmetry import classify, reflection_symmetry, sphere_point
 
 __all__ = ["main"]
@@ -125,8 +125,9 @@ def _cmd_render(args) -> int:
 def _cmd_verify(args) -> int:
     if args.model:
         func = DistortionFunction.from_poly(_load_checked(load_model, "model", args.model))
+        tol = DEFAULT_TOL if args.tol is None else args.tol
         try:
-            report = reflection_symmetry(func, tol=args.tol)
+            report = reflection_symmetry(func, tol=tol)
         except ValueError as err:
             raise _InputError(str(err)) from err
         payload = report.to_json_dict()
@@ -139,6 +140,8 @@ def _cmd_verify(args) -> int:
             print(f"pairwise_ok: {report.pairwise_ok}")
             print(f"residual:    {report.residual:.6e}")
     else:
+        if args.tol is not None:
+            raise _InputError("--tol applies only to --model")
         space = _load_checked(load_space, "space", args.space)
         report = classify(space)
         payload = report.to_json_dict()
@@ -302,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", help="model JSON file")
     group.add_argument("--space", help="space JSON file")
     p_verify.add_argument("--json", action="store_true", help="emit JSON")
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_convert = sub.add_parser("convert", help="convert between coefficient forms")

@@ -74,6 +74,12 @@ MonomialKey = tuple[int, int]
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _NEG_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
+# Points per block of an array evaluate: the power table stays near 1 MB, and
+# blocks stay below the 16,384 points at which numpy reuses temporaries in
+# place.  That reuse can swap a complex product's operands, which changes its
+# rounding, so a point's value would depend on the size of its array.
+_EVAL_BLOCK = 4096
+
 
 def _check_key(key) -> MonomialKey:
     try:
@@ -194,15 +200,31 @@ class ComplexPoly:
         return ComplexPoly({kl: c for kl, c in self.terms.items() if kl[0] - kl[1] - 1 == m})
 
     def evaluate(self, z):
-        """Value sum gamma_kl z^k zbar^l at a complex scalar or array."""
+        """Value sum gamma_kl z^k zbar^l at a complex scalar or array.
+
+        A Python complex stays in Python arithmetic.  Arrays go in blocks of
+        4,096 points that share z^e per distinct exponent (zbar^l = conj(z^l)
+        bit for bit), so a point's value does not depend on its batch.
+        """
+        if type(z) is complex:
+            zc = z.conjugate()
+            out = 0j
+            for (k, l), coeff in self.terms.items():
+                out = out + coeff * z**k * zc**l
+            return out
         zarr = np.asarray(z, dtype=complex)
-        zc = np.conj(zarr)
-        out = np.zeros_like(zarr)
-        for (k, l), coeff in self.terms.items():
-            out = out + coeff * zarr**k * zc**l
-        if np.ndim(z) == 0:
-            return complex(out)
-        return out
+        flat = zarr.reshape(-1)
+        out = np.zeros_like(flat)
+        exponents = {e for key in self.terms for e in key}
+        for start in range(0, flat.size, _EVAL_BLOCK):
+            acc = out[start : start + _EVAL_BLOCK]
+            block = flat[start : start + _EVAL_BLOCK]
+            powers = {e: block**e for e in exponents}
+            for (k, l), coeff in self.terms.items():
+                acc += coeff * powers[k] * np.conj(powers[l])
+        if zarr.ndim == 0:
+            return complex(out[0])
+        return out.reshape(zarr.shape)
 
     def wirtinger(self, z):
         """Wirtinger derivatives (f_z, f_zbar) at a complex scalar or array.

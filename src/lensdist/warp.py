@@ -14,6 +14,7 @@ domain validity, nothing is clamped.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +68,7 @@ def apply_distortion(
     pts = np.asarray(points, dtype=float)
     dx, dy = func.displacement(pts[:, 0], pts[:, 1])
     out = pts + np.stack([dx, dy], axis=1)
-    return [(float(x), float(y)) for x, y in out]
+    return list(zip(out[:, 0].tolist(), out[:, 1].tolist()))
 
 
 def jacobian(func: DistortionFunction, p) -> np.ndarray:
@@ -85,51 +86,59 @@ def jacobian(func: DistortionFunction, p) -> np.ndarray:
 def invert(func: DistortionFunction, target) -> Point:
     """Solve F(q) = target by damped Newton from q0 = target.
 
+    The iteration runs in complex arithmetic.  With r = q + f(q) - target,
+    a = 1 + f_z and b = f_zbar, the Newton step solves a s + b conj(s) = r:
+    s = (conj(a) r - b conj(r)) / det J, where det J = |a|^2 - |b|^2.
+
     The budget is fixed: at most 50 Newton iterations, success once the
     residual norm is below 1e-12, and a stop when the Newton step is below
     1e-14.  Each line search starts at the full (capped) step and halves it
     down to 2^-40.  Raises SingularJacobian when |det J| < 1e-14 at an
     iterate and NoConvergence when the iteration budget or the monotone line
-    search is exhausted; both mean the target is outside the local
-    invertibility region.
+    search is exhausted, or when the iterate overflows; all mean the target
+    is outside the local invertibility region.  A target that is not a
+    finite (x, y) pair raises ValueError.
     """
-    t = np.asarray(target, dtype=float)
-    q = t.copy()
-
-    def residual(point):
-        dx, dy = func.displacement(point[0], point[1])
-        return np.array([point[0] + dx - t[0], point[1] + dy - t[1]])
-
-    r = residual(q)
-    rnorm = math.hypot(r[0], r[1])
-    for _ in range(_MAX_ITER):
-        if rnorm < _RESIDUAL_TOL:
-            return float(q[0]), float(q[1])
-        jac = jacobian(func, q)
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < _SINGULAR_DET:
-            raise SingularJacobian(f"|det J| = {abs(det):.3e} at iterate {tuple(q)}")
-        step = np.linalg.solve(jac, r)
-        step_norm = math.hypot(step[0], step[1])
-        if step_norm < _STEP_TOL:
-            break
-        if step_norm > _MAX_STEP:
-            step *= _MAX_STEP / step_norm
-        alpha = 1.0
-        while True:
-            q_try = q - alpha * step
-            r_try = residual(q_try)
-            rnorm_try = math.hypot(r_try[0], r_try[1])
-            if rnorm_try < rnorm:
-                q, r, rnorm = q_try, r_try, rnorm_try
+    pair = np.asarray(target, dtype=float)
+    if pair.shape != (2,) or not np.isfinite(pair).all():
+        raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
+    poly = func.poly
+    t = complex(pair[0], pair[1])
+    q = t
+    try:
+        r = q + poly.evaluate(q) - t
+        rnorm = abs(r)
+        for _ in range(_MAX_ITER):
+            if rnorm < _RESIDUAL_TOL:
+                return q.real, q.imag
+            f_z, b = poly.wirtinger(q)
+            a = 1.0 + f_z
+            det = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
+            if abs(det) < _SINGULAR_DET:
+                raise SingularJacobian(f"|det J| = {abs(det):.3e} at iterate {q}")
+            step = (a.conjugate() * r - b * r.conjugate()) / det
+            step_norm = abs(step)
+            if step_norm < _STEP_TOL:
                 break
-            alpha *= 0.5
-            if alpha < _MIN_STEP_SCALE:
-                raise NoConvergence(
-                    f"line search stalled with residual {rnorm:.3e}"
-                )
+            if step_norm > _MAX_STEP:
+                step *= _MAX_STEP / step_norm
+            alpha = 1.0
+            while True:
+                q_try = q - alpha * step
+                r_try = q_try + poly.evaluate(q_try) - t
+                rnorm_try = abs(r_try)
+                if rnorm_try < rnorm:
+                    q, r, rnorm = q_try, r_try, rnorm_try
+                    break
+                alpha *= 0.5
+                if alpha < _MIN_STEP_SCALE:
+                    raise NoConvergence(
+                        f"line search stalled with residual {rnorm:.3e}"
+                    )
+    except OverflowError as err:
+        raise NoConvergence(f"iterate overflowed near {q}") from err
     if rnorm < _RESIDUAL_TOL:
-        return float(q[0]), float(q[1])
+        return q.real, q.imag
     raise NoConvergence(
         f"no convergence after {_MAX_ITER} iterations (residual {rnorm:.3e})"
     )
@@ -137,6 +146,7 @@ def invert(func: DistortionFunction, target) -> Point:
 
 def circle_points(radius: float, count: int) -> list[Point]:
     """count points on the origin-centered circle, angle ascending from 0."""
+    count = operator.index(count)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if count < 3:
@@ -147,6 +157,7 @@ def circle_points(radius: float, count: int) -> list[Point]:
 
 def grid_points(half_extent: float, per_side: int) -> list[Point]:
     """per_side x per_side grid on [-half_extent, half_extent]^2, row-major."""
+    per_side = operator.index(per_side)
     if half_extent <= 0:
         raise ValueError("half_extent must be positive")
     if per_side < 2:

@@ -147,6 +147,17 @@ def test_verify_space(tmp_path, capsys):
     assert report["rsf"] is False
 
 
+@pytest.mark.parametrize("tol", ["-5", "1e-10"])
+def test_verify_space_rejects_tol(tmp_path, capsys, tol):
+    from lensdist.families import named_space, save_space
+
+    path = tmp_path / "weng.json"
+    save_space(path, named_space("weng"))
+    assert main(["verify", "--space", str(path), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and len(err.splitlines()) == 1
+
+
 # -- convert -----------------------------------------------------------------
 
 

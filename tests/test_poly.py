@@ -106,6 +106,46 @@ def test_eval_vectorized_matches_scalar():
         assert abs(f.evaluate(complex(z)) - w) <= 1e-12 * max(1.0, abs(w))
 
 
+def _evaluate_reference(f, z):
+    """The unblocked expression: two numpy powers per term, summed in order."""
+    zarr = np.asarray(z, dtype=complex)
+    zc = np.conj(zarr)
+    out = np.zeros_like(zarr)
+    for (k, l), c in f.terms.items():
+        out = out + c * zarr**k * zc**l
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 54, 432, 4096, 4097, 16383])
+def test_eval_bitwise_equals_unblocked_expression(high_degree_poly, size):
+    # Below 16,384 points numpy never elides the temporaries of the reference
+    # expression, so blocking with shared powers must not change a bit.
+    rng = np.random.default_rng(size)
+    z = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    got = high_degree_poly.evaluate(z)
+    assert np.array_equal(got.view(float), _evaluate_reference(high_degree_poly, z).view(float))
+
+
+def test_eval_value_does_not_depend_on_the_batch(high_degree_poly):
+    rng = np.random.default_rng(70)
+    z = rng.uniform(-1, 1, 70_000) + 1j * rng.uniform(-1, 1, 70_000)
+    whole = high_degree_poly.evaluate(z)
+    pieces = np.concatenate(
+        [high_degree_poly.evaluate(z[i : i + 1000]) for i in range(0, z.size, 1000)]
+    )
+    assert np.array_equal(whole.view(float), pieces.view(float))
+
+
+def test_eval_keeps_the_input_shape(high_degree_poly):
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1, 1, (3, 5000)) + 1j * rng.uniform(-1, 1, (3, 5000))
+    got = high_degree_poly.evaluate(z)
+    assert got.shape == (3, 5000)
+    assert np.array_equal(got[1], high_degree_poly.evaluate(z[1]))
+    assert high_degree_poly.evaluate(np.empty((0, 2), complex)).shape == (0, 2)
+    assert type(high_degree_poly.evaluate(np.complex128(0.5j))) is complex
+
+
 # -- complex <-> real conversion ---------------------------------------------
 
 

@@ -127,6 +127,92 @@ def test_invert_failure_outside_local_region():
         invert(f, (1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "poly, target, error, cause",
+    [
+        (rri([0.1]).poly, (1e200, 0.0), NoConvergence, OverflowError),
+        (ComplexPoly({(9, 7): 1e-3, (2, 0): 0.01}), (1e20, 0.0), NoConvergence, None),
+        (rri([0.1]).poly, (math.nan, 0.1), ValueError, None),
+        (rri([0.1]).poly, (0.2, math.inf), ValueError, None),
+        (rri([0.1]).poly, (0.1, 0.2, 0.3), ValueError, None),
+        (rri([0.1]).poly, (0.1,), ValueError, None),
+    ],
+    ids=["overflow", "degree16-far", "nan", "inf", "three-values", "one-value"],
+)
+def test_invert_failures_are_typed(poly, target, error, cause):
+    with pytest.raises(error) as info:
+        invert(DistortionFunction.from_poly(poly), target)
+    if cause is not None:
+        assert isinstance(info.value.__cause__, cause)
+
+
+def _invert_reference(func, target):
+    """Damped Newton on the real 2x2 system, solved with np.linalg.solve."""
+    t = np.asarray(target, dtype=float)
+    q = t.copy()
+
+    def residual(point):
+        dx, dy = func.displacement(point[0], point[1])
+        return np.array([point[0] + dx - t[0], point[1] + dy - t[1]])
+
+    r = residual(q)
+    rnorm = math.hypot(r[0], r[1])
+    for _ in range(50):
+        if rnorm < 1e-12:
+            return float(q[0]), float(q[1])
+        jac = jacobian(func, q)
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        if abs(det) < 1e-14:
+            raise SingularJacobian(f"|det J| = {abs(det):.3e}")
+        step = np.linalg.solve(jac, r)
+        step_norm = math.hypot(step[0], step[1])
+        if step_norm < 1e-14:
+            break
+        if step_norm > 1.0:
+            step *= 1.0 / step_norm
+        alpha = 1.0
+        while True:
+            q_try = q - alpha * step
+            r_try = residual(q_try)
+            rnorm_try = math.hypot(r_try[0], r_try[1])
+            if rnorm_try < rnorm:
+                q, r, rnorm = q_try, r_try, rnorm_try
+                break
+            alpha *= 0.5
+            if alpha < 2.0**-40:
+                raise NoConvergence(f"line search stalled with residual {rnorm:.3e}")
+    if rnorm < 1e-12:
+        return float(q[0]), float(q[1])
+    raise NoConvergence(f"no convergence (residual {rnorm:.3e})")
+
+
+def _outcome(solve, func, target):
+    """The solved point, or the class of the inversion error."""
+    try:
+        return solve(func, target)
+    except (NoConvergence, SingularJacobian) as err:
+        return type(err)
+
+
+def test_invert_matches_the_real_newton_reference(high_degree_poly):
+    rng = np.random.default_rng(55)
+    low = decentering(0.01, -0.02) + rri([0.1, -0.05, 0.02])
+    high = DistortionFunction.from_poly(high_degree_poly)
+    cases = [(rri([-3.0]), (1.0, 0.0))]
+    for func in (low, high):
+        r = 0.9 * np.sqrt(rng.uniform(size=1000))
+        a = rng.uniform(0, 2 * math.pi, size=1000)
+        cases += [(func, (x, y)) for x, y in zip(r * np.cos(a), r * np.sin(a))]
+    for func, target in cases:
+        got = _outcome(invert, func, target)
+        want = _outcome(_invert_reference, func, target)
+        if isinstance(want, type):
+            assert got is want, target
+        else:
+            assert isinstance(got, tuple), target
+            assert math.hypot(got[0] - want[0], got[1] - want[1]) <= 1e-12, target
+
+
 def test_invert_round_trip_many_small_functions():
     rng = np.random.default_rng(53)
     for _ in range(100):
@@ -172,6 +258,9 @@ def test_circle_points_examples():
         circle_points(1.0, 2)
     with pytest.raises(ValueError):
         circle_points(0.0, 8)
+    with pytest.raises(TypeError):
+        circle_points(1.0, 3.5)
+    assert circle_points(1.0, np.int64(4)) == pts
 
 
 def test_grid_points_examples():
@@ -180,6 +269,9 @@ def test_grid_points_examples():
     assert (0.0, 0.0) in grid_points(1.0, 3)
     with pytest.raises(ValueError):
         grid_points(1.0, 1)
+    with pytest.raises(TypeError):
+        grid_points(0.5, 2.5)
+    assert grid_points(1.0, np.int64(2)) == corners
 
 
 def test_sample_field():
