@@ -154,8 +154,8 @@ def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> S
     The best candidate axis of the stored terms (see ``_best_axis``) is
     reported when its residual is below tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     axis, residual = _best_axis(list(func.poly.terms.items()))
     symmetric = residual < tol
     return SymmetryReport(
@@ -173,8 +173,8 @@ def pairwise_conditions(func: DistortionFunction, tol: float = DEFAULT_TOL) -> b
     is the same inequality scaled by the coefficient magnitudes and immune to
     overflow from the integer powers.  Necessary but not sufficient.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     items = list(func.poly.terms.items())
     for ((k1, l1), c1), ((k2, l2), c2) in combinations(items, 2):
         m1 = k1 - l1 - 1

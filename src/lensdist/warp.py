@@ -147,8 +147,8 @@ def invert(func: DistortionFunction, target) -> Point:
 def circle_points(radius: float, count: int) -> list[Point]:
     """count points on the origin-centered circle, angle ascending from 0."""
     count = operator.index(count)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be finite and positive")
     if count < 3:
         raise ValueError("count must be >= 3")
     angles = 2.0 * math.pi * np.arange(count) / count
@@ -158,8 +158,8 @@ def circle_points(radius: float, count: int) -> list[Point]:
 def grid_points(half_extent: float, per_side: int) -> list[Point]:
     """per_side x per_side grid on [-half_extent, half_extent]^2, row-major."""
     per_side = operator.index(per_side)
-    if half_extent <= 0:
-        raise ValueError("half_extent must be positive")
+    if not 0 < half_extent < math.inf:
+        raise ValueError("half_extent must be finite and positive")
     if per_side < 2:
         raise ValueError("per_side must be >= 2")
     coords = np.linspace(-half_extent, half_extent, per_side)

@@ -70,7 +70,11 @@ def test_render_bad_model_exit_2(tmp_path, rri_file):
     out = str(tmp_path / "x.svg")
     assert main(["render", "--model", str(bad), "--out", out]) == 2
     assert main(["render", "--model", str(tmp_path / "none.json"), "--out", "x.svg"]) == 2
-    assert main(["render", "--model", rri_file, "--radius", "-1", "--out", out]) == 2
+    for radius in ("-1", "nan", "inf"):
+        assert main(["render", "--model", rri_file, "--radius", radius, "--out", out]) == 2
+    for extent in ("0", "nan", "inf"):
+        argv = ["render", "--model", rri_file, "--shape", "grid", "--extent", extent]
+        assert main(argv + ["--out", out]) == 2
     argv = ["render", "--model", rri_file, "--shape", "grid", "--count", "1", "--out", out]
     assert main(argv) == 2
 
@@ -91,8 +95,9 @@ def test_verify_model_json(capsys, model_file):
     assert isinstance(report["axis"], float)
 
 
-def test_verify_nonpositive_tol_exit_2(model_file):
-    assert main(["verify", "--model", model_file, "--tol", "0"]) == 2
+@pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+def test_verify_nonpositive_tol_exit_2(model_file, tol):
+    assert main(["verify", "--model", model_file, "--tol", tol]) == 2
 
 
 @pytest.mark.parametrize(

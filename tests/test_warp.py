@@ -256,8 +256,9 @@ def test_circle_points_examples():
     assert np.allclose(pts, [(1, 0), (0, 1), (-1, 0), (0, -1)], atol=1e-15)
     with pytest.raises(ValueError):
         circle_points(1.0, 2)
-    with pytest.raises(ValueError):
-        circle_points(0.0, 8)
+    for radius in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            circle_points(radius, 8)
     with pytest.raises(TypeError):
         circle_points(1.0, 3.5)
     assert circle_points(1.0, np.int64(4)) == pts
@@ -269,6 +270,9 @@ def test_grid_points_examples():
     assert (0.0, 0.0) in grid_points(1.0, 3)
     with pytest.raises(ValueError):
         grid_points(1.0, 1)
+    for half_extent in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            grid_points(half_extent, 3)
     with pytest.raises(TypeError):
         grid_points(0.5, 2.5)
     assert grid_points(1.0, np.int64(2)) == corners
