@@ -18,7 +18,10 @@ directly by a truncated SVD least squares; everything else goes through one
 Levenberg-Marquardt run with an analytic Jacobian (initial lambda 1e-3, times
 10 on reject, divided by 10 on accept, stop at relative cost decrease below
 1e-12 or 200 iterations), from zero coefficients or, for the shared-axis
-family, from its best scanned axis (see ``SharedAxisFamily``).
+family, from the best of its scanned axes, solved as stacked least-squares
+problems (see ``SharedAxisFamily``).  A family's coefficient columns
+come from a table evaluated once per point set: its basis, or for the
+shared-axis family the per-winding parts of its base, turned by the phase law.
 Non-convergence is reported through ``converged=False``, never silently.
 With refined poses the reported standard errors are marginal over the poses.
 
@@ -40,6 +43,7 @@ from ._io import check_header, load_json, read_csv, save_json, write_csv
 from .families import (
     DistortionFunction,
     ModelSpace,
+    coefficient_keys,
     mixed_quadratic,
     named_space,
     rri,
@@ -91,6 +95,8 @@ _LAMBDA0 = 1e-3
 _COST_TOL = 1e-12
 # Axes scanned for the shared-axis start; 16 miss the best minimum of rri([0.1]), seed 2.
 _AXIS_SCAN = 32
+# Axes per stacked solve of the scan; one stack of all 32 adds about 4.6 MB of peak memory.
+_SCAN_STACK = 4
 
 
 @dataclass(frozen=True)
@@ -342,9 +348,12 @@ class LinearFamily:
     def build(self, coeffs) -> DistortionFunction:
         return self.space.member(coeffs)
 
-    def derivatives(self, coeffs, func: DistortionFunction) -> list[ComplexPoly]:
-        """Partial derivatives of the model in each coefficient: the basis."""
-        return [f.poly for f in self.space.basis]
+    def table(self, z) -> np.ndarray:
+        """The basis functions at the normalized points z, one row each."""
+        return np.array([f.poly.evaluate(z) for f in self.space.basis])
+
+    def columns(self, coeffs, table) -> np.ndarray:
+        return table
 
     def canonical(self, coeffs) -> np.ndarray:
         """Basis weights are unique, so every coefficient vector is canonical."""
@@ -362,6 +371,15 @@ _SYMMETRIC_BASE = ModelSpace(
     + (rri([0.0, 1.0]), rri([0.0, 0.0, 1.0])),
     "sym_quad_cubic_rri3 at axis 0",
 )
+# The base by winding m = k - l - 1: _BASE_SPLIT[i, j, q] is the coefficient of
+# monomial q in base function j if q winds _BASE_WINDINGS[i] times (7 windings).
+_BASE_KEYS = coefficient_keys(_SYMMETRIC_BASE.basis)
+_BASE_WINDINGS = np.array(sorted({k - l - 1 for k, l in _BASE_KEYS}))
+_BASE_SPLIT = np.array(
+    [[[f.poly.terms.get((k, l), 0j) * (k - l - 1 == m) for k, l in _BASE_KEYS]
+      for f in _SYMMETRIC_BASE.basis] for m in _BASE_WINDINGS]
+)
+_BASE_MONOMIALS = tuple(ComplexPoly({kl: 1.0}) for kl in _BASE_KEYS)
 
 
 class SharedAxisFamily:
@@ -380,10 +398,14 @@ class SharedAxisFamily:
     (theta, a, b, c, d, ..., a3).  Fits report the canonical form with theta
     in [0, pi).
 
+    By the phase law its columns at every axis come from one table of the
+    base's winding parts T_m: amplitude columns sum_m exp(-i theta m) T_m,
+    axis column sum_m -i m exp(-i theta m) (a . T_m) for amplitudes a.
+
     At a fixed theta the family is a linear space, so a fit starts from the
-    best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), each with its
-    amplitudes solved in closed form with the poses frozen (also when poses
-    are refined: the scan then needs no pose columns).
+    best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), their amplitudes
+    solved in closed form as stacks of ``_SCAN_STACK`` least-squares problems
+    with the poses frozen (also when poses are refined: no pose columns).
     """
 
     linear = False
@@ -396,12 +418,15 @@ class SharedAxisFamily:
     def build(self, coeffs) -> DistortionFunction:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
-    def derivatives(self, coeffs, func: DistortionFunction) -> list[ComplexPoly]:
-        """Partial derivatives of ``func = build(coeffs)``: the axis rotates
-        gamma_kl by exp(-i theta (k - l - 1)), and the derivatives in the
-        amplitudes are the base basis rotated to the same axis."""
-        axis = -float(coeffs[0])
-        return [func.poly.generator(-1)] + [f.poly.rotated(axis) for f in _SYMMETRIC_BASE.basis]
+    def table(self, z) -> np.ndarray:
+        """The winding parts T_m of the base functions at z, shape (7, 9, N)."""
+        return _BASE_SPLIT @ np.array([q.evaluate(z) for q in _BASE_MONOMIALS])
+
+    def columns(self, coeffs, table) -> np.ndarray:
+        """The model's derivatives in the axis, then in each amplitude, at z."""
+        phases = np.exp(-1j * float(coeffs[0]) * _BASE_WINDINGS)
+        axis = (-1j * _BASE_WINDINGS * phases) @ (np.asarray(coeffs[1:], dtype=float) @ table)
+        return np.vstack([axis, np.tensordot(phases, table, 1)])
 
     def canonical(self, coeffs) -> np.ndarray:
         """The equivalent coefficient vector with theta in [0, pi)."""
@@ -414,12 +439,25 @@ class SharedAxisFamily:
             out[1:4] = -out[1:4]
         return out
 
+    def scan(self, problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scanned axes, and the solved amplitudes and cost at each."""
+        x = np.zeros(self.n_params)
+        rhs = problem(x)  # zero amplitudes give the zero function at every axis
+        table = problem.table(x)
+        thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
+        phases = np.exp(-1j * np.outer(thetas, _BASE_WINDINGS))
+        # Negated phases give the negated Jacobian, the design, exactly.
+        solves = [
+            _solve_coefficients(problem.jacobian_rows(np.tensordot(-stack, table, 1)), rhs)
+            for stack in np.split(phases, _AXIS_SCAN // _SCAN_STACK)
+        ]
+        amplitudes, residuals = map(np.concatenate, zip(*solves))
+        return thetas, amplitudes, np.einsum("ij,ij->i", residuals, residuals)
+
     def start(self, problem) -> np.ndarray:
-        solves = (
-            _solve_coefficients(problem, np.r_[theta, np.zeros(self.n_params - 1)], 1)
-            for theta in np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
-        )
-        return min(solves, key=lambda s: float(s[1] @ s[1]))[0]
+        thetas, amplitudes, costs = self.scan(problem)
+        best = int(np.argmin(costs))
+        return np.r_[thetas[best], amplitudes[best]]
 
 
 def _as_family(family):
@@ -469,13 +507,14 @@ TABLE_FAMILIES = (
 
 
 def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least squares by SVD without the singular values at or below _SVD_RCOND
+    times the largest; ``matrix`` may be a stack (..., m, n) sharing ``rhs``."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(matrix.shape[1])
     inv = np.zeros_like(s)
-    keep = s > _SVD_RCOND * s[0]
+    keep = s > _SVD_RCOND * s[..., :1]
     inv[keep] = 1.0 / s[keep]
-    return vt.T @ ((u.T @ rhs) * inv)
+    weights = (np.swapaxes(u, -1, -2) @ rhs) * inv
+    return (np.swapaxes(vt, -1, -2) @ weights[..., None])[..., 0]
 
 
 def _levenberg_marquardt(fun, x0, jacobian):
@@ -542,19 +581,18 @@ def _report_from_residuals(
     )
 
 
-def _solve_coefficients(problem, x, first: int):
-    """Solve the affine parameters from x, whose ``x[first:]`` are zero, with
-    ``x[:first]`` held: r(c) = r(x) - design @ c.  Returns the solved vector,
-    its residuals and the design."""
-    rhs = problem(x)
-    design = -problem.jacobian(x)[:, first:]
+def _solve_coefficients(design: np.ndarray, rhs: np.ndarray):
+    """The c minimizing |rhs - design @ c| by ``_solve_truncated``, and those
+    residuals; ``design`` may be a stack sharing ``rhs``."""
     coeffs = _solve_truncated(design, rhs)
-    return np.concatenate([x[:first], coeffs]), rhs - design @ coeffs, design
+    return coeffs, rhs - (design @ coeffs[..., None])[..., 0]
 
 
 def _fit_linear_frozen(scene: Scene, obs: Observations, family: LinearFamily) -> FitReport:
     problem = _Reprojection(scene, obs, family, refine_poses=False)
-    coeffs, residuals, design = _solve_coefficients(problem, np.zeros(family.n_params), 0)
+    x = np.zeros(family.n_params)
+    design = -problem.jacobian(x)  # the residuals are problem(x) - design @ c
+    coeffs, residuals = _solve_coefficients(design, problem(x))
     return _report_from_residuals(residuals, obs, coeffs, iterations=1, converged=True, jac=design)
 
 
@@ -581,7 +619,9 @@ class _Reprojection:
     Parameters are the family coefficients, then, with refined poses, each
     view's (axis_angle, translation).  Residuals are measured minus projected
     pixels, ordered (view, point, u/v).  The state of the last evaluated
-    vector is kept, so the Jacobian at an accepted step reuses it.
+    vector is kept, so the Jacobian at an accepted step reuses it.  Its
+    coefficient columns are ``family.columns`` over ``family.table``, made at
+    the first Jacobian of each point set (once with frozen poses).
     """
 
     def __init__(self, scene: Scene, obs: Observations, family, refine_poses: bool):
@@ -592,6 +632,7 @@ class _Reprojection:
         self.refine_poses = refine_poses
         self.frozen = None if refine_poses else self._camera_points(_pack_poses(scene.poses))
         self._last = None  # (x, state) of the last evaluated vector
+        self._table = None  # (cam, family table) at the last Jacobian's points
 
     def _camera_points(self, pose_vec: np.ndarray):
         """Camera-frame points of all views, stacked; None when one is not in front."""
@@ -614,6 +655,19 @@ class _Reprojection:
         self._last = (x.copy(), state)
         return state
 
+    def table(self, x: np.ndarray):
+        """The family's table at the normalized points of x, made once per point set."""
+        _, cam, z, _ = self._state(x)
+        if self._table is None or self._table[0] is not cam:
+            self._table = (cam, self.family.table(z))
+        return self._table[1]
+
+    def jacobian_rows(self, columns: np.ndarray) -> np.ndarray:
+        """Jacobian rows (..., 2N, p) of complex displacement derivatives
+        (..., p, N): each (Re, Im) pair times (-fx, -fy), in (u, v) order."""
+        scale = np.tile((-self.intrinsics.fx, -self.intrinsics.fy), columns.shape[-1])
+        return (np.ascontiguousarray(columns).view(float) * scale).swapaxes(-1, -2)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         state = self._state(x)
         return np.full(self.meas.size, _BAD_RESIDUAL) if state is None else state[3]
@@ -623,13 +677,9 @@ class _Reprojection:
         if state is None:
             return np.zeros((self.meas.size, x.size))
         func, cam, z, _ = state
-        fx, fy = self.intrinsics.fx, self.intrinsics.fy
         p = self.family.n_params
-        jac = np.zeros((z.size, 2, x.size))
-        for j, deriv in enumerate(self.family.derivatives(x[:p], func)):
-            w = deriv.evaluate(z)
-            jac[:, 0, j] = -fx * w.real
-            jac[:, 1, j] = -fy * w.imag
+        jac = np.zeros((self.meas.size, x.size))
+        jac[:, :p] = self.jacobian_rows(self.family.columns(x[:p], self.table(x)))
         if self.refine_poses:
             # A step dz of the normalized point moves the distorted point
             # by dz + f_z dz + f_zbar conj(dz).
@@ -645,9 +695,8 @@ class _Reprojection:
                 vel[3:] = np.eye(3)[:, None, :]
                 dz = (vel[..., 0] + 1j * vel[..., 1] - z[rows] * vel[..., 2]) / cam[rows, 2]
                 dw = dz + f_z[rows] * dz + f_zc[rows] * np.conj(dz)
-                jac[rows, 0, cols] = -fx * dw.real.T
-                jac[rows, 1, cols] = -fy * dw.imag.T
-        return jac.reshape(self.meas.size, x.size)
+                jac[2 * v * n : 2 * (v + 1) * n, cols] = self.jacobian_rows(dw)
+        return jac
 
 
 def _fit_lm(scene: Scene, obs: Observations, family, refine_poses: bool) -> FitReport:

@@ -204,7 +204,8 @@ class ComplexPoly:
 
         A Python complex stays in Python arithmetic.  Arrays go in blocks of
         4,096 points that share z^e per distinct exponent (zbar^l = conj(z^l)
-        bit for bit), so a point's value does not depend on its batch.
+        bit for bit), so a point's value does not depend on its batch.  The
+        zero polynomial returns its zeros at once.
         """
         if type(z) is complex:
             zc = z.conjugate()
@@ -213,6 +214,8 @@ class ComplexPoly:
                 out = out + coeff * z**k * zc**l
             return out
         zarr = np.asarray(z, dtype=complex)
+        if not self.terms:
+            return 0j if zarr.ndim == 0 else np.zeros(zarr.shape, dtype=complex)
         flat = zarr.reshape(-1)
         out = np.zeros_like(flat)
         exponents = {e for key in self.terms for e in key}

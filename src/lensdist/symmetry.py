@@ -325,14 +325,19 @@ def sphere_point(mu: complex, nu: complex) -> tuple[float, float, float]:
     """Unit-sphere embedding of the ratio (mu : nu).
 
     After normalizing |mu|^2 + |nu|^2 = 1 the point is
-    (Re 2 mu conj(nu), Im 2 mu conj(nu), |mu|^2 - |nu|^2).
+    (Re 2 mu conj(nu), Im 2 mu conj(nu), |mu|^2 - |nu|^2).  Where that sum
+    could overflow or underflow, (mu, nu) is first divided by its largest part.
     """
-    mu = complex(mu)
-    nu = complex(nu)
-    norm2 = abs(mu) ** 2 + abs(nu) ** 2
-    if norm2 == 0.0:
+    mu, nu = complex(mu), complex(nu)
+    parts = (mu.real, mu.imag, nu.real, nu.imag)
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("(mu, nu) must be finite")
+    largest = max(map(abs, parts))
+    if largest == 0.0:
         raise ValueError("(mu, nu) must not both be zero")
-    scale = 1.0 / math.sqrt(norm2)
+    if not 1e-150 < largest < 1e150:
+        mu, nu = mu / largest, nu / largest
+    scale = 1.0 / math.sqrt(abs(mu) ** 2 + abs(nu) ** 2)
     mu *= scale
     nu *= scale
     w = 2.0 * mu * np.conj(nu)

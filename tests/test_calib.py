@@ -370,6 +370,8 @@ def _bits(poly: ComplexPoly) -> list:
 
 def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
     family = calib.SharedAxisFamily()
+    disc = np.random.default_rng(66)
+    z = np.sqrt(disc.random(64)) * np.exp(2j * math.pi * disc.random(64))
     rng = np.random.default_rng(65)
     edge_thetas = (0.0, -0.0, 1e3, -1e3, 999.9, -1000.3)
     for i in range(1200):
@@ -388,9 +390,11 @@ def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
         derivs = [want.poly.generator(-1)] + [
             _shared_axis_reference(values[0], *unit).poly for unit in np.eye(9)
         ]
-        assert [_bits(p) for p in family.derivatives(coeffs, got)] == [
-            _bits(p) for p in derivs
-        ], coeffs
+        # The columns follow the phase law, so they match to rounding.
+        columns = family.columns(coeffs, family.table(z))
+        for column, poly in zip(columns, derivs, strict=True):
+            reference = poly.evaluate(z)
+            assert np.linalg.norm(column - reference) <= 1e-12 * np.linalg.norm(reference), coeffs
 
 
 def test_shared_axis_canonical_form_is_the_same_function():
@@ -452,6 +456,67 @@ def test_shared_axis_fit_is_no_worse_than_four_starts(truth, seed, refine_poses)
     rms, converged = _four_start_fit(scene, obs, refine_poses)
     assert report.rms_px <= rms * (1 + 1e-10)
     assert report.converged or not converged
+
+
+def _per_axis_scan_costs(scene, obs) -> np.ndarray:
+    """The frozen-pose cost at each scanned axis, solved one axis at a time
+    over the reference amplitude derivatives: the oracle for the batched
+    scan of SharedAxisFamily."""
+    costs = []
+    for theta in np.linspace(0.0, math.pi, 32, endpoint=False):
+        units = tuple(_shared_axis_reference(theta, *unit) for unit in np.eye(9))
+        space = ModelSpace(units, "the family at the axis")
+        problem = calib._Reprojection(scene, obs, calib.LinearFamily(space), False)
+        x = np.zeros(9)
+        _, residuals = calib._solve_coefficients(-problem.jacobian(x), problem(x))
+        costs.append(float(residuals @ residuals))
+    return np.array(costs)
+
+
+@pytest.mark.parametrize(
+    "truth, seed",
+    [
+        (
+            symmetric_quadratic(0.6, 0.01, -0.02, 0.005)
+            + symmetric_cubic(0.6, 0.05, 0.01, -0.01, 0.003),
+            1,
+        ),
+        (rri([0.1]), 2),
+        (
+            symmetric_quadratic(0.6, 0.01, -0.004, 0.002)
+            + symmetric_cubic(0.6, 0.08, 0.01, -0.005, 0.003)
+            + rri([0.0, -0.02, 0.005]),
+            1,
+        ),
+        (TRUTH, 0),
+    ],
+    ids=["two_minima", "three_minima", "symmetric_truth", "readme"],
+)
+def test_batched_axis_scan_matches_per_axis_solves(truth, seed):
+    scene = default_scene(truth, 0.2, seed)
+    obs = synthesize(scene)
+    family = calib.SharedAxisFamily()
+    thetas, _, costs = family.scan(calib._Reprojection(scene, obs, family, False))
+    assert np.array_equal(thetas, np.linspace(0.0, math.pi, 32, endpoint=False))
+    want = _per_axis_scan_costs(scene, obs)
+    assert np.max(np.abs(costs - want) / want) <= 1e-10
+    assert np.argmin(costs) == np.argmin(want)
+
+
+def test_shared_axis_fit_evaluates_its_base_table_once(noisy_setup, monkeypatch):
+    scene, obs = noisy_setup
+    evaluated = []
+    evaluate = ComplexPoly.evaluate
+
+    def counting(self, z):
+        evaluated.append(self)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(ComplexPoly, "evaluate", counting)
+    calib.fit(scene, obs, "sym_quad_cubic_rri3")
+    base = [p for p in evaluated if any(p is q for q in calib._BASE_MONOMIALS)]
+    assert len(base) == len(calib._BASE_MONOMIALS)
+    assert len(evaluated) < calib._AXIS_SCAN
 
 
 # -- camera roll ----------------------------------------------------------------------

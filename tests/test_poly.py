@@ -95,6 +95,15 @@ def test_eval_examples():
     assert ComplexPoly({(2, 0): 1}).evaluate(1 + 1j) == pytest.approx(2j)
     assert ComplexPoly({}).evaluate(0.3 - 0.7j) == 0
     assert ComplexPoly({(1, 1): 1}).evaluate(2 + 0j) == pytest.approx(4)
+    # The zero polynomial keeps the return types of the others.
+    for arg in (0.3 - 0.7j, np.complex128(0.5j)):
+        value = ComplexPoly.zero().evaluate(arg)
+        assert type(value) is complex and value == 0
+    z = np.array([[0.1 + 0.2j, -0.3j, 0.0], [0.5, 0.0, 1.0]])
+    for arg in (z, z.real, [[0.1, 0.2]], np.empty((0, 2), complex)):
+        values = ComplexPoly.zero().evaluate(arg)
+        assert isinstance(values, np.ndarray) and values.dtype == complex
+        assert values.shape == np.shape(arg) and not values.any()
 
 
 def test_eval_vectorized_matches_scalar():

@@ -611,8 +611,21 @@ def test_sphere_point_unit_norm_and_scaling_invariance():
         if abs(scale) > 1e-6:
             q = sphere_point(scale * mu, scale * nu)
             assert np.allclose(p, q, atol=1e-9)
+    # Scales whose |mu|^2 + |nu|^2 overflows or underflows.
+    assert sphere_point(1e200, 0) == (0.0, 0.0, 1.0)
+    assert sphere_point(1e-170, 0) == (0.0, 0.0, 1.0)
+    assert sphere_point(3e154, 4e154) == pytest.approx(sphere_point(3, 4), abs=1e-15)
+    assert sphere_point(3e-170j, 4e-170) == pytest.approx(sphere_point(3j, 4), abs=1e-15)
+    assert sphere_point(complex(1e308, -1e308), 1e308) == pytest.approx(
+        sphere_point(1 - 1j, 1), abs=1e-15
+    )
 
 
 def test_sphere_point_rejects_zero():
     with pytest.raises(ValueError):
         sphere_point(0, 0)
+    for bad in (math.nan, math.inf, -math.inf, complex(1, math.nan)):
+        with pytest.raises(ValueError):
+            sphere_point(bad, 1)
+        with pytest.raises(ValueError):
+            sphere_point(1, bad)
