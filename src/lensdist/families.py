@@ -388,14 +388,14 @@ def space_sum(a: ModelSpace, b: ModelSpace, label: str | None = None) -> ModelSp
     Earlier basis vectors win ties, so the result is deterministic and the
     basis of ``a`` survives unchanged.
     """
-    keys = coefficient_keys(list(a.basis) + list(b.basis))
-    kept: list[DistortionFunction] = []
-    for f in list(a.basis) + list(b.basis):
-        if f.is_zero():
-            continue
-        if _independent(coefficient_matrix(kept + [f], keys)):
-            kept.append(f)
-    return ModelSpace(tuple(kept), label if label is not None else f"{a.label}+{b.label}")
+    candidates = a.basis + b.basis
+    rows = coefficient_matrix(candidates, coefficient_keys(candidates))
+    kept: list[int] = []
+    for i, f in enumerate(candidates):
+        if _independent(rows[kept + [i]]):
+            kept.append(i)
+    basis = tuple(candidates[i] for i in kept)
+    return ModelSpace(basis, label if label is not None else f"{a.label}+{b.label}")
 
 
 def rri_space(n: int) -> ModelSpace:

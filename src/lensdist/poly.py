@@ -36,10 +36,11 @@ from __future__ import annotations
 import math
 import operator
 from cmath import exp as cexp
+from cmath import isfinite as cisfinite
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -79,6 +80,9 @@ _NEG_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 # place.  That reuse can swap a complex product's operands, which changes its
 # rounding, so a point's value would depend on the size of its array.
 _EVAL_BLOCK = 4096
+
+# z**0 as CPython returns it for a complex z.
+_ONE = 1 + 0j
 
 
 def _check_key(key) -> MonomialKey:
@@ -155,6 +159,53 @@ def _xy_monomial(n: int, j: int) -> tuple[complex, ...]:
     return tuple(col)
 
 
+class _Plan(NamedTuple):
+    # Recipe of one polynomial: the scalar power steps, then terms (i, j, c)
+    # for c z^i zbar^j of the value, (k, l, gamma), of f_z,
+    # (k - 1, l, gamma k), and of f_zbar, (k, l - 1, gamma l).
+    steps: tuple
+    value: tuple
+    d_z: tuple
+    d_zbar: tuple
+
+
+@lru_cache(maxsize=None)
+def _power_steps(top: int) -> tuple[tuple[int, bool], ...]:
+    # (e - h, whether z^h is a new square) for e = 1 .. top, h the top bit of e.
+    return tuple(
+        (e - (1 << (e.bit_length() - 1)), e > 1 and e & (e - 1) == 0)
+        for e in range(1, top + 1)
+    )
+
+
+def _power_tables(z: complex, steps) -> tuple[list[complex], list[complex]]:
+    """Lists of z**e and zbar**e for e = 0 .. len(steps), bit for bit.
+
+    CPython's complex ** int starts from 1 + 0j and multiplies in z^h for
+    each set bit h of e, low bit first, squaring as it goes: so
+    z^e = z^(e - h) * z^h with h the top bit of e.  zbar runs its own chain,
+    since conj(z**e) can differ from zbar**e in the sign of a zero.
+    """
+    zc = z.conjugate()
+    pw, pc = [_ONE], [_ONE]
+    sq, sqc = z, zc
+    for rest, new in steps:
+        if new:
+            sq, sqc = sq * sq, sqc * sqc
+        pw.append(pw[rest] * sq)
+        pc.append(pc[rest] * sqc)
+    return pw, pc
+
+
+def _raise_on_overflow(z: complex, terms) -> None:
+    # A Python complex product overflows to inf where z**e raises
+    # OverflowError.  Take the powers the z**i * zbar**j form takes, so the
+    # same inputs raise.
+    zc = z.conjugate()
+    for i, j, _ in terms:
+        z**i, zc**j
+
+
 @dataclass(frozen=True)
 class ComplexPoly:
     """Sparse complex displacement polynomial sum gamma_kl z^k zbar^l.
@@ -199,19 +250,36 @@ class ComplexPoly:
         """Sub-polynomial made of the monomials with winding number m."""
         return ComplexPoly({kl: c for kl, c in self.terms.items() if kl[0] - kl[1] - 1 == m})
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        terms = self.terms.items()
+        return _Plan(
+            _power_steps(max((max(key) for key in self.terms), default=0)),
+            tuple((k, l, c) for (k, l), c in terms),
+            tuple((k - 1, l, c * k) for (k, l), c in terms if k),
+            tuple((k, l - 1, c * l) for (k, l), c in terms if l),
+        )
+
     def evaluate(self, z):
         """Value sum gamma_kl z^k zbar^l at a complex scalar or array.
 
-        A Python complex stays in Python arithmetic.  Arrays go in blocks of
-        4,096 points that share z^e per distinct exponent (zbar^l = conj(z^l)
-        bit for bit), so a point's value does not depend on its batch.  The
-        zero polynomial returns its zeros at once.
+        A Python complex stays in Python arithmetic: one table of z**e and
+        one of zbar**e per call (z^0 = 1 + 0j, zbar^e from its own chain),
+        so the value is bit for bit the sum of gamma_kl * z**k * zbar**l in
+        term order, and where one of those powers raises OverflowError, so
+        does this (checked only when the value is not finite).  Arrays go in
+        blocks of 4,096 points that share z^e per distinct exponent
+        (zbar^l = conj(z^l) bit for bit), so a point's value does not depend
+        on its batch.  The zero polynomial returns its zeros at once.
         """
         if type(z) is complex:
-            zc = z.conjugate()
+            plan = self._plan
+            pw, pc = _power_tables(z, plan.steps)
             out = 0j
-            for (k, l), coeff in self.terms.items():
-                out = out + coeff * z**k * zc**l
+            for i, j, c in plan.value:
+                out = out + c * pw[i] * pc[j]
+            if not cisfinite(out):
+                _raise_on_overflow(z, plan.value)
             return out
         zarr = np.asarray(z, dtype=complex)
         if not self.terms:
@@ -232,17 +300,31 @@ class ComplexPoly:
     def wirtinger(self, z):
         """Wirtinger derivatives (f_z, f_zbar) at a complex scalar or array.
 
-        A step dz moves the value by f_z dz + f_zbar conj(dz).  Python
-        scalars stay Python complex numbers; arrays give arrays, also for
-        the zero polynomial.
+        A step dz moves the value by f_z dz + f_zbar conj(dz).  Each is a
+        sum from 0 * z, in term order, of gamma_kl k z**(k-1) zbar**l (f_z)
+        or gamma_kl l z**k zbar**(l-1) (f_zbar).  A Python complex reads the
+        power tables of ``evaluate``, bit for bit, and raises OverflowError
+        where those powers do.  Other scalars and arrays take each distinct
+        z**e and zbar**e once, so an array point's value does not depend on
+        its batch.  Python scalars stay Python numbers; arrays give arrays,
+        also for the zero polynomial.
         """
-        zc = z.conjugate()
+        plan = self._plan
+        scalar = type(z) is complex
+        if scalar:
+            pw, pc = _power_tables(z, plan.steps)
+        else:
+            zc = z.conjugate()
+            reads = plan.d_z + plan.d_zbar
+            pw = {i: z**i for i in {i for i, _, _ in reads}}
+            pc = {j: zc**j for j in {j for _, j, _ in reads}}
         f_z = f_zc = 0 * z
-        for (k, l), c in self.terms.items():
-            if k:
-                f_z = f_z + c * k * z ** (k - 1) * zc**l
-            if l:
-                f_zc = f_zc + c * l * z**k * zc ** (l - 1)
+        for i, j, c in plan.d_z:
+            f_z = f_z + c * pw[i] * pc[j]
+        for i, j, c in plan.d_zbar:
+            f_zc = f_zc + c * pw[i] * pc[j]
+        if scalar and not (cisfinite(f_z) and cisfinite(f_zc)):
+            _raise_on_overflow(z, plan.d_z + plan.d_zbar)
         return f_z, f_zc
 
     def generator(self, sign: int = 1) -> "ComplexPoly":

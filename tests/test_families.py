@@ -12,6 +12,8 @@ from lensdist.families import (
     DistortionFunction,
     IrreducibleSpec,
     ModelSpace,
+    _independent,
+    coefficient_keys,
     coefficient_matrix,
     conjugate_quadratic,
     decentering,
@@ -324,6 +326,31 @@ def test_space_sum_dimensions():
         list(weng.basis) + list(radial.basis) + list(tangential.basis)
     )
     assert np.linalg.matrix_rank(combined, tol=1e-9) == 4
+
+
+def _space_sum_reference(a, b):
+    """One coefficient matrix per candidate, over the kept set so far."""
+    candidates = list(a.basis) + list(b.basis)
+    keys = coefficient_keys(candidates)
+    kept = []
+    for f in candidates:
+        if _independent(coefficient_matrix(kept + [f], keys)):
+            kept.append(f)
+    return kept
+
+
+def test_space_sum_keeps_the_per_candidate_decisions():
+    names = list(CATALOG_NAMES) + ["rri1", "rri5", "full_quad", "full_cubic", "full_quad_cubic"]
+    pairs = [(named_space(a), named_space(b)) for a in names for b in names]
+    rri3 = named_space("rri3")
+    for phi in np.linspace(0.0, math.pi, 40, endpoint=False):
+        p, q = math.cos(phi), math.sin(phi)
+        quad = ModelSpace((mixed_quadratic(p, q, 1.0, 0.0), mixed_quadratic(p, q, 0.0, 1.0)), "mq")
+        pairs.append((quad, rri3))
+    for a, b in pairs:
+        got = space_sum(a, b).basis
+        want = _space_sum_reference(a, b)
+        assert len(got) == len(want) and all(f is g for f, g in zip(got, want)), (a.label, b.label)
 
 
 def test_named_space_catalog():

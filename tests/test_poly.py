@@ -1,6 +1,8 @@
 """Core representation tests: winding numbers, conversions, rotation machinery."""
 
+import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -143,6 +145,11 @@ def test_eval_value_does_not_depend_on_the_batch(high_degree_poly):
         [high_degree_poly.evaluate(z[i : i + 1000]) for i in range(0, z.size, 1000)]
     )
     assert np.array_equal(whole.view(float), pieces.view(float))
+    # wirtinger multiplies by shared powers, which are never temporaries, so
+    # numpy's in-place reuse keeps each product's operand order.
+    pieces = [high_degree_poly.wirtinger(z[i : i + 1000]) for i in range(0, z.size, 1000)]
+    for d_whole, d_pieces in zip(high_degree_poly.wirtinger(z), zip(*pieces)):
+        assert np.array_equal(d_whole.view(float), np.concatenate(d_pieces).view(float))
 
 
 def test_eval_keeps_the_input_shape(high_degree_poly):
@@ -328,6 +335,118 @@ def test_wirtinger_of_zero_polynomial_is_zero_shaped_like_z():
     for d in ComplexPoly.zero().wirtinger(z):
         assert isinstance(d, np.ndarray) and d.shape == z.shape and not d.any()
     assert ComplexPoly.zero().wirtinger(0.3 - 0.1j) == (0j, 0j)
+
+
+# -- power tables against the z**k form ------------------------------------------
+
+
+def _evaluate_scalar_reference(f, z):
+    """Two Python powers per term, summed in term order."""
+    zc = z.conjugate()
+    out = 0j
+    for (k, l), coeff in f.terms.items():
+        out = out + coeff * z**k * zc**l
+    return out
+
+
+def _wirtinger_reference(f, z):
+    """Up to four powers per term, for any z with a conjugate."""
+    zc = z.conjugate()
+    f_z = f_zc = 0 * z
+    for (k, l), c in f.terms.items():
+        if k:
+            f_z = f_z + c * k * z ** (k - 1) * zc**l
+        if l:
+            f_zc = f_zc + c * l * z**k * zc ** (l - 1)
+    return f_z, f_zc
+
+
+def _bits(value):
+    """Type and bit pattern of a result, so that signed zeros and NaN payloads count."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.view(np.uint64).tobytes()
+    if isinstance(value, complex):
+        return type(value), struct.pack("dd", value.real, value.imag)
+    if isinstance(value, float):
+        return type(value), struct.pack("d", value)
+    return type(value), value
+
+
+def _outcome(fn, *args):
+    """Bits of the result, or the type and message of the exception."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(fn(*args))
+    except Exception as err:  # compared, not swallowed
+        return type(err), str(err)
+
+
+_SPECIAL_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-200, -1e-320, math.inf, -math.inf, math.nan)
+
+
+def _scalar_points(rng, count):
+    points = [complex(a, b) for a in _SPECIAL_PARTS for b in _SPECIAL_PARTS]
+    points += [complex(*rng.uniform(-1, 1, 2)) for _ in range(count)]
+    for mag in (1e15, 1e20, 1e40, 1e100, 1e200, 1e300):
+        points += [mag * complex(*rng.uniform(-1, 1, 2)) for _ in range(4)]
+        points += [complex(mag, 0.0), complex(-0.0, -mag), complex(mag, math.nan)]
+    return points
+
+
+def test_scalar_evaluate_is_bitwise_the_power_form():
+    rng = np.random.default_rng(90)
+    polys = [random_poly(rng, max_degree=MAX_DEGREE, max_terms=40) for _ in range(12)]
+    polys += [ComplexPoly({(16, 0): 1.0}), ComplexPoly({(0, 2): -1j, (1, 1): 2.0})]
+    for f in polys:
+        for z in _scalar_points(rng, 30):
+            assert _outcome(f.evaluate, z) == _outcome(_evaluate_scalar_reference, f, z), z
+        # Other scalars take the array path and still give a Python complex.
+        for z in (0, 3, 0.25, np.float64(-0.5)):
+            assert type(f.evaluate(z)) is complex
+
+
+def test_scalar_wirtinger_is_bitwise_the_power_form():
+    rng = np.random.default_rng(91)
+    polys = [random_poly(rng, max_degree=MAX_DEGREE, max_terms=40) for _ in range(12)]
+    polys += [ComplexPoly.zero(), ComplexPoly({(0, 16): 1.0}), ComplexPoly({(2, 0): 1 + 0j})]
+    for f in polys:
+        points = _scalar_points(rng, 30)
+        # Other scalars keep their own arithmetic and result types.
+        points += [0, 3, -2, 10**200, 0.25, -1e200, np.float64(0.3), np.complex128(0.1 - 0.2j)]
+        for z in points:
+            assert _outcome(f.wirtinger, z) == _outcome(_wirtinger_reference, f, z), z
+
+
+def test_scalar_overflow_raises_as_the_power_form():
+    f = ComplexPoly({(3, 0): 0.1, (2, 1): 1e-3})
+    for method in (f.evaluate, f.wirtinger):
+        with pytest.raises(OverflowError, match="complex exponentiation"):
+            method(complex(1e200, 0.0))
+    # A product that overflows after finite powers returns inf, as before.
+    big = ComplexPoly({(2, 0): 1e300})
+    z = complex(1e10, 0.0)
+    assert cmath.isinf(big.evaluate(z))
+    assert _outcome(big.evaluate, z) == _outcome(_evaluate_scalar_reference, big, z)
+    assert _outcome(big.wirtinger, z) == _outcome(_wirtinger_reference, big, z)
+
+
+@pytest.mark.parametrize("size", [1, 37, 432, 4097, 16383])
+def test_array_wirtinger_is_bitwise_the_power_form(size):
+    # Below 16,384 points numpy never elides the reference's temporaries, so
+    # sharing one power per exponent must not change a bit.
+    rng = np.random.default_rng(size)
+    f = random_poly(rng, max_degree=MAX_DEGREE, max_terms=40)
+    z = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    if size > 1:
+        # Overflowing, non-finite and signed-zero points ride along.
+        z[: len(_SPECIAL_PARTS)] = [complex(a, -a) for a in _SPECIAL_PARTS]
+        z[-1] = 1e30 + 1e30j
+    assert _outcome(f.wirtinger, z) == _outcome(_wirtinger_reference, f, z)
+    assert _outcome(f.wirtinger, z.reshape(1, -1)) == _outcome(
+        _wirtinger_reference, f, z.reshape(1, -1)
+    )
 
 
 # -- monomial vector and its rotation matrix ----------------------------------

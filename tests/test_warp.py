@@ -1,6 +1,7 @@
 """Forward warping, Jacobians, Newton inversion, and dataset generators."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -127,16 +128,19 @@ def test_invert_failure_outside_local_region():
         invert(f, (1.0, 0.0))
 
 
+FAILURE_CASES = [
+    (rri([0.1]).poly, (1e200, 0.0), NoConvergence, OverflowError),
+    (ComplexPoly({(9, 7): 1e-3, (2, 0): 0.01}), (1e20, 0.0), NoConvergence, None),
+    (rri([0.1]).poly, (math.nan, 0.1), ValueError, None),
+    (rri([0.1]).poly, (0.2, math.inf), ValueError, None),
+    (rri([0.1]).poly, (0.1, 0.2, 0.3), ValueError, None),
+    (rri([0.1]).poly, (0.1,), ValueError, None),
+]
+
+
 @pytest.mark.parametrize(
     "poly, target, error, cause",
-    [
-        (rri([0.1]).poly, (1e200, 0.0), NoConvergence, OverflowError),
-        (ComplexPoly({(9, 7): 1e-3, (2, 0): 0.01}), (1e20, 0.0), NoConvergence, None),
-        (rri([0.1]).poly, (math.nan, 0.1), ValueError, None),
-        (rri([0.1]).poly, (0.2, math.inf), ValueError, None),
-        (rri([0.1]).poly, (0.1, 0.2, 0.3), ValueError, None),
-        (rri([0.1]).poly, (0.1,), ValueError, None),
-    ],
+    FAILURE_CASES,
     ids=["overflow", "degree16-far", "nan", "inf", "three-values", "one-value"],
 )
 def test_invert_failures_are_typed(poly, target, error, cause):
@@ -194,7 +198,8 @@ def _outcome(solve, func, target):
         return type(err)
 
 
-def test_invert_matches_the_real_newton_reference(high_degree_poly):
+def _newton_cases(high_degree_poly):
+    """A fold target and 1,000 disc targets each for a degree-7 and a degree-16 model."""
     rng = np.random.default_rng(55)
     low = decentering(0.01, -0.02) + rri([0.1, -0.05, 0.02])
     high = DistortionFunction.from_poly(high_degree_poly)
@@ -203,7 +208,11 @@ def test_invert_matches_the_real_newton_reference(high_degree_poly):
         r = 0.9 * np.sqrt(rng.uniform(size=1000))
         a = rng.uniform(0, 2 * math.pi, size=1000)
         cases += [(func, (x, y)) for x, y in zip(r * np.cos(a), r * np.sin(a))]
-    for func, target in cases:
+    return cases
+
+
+def test_invert_matches_the_real_newton_reference(high_degree_poly):
+    for func, target in _newton_cases(high_degree_poly):
         got = _outcome(invert, func, target)
         want = _outcome(_invert_reference, func, target)
         if isinstance(want, type):
@@ -211,6 +220,84 @@ def test_invert_matches_the_real_newton_reference(high_degree_poly):
         else:
             assert isinstance(got, tuple), target
             assert math.hypot(got[0] - want[0], got[1] - want[1]) <= 1e-12, target
+
+
+def _power_form_value(poly, z):
+    zc = z.conjugate()
+    out = 0j
+    for (k, l), coeff in poly.terms.items():
+        out = out + coeff * z**k * zc**l
+    return out
+
+
+def _power_form_wirtinger(poly, z):
+    zc = z.conjugate()
+    f_z = f_zc = 0 * z
+    for (k, l), c in poly.terms.items():
+        if k:
+            f_z = f_z + c * k * z ** (k - 1) * zc**l
+        if l:
+            f_zc = f_zc + c * l * z**k * zc ** (l - 1)
+    return f_z, f_zc
+
+
+def _invert_power_form(func, target):
+    """``invert`` as it reads, on two Python powers per monomial and derivative."""
+    pair = np.asarray(target, dtype=float)
+    if pair.shape != (2,) or not np.isfinite(pair).all():
+        raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
+    poly = func.poly
+    t = complex(pair[0], pair[1])
+    q = t
+    try:
+        r = q + _power_form_value(poly, q) - t
+        rnorm = abs(r)
+        for _ in range(50):
+            if rnorm < 1e-12:
+                return q.real, q.imag
+            f_z, b = _power_form_wirtinger(poly, q)
+            a = 1.0 + f_z
+            det = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
+            if abs(det) < 1e-14:
+                raise SingularJacobian(f"|det J| = {abs(det):.3e} at iterate {q}")
+            step = (a.conjugate() * r - b * r.conjugate()) / det
+            step_norm = abs(step)
+            if step_norm < 1e-14:
+                break
+            if step_norm > 1.0:
+                step *= 1.0 / step_norm
+            alpha = 1.0
+            while True:
+                q_try = q - alpha * step
+                r_try = q_try + _power_form_value(poly, q_try) - t
+                rnorm_try = abs(r_try)
+                if rnorm_try < rnorm:
+                    q, r, rnorm = q_try, r_try, rnorm_try
+                    break
+                alpha *= 0.5
+                if alpha < 2.0**-40:
+                    raise NoConvergence(f"line search stalled with residual {rnorm:.3e}")
+    except OverflowError as err:
+        raise NoConvergence(f"iterate overflowed near {q}") from err
+    if rnorm < 1e-12:
+        return q.real, q.imag
+    raise NoConvergence(f"no convergence after 50 iterations (residual {rnorm:.3e})")
+
+
+def _exact_outcome(solve, func, target):
+    """Bits of the solved point, or the error's type, message and cause type."""
+    try:
+        return struct.pack("dd", *solve(func, target))
+    except (NoConvergence, SingularJacobian, ValueError) as err:
+        return type(err), str(err), type(err.__cause__)
+
+
+def test_invert_is_bitwise_the_power_form(high_degree_poly):
+    cases = _newton_cases(high_degree_poly)
+    cases += [(DistortionFunction.from_poly(p), t) for p, t, _, _ in FAILURE_CASES]
+    for func, target in cases:
+        got = _exact_outcome(invert, func, target)
+        assert got == _exact_outcome(_invert_power_form, func, target), target
 
 
 def test_invert_round_trip_many_small_functions():
