@@ -14,13 +14,20 @@ from typing import Iterable, Sequence
 
 
 def check_header(data, kind: str, fmt: str, version: int) -> None:
-    """Raise ValueError unless data is an object tagged with fmt and version."""
+    """Raise ValueError unless data is an object tagged with fmt and version, free of booleans."""
     if not isinstance(data, dict):
         raise ValueError(f"{kind} JSON must be an object")
     if data.get("format") != fmt:
         raise ValueError(f"expected format {fmt!r}, got {data.get('format')!r}")
     if data.get("version") != version:
         raise ValueError(f"unsupported {kind} version {data.get('version')!r}")
+    pending = [data]
+    while pending:  # no field is boolean, and Python would take true for the number 1
+        item = pending.pop()
+        if isinstance(item, bool):
+            raise ValueError(f"{kind} JSON holds {json.dumps(item)} where a number belongs")
+        if isinstance(item, (dict, list)):
+            pending.extend(item.values() if isinstance(item, dict) else item)
 
 
 def load_json(path):

@@ -23,10 +23,10 @@ problems (see ``SharedAxisFamily``).  A family's coefficient columns
 come from a table evaluated once per point set: its basis, or for the
 shared-axis family the per-winding parts of its base, turned by the phase law.
 Non-convergence is reported through ``converged=False``, never silently.
-With refined poses the reported standard errors are marginal over the poses.
+Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
 
-Residual evaluation is sequential with a fixed accumulation order, so every
-fit is reproducible regardless of environment.
+Residual evaluation is sequential with a fixed accumulation order, so a fit
+is reproducible bit for bit on one host, BLAS kernel and numpy dispatch level.
 """
 
 from __future__ import annotations
@@ -446,13 +446,15 @@ class SharedAxisFamily:
         table = problem.table(x)
         thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
         phases = np.exp(-1j * np.outer(thetas, _BASE_WINDINGS))
-        # Negated phases give the negated Jacobian, the design, exactly.
-        solves = [
-            _solve_coefficients(problem.jacobian_rows(np.tensordot(-stack, table, 1)), rhs)
-            for stack in np.split(phases, _AXIS_SCAN // _SCAN_STACK)
-        ]
-        amplitudes, residuals = map(np.concatenate, zip(*solves))
-        return thetas, amplitudes, np.einsum("ij,ij->i", residuals, residuals)
+        amplitudes, costs = [], []
+        for stack in np.split(phases, _AXIS_SCAN // _SCAN_STACK):
+            # Negated phases give the negated Jacobian, the design, exactly.
+            design = problem.jacobian_rows(np.tensordot(-stack, table, 1))
+            coeffs, _ = _solve_truncated(design, rhs)
+            residuals = rhs - (design @ coeffs[..., None])[..., 0]
+            amplitudes.append(coeffs)
+            costs.append(np.einsum("ij,ij->i", residuals, residuals))
+        return thetas, np.concatenate(amplitudes), np.concatenate(costs)
 
     def start(self, problem) -> np.ndarray:
         thetas, amplitudes, costs = self.scan(problem)
@@ -506,15 +508,17 @@ TABLE_FAMILIES = (
 # --------------------------------------------------------------------------
 
 
-def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least squares by SVD without the singular values at or below _SVD_RCOND
-    times the largest; ``matrix`` may be a stack (..., m, n) sharing ``rhs``."""
+    times the largest, and F = V diag(1/s) over the kept ones, so F F^T is the
+    truncated pinv(M^T M) of M = ``matrix``, which may be a stack sharing ``rhs``."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     inv = np.zeros_like(s)
     keep = s > _SVD_RCOND * s[..., :1]
     inv[keep] = 1.0 / s[keep]
     weights = (np.swapaxes(u, -1, -2) @ rhs) * inv
-    return (np.swapaxes(vt, -1, -2) @ weights[..., None])[..., 0]
+    v = np.swapaxes(vt, -1, -2)
+    return (v @ weights[..., None])[..., 0], v * inv[..., None, :]
 
 
 def _levenberg_marquardt(fun, x0, jacobian):
@@ -532,7 +536,7 @@ def _levenberg_marquardt(fun, x0, jacobian):
         hess = jac.T @ jac
         improved = False
         while lam <= 1e12:
-            delta = _solve_truncated(hess + lam * np.eye(n), grad)
+            delta, _ = _solve_truncated(hess + lam * np.eye(n), grad)
             x_try = x - delta
             r_try = np.asarray(fun(x_try), dtype=float)
             cost_try = float(r_try @ r_try)
@@ -560,17 +564,15 @@ def _report_from_residuals(
     coeffs: np.ndarray,
     iterations: int,
     converged: bool,
-    jac: np.ndarray,
+    factor: np.ndarray,
 ) -> FitReport:
     m = residuals.size
     rms = float(math.sqrt(float(residuals @ residuals) / m))
     per_view = residuals.reshape(obs.n_views, obs.n_points, 2)
     per_view_rms = tuple(float(math.sqrt(np.mean(v**2))) for v in per_view)
-    # Marginal over the columns after the coefficients (refined poses).
-    dof = max(m - jac.shape[1], 1)
-    sigma2 = float(residuals @ residuals) / dof
-    cov = sigma2 * np.linalg.pinv(jac.T @ jac, rcond=_SVD_RCOND)
-    std = tuple(float(v) for v in np.sqrt(np.clip(np.diag(cov)[: coeffs.size], 0.0, None)))
+    # sigma^2 F F^T is J's covariance: its coefficient block is marginal over poses.
+    sigma2 = float(residuals @ residuals) / max(m - factor.shape[0], 1)
+    std = tuple(float(v) for v in np.sqrt(sigma2 * np.sum(factor[: coeffs.size] ** 2, axis=1)))
     return FitReport(
         rms_px=rms,
         coefficients=tuple(float(c) for c in coeffs),
@@ -581,19 +583,13 @@ def _report_from_residuals(
     )
 
 
-def _solve_coefficients(design: np.ndarray, rhs: np.ndarray):
-    """The c minimizing |rhs - design @ c| by ``_solve_truncated``, and those
-    residuals; ``design`` may be a stack sharing ``rhs``."""
-    coeffs = _solve_truncated(design, rhs)
-    return coeffs, rhs - (design @ coeffs[..., None])[..., 0]
-
-
 def _fit_linear_frozen(scene: Scene, obs: Observations, family: LinearFamily) -> FitReport:
     problem = _Reprojection(scene, obs, family, refine_poses=False)
     x = np.zeros(family.n_params)
-    design = -problem.jacobian(x)  # the residuals are problem(x) - design @ c
-    coeffs, residuals = _solve_coefficients(design, problem(x))
-    return _report_from_residuals(residuals, obs, coeffs, iterations=1, converged=True, jac=design)
+    design, rhs = -problem.jacobian(x), problem(x)  # the residuals are rhs - design @ c
+    coeffs, factor = _solve_truncated(design, rhs)
+    residuals = rhs - (design @ coeffs[..., None])[..., 0]
+    return _report_from_residuals(residuals, obs, coeffs, 1, True, factor)
 
 
 def _pack_poses(poses: Sequence[Pose]) -> np.ndarray:
@@ -707,7 +703,9 @@ def _fit_lm(scene: Scene, obs: Observations, family, refine_poses: bool) -> FitR
     x, r, iterations, converged = _levenberg_marquardt(problem, x0, problem.jacobian)
     p = family.n_params
     x = np.concatenate([family.canonical(x[:p]), x[p:]])
-    return _report_from_residuals(r, obs, x[:p], iterations, converged, problem.jacobian(x))
+    # R of J = QR has J's singular values and right singular vectors.
+    _, factor = _solve_truncated(np.linalg.qr(problem.jacobian(x), mode="r"), np.zeros(x.size))
+    return _report_from_residuals(r, obs, x[:p], iterations, converged, factor)
 
 
 def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = None) -> FitReport:
@@ -799,12 +797,7 @@ def scene_to_json(scene: Scene) -> dict:
             {"axis_angle": list(p.axis_angle), "t": list(p.translation)}
             for p in scene.poses
         ],
-        "intrinsics": {
-            "fx": scene.intrinsics.fx,
-            "fy": scene.intrinsics.fy,
-            "cx": scene.intrinsics.cx,
-            "cy": scene.intrinsics.cy,
-        },
+        "intrinsics": asdict(scene.intrinsics),
         "truth": model_to_json(scene.truth.poly, form="complex"),
         "sigma": scene.noise_sigma,
         "seed": scene.seed,

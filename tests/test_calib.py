@@ -1,7 +1,10 @@
 """Synthetic calibration: projection, synthesis, fitting, comparison, sweep."""
 
+import json
 import math
+import operator
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -310,6 +313,26 @@ def test_refine_poses_std_errors_are_marginal_over_the_poses(noisy_setup):
     assert np.all(marginal > 1.5 * conditional)
 
 
+@pytest.mark.parametrize("name", ["rri4", "rri5"])
+def test_refine_poses_std_errors_of_ill_conditioned_fits(noisy_setup, name):
+    # cond(J) is about 1e5 (rri4) and 2e6 (rri5): squaring it in J^T J
+    # loses the digits that these standard errors need.
+    scene, obs = noisy_setup
+    family = parse_family(name)
+    p = family.n_params
+    report = calib.fit(scene, obs, family, FitOptions(refine_poses=True))
+    problem = calib._Reprojection(scene, obs, family, refine_poses=True)
+    x0 = np.concatenate([np.zeros(p), calib._pack_poses(scene.poses)])
+    x, r, _, _ = calib._levenberg_marquardt(problem, x0, problem.jacobian)
+    assert tuple(x[:p]) == report.coefficients
+    jac = numeric_jacobian(problem, x)
+    m, n = jac.shape
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    assert s[-1] > 1e-10 * s[0]
+    cov = float(r @ r) / (m - n) * (vt.T / s**2) @ vt
+    assert np.allclose(report.std_errors, np.sqrt(np.diag(cov)[:p]), rtol=1e-5, atol=0.0)
+
+
 # -- family parsing -----------------------------------------------------------------
 
 
@@ -468,7 +491,8 @@ def _per_axis_scan_costs(scene, obs) -> np.ndarray:
         space = ModelSpace(units, "the family at the axis")
         problem = calib._Reprojection(scene, obs, calib.LinearFamily(space), False)
         x = np.zeros(9)
-        _, residuals = calib._solve_coefficients(-problem.jacobian(x), problem(x))
+        design, rhs = -problem.jacobian(x), problem(x)
+        residuals = rhs - design @ np.linalg.lstsq(design, rhs, rcond=None)[0]
         costs.append(float(residuals @ residuals))
     return np.array(costs)
 
@@ -714,6 +738,32 @@ def test_scene_json_rejects_non_finite_values(section, field, value):
     (data[section] if section else data)[field] = value
     with pytest.raises(ValueError):
         scene_from_json(data)
+
+
+def _number_paths(data, path=()):
+    """The key paths of every number in a JSON document."""
+    if isinstance(data, dict):
+        data = data.items()
+    elif isinstance(data, list):
+        data = enumerate(data)
+    else:
+        return [path] if isinstance(data, (int, float)) else []
+    return [p for key, value in data for p in _number_paths(value, path + (key,))]
+
+
+def test_scene_json_rejects_booleans_for_numbers():
+    data = scene_to_json(default_scene(truth=TRUTH))
+    paths = _number_paths(data)
+    # version, target (3), 8 poses (6 each), intrinsics (4), the truth's
+    # version and 6 terms (k, l, re, im), sigma and seed.
+    assert len(paths) == 1 + 3 + 48 + 4 + 1 + 24 + 2
+    for path in paths:
+        for value in (True, False):
+            bad = json.loads(json.dumps(data))
+            *parents, last = path
+            reduce(operator.getitem, parents, bad)[last] = value
+            with pytest.raises(ValueError):
+                scene_from_json(bad)
 
 
 def test_observations_csv_round_trip(tmp_path, noisy_setup):

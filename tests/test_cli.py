@@ -112,6 +112,7 @@ def test_verify_nonpositive_tol_exit_2(model_file, tol):
                 {"k": 2, "l": 0, "re": 2.0, "im": 0.0},
             ]
         },
+        {"complex": [{"k": True, "l": 1, "re": True, "im": 0}]},
     ],
 )
 def test_verify_malformed_model_exit_2(tmp_path, capsys, entries):
@@ -250,10 +251,14 @@ def test_bench_deterministic(tmp_path, capsys, scene_file):
         pytest.param("target", "rows", 6.7, id="target-rows-fractional"),
         pytest.param(None, "seed", 2.9, id="None-seed-fractional"),
         pytest.param(None, "seed", True, id="None-seed-boolean"),
+        pytest.param(None, "sigma", True, id="None-sigma-boolean"),
+        pytest.param("intrinsics", "fx", True, id="intrinsics-fx-boolean"),
+        pytest.param("intrinsics", "cx", False, id="intrinsics-cx-boolean"),
     ],
 )
 def test_fit_non_finite_scene_exit_2(tmp_path, capsys, scene_file, section, field, value):
-    data = json.loads(open(scene_file).read())
+    with open(scene_file) as fh:
+        data = json.load(fh)
     (data[section] if section else data)[field] = value
     path = tmp_path / "nan_scene.json"
     path.write_text(json.dumps(data))

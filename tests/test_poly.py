@@ -543,6 +543,10 @@ def test_model_json_validation():
                 {"k": 2, "l": 0, "re": 2.0, "im": 0.0},
             ]
         },
+        {"complex": [{"k": True, "l": 1, "re": True, "im": 0}]},
+        {"complex": [{"k": 2, "l": 0, "re": 1.0, "im": False}]},
+        {"real": [{"degree": 2, "rows": [[1, 0, 0], [0, True, 0]]}]},
+        {"version": True, "complex": []},
     ],
 )
 def test_model_json_malformed_entries_raise_value_error(entries):

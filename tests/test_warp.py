@@ -129,22 +129,31 @@ def test_invert_failure_outside_local_region():
 
 
 FAILURE_CASES = [
-    (rri([0.1]).poly, (1e200, 0.0), NoConvergence, OverflowError),
-    (ComplexPoly({(9, 7): 1e-3, (2, 0): 0.01}), (1e20, 0.0), NoConvergence, None),
-    (rri([0.1]).poly, (math.nan, 0.1), ValueError, None),
-    (rri([0.1]).poly, (0.2, math.inf), ValueError, None),
-    (rri([0.1]).poly, (0.1, 0.2, 0.3), ValueError, None),
-    (rri([0.1]).poly, (0.1,), ValueError, None),
+    (rri([0.1]).poly, (1e200, 0.0), NoConvergence, OverflowError, None),
+    (ComplexPoly({(9, 7): 1e-3, (2, 0): 0.01}), (1e20, 0.0), NoConvergence, None, None),
+    (rri([0.1]).poly, (math.nan, 0.1), ValueError, None, None),
+    (rri([0.1]).poly, (0.2, math.inf), ValueError, None, None),
+    (rri([0.1]).poly, (0.1, 0.2, 0.3), ValueError, None, None),
+    (rri([0.1]).poly, (0.1,), ValueError, None, None),
+    # f_zbar = -zbar = -1 and f_z = 0 at the target: |det J| = 1 - 1 = 0.
+    (ComplexPoly({(0, 2): -0.5}), (1.0, 0.0), SingularJacobian, None, r"\|det J\| = 0\.000e\+00"),
+    (ComplexPoly({(0, 2): 0.5}), (0.7, 0.7), NoConvergence, None, "after 50 iterations"),
+    # |1 + f_z| is about 1.4e3 at the preimage, so a residual of 5e-12 takes
+    # a Newton step below 1e-14 and the iteration stops after 15 steps.
+    (ComplexPoly({(2, 0): 1e5}), (5.0, 0.0), NoConvergence, None, r"residual 5\.278e-12"),
 ]
 
 
 @pytest.mark.parametrize(
-    "poly, target, error, cause",
+    "poly, target, error, cause, match",
     FAILURE_CASES,
-    ids=["overflow", "degree16-far", "nan", "inf", "three-values", "one-value"],
+    ids=[
+        "overflow", "degree16-far", "nan", "inf", "three-values", "one-value",
+        "singular-jacobian", "iteration-budget", "step-stop",
+    ],
 )
-def test_invert_failures_are_typed(poly, target, error, cause):
-    with pytest.raises(error) as info:
+def test_invert_failures_are_typed(poly, target, error, cause, match):
+    with pytest.raises(error, match=match) as info:
         invert(DistortionFunction.from_poly(poly), target)
     if cause is not None:
         assert isinstance(info.value.__cause__, cause)
@@ -294,7 +303,7 @@ def _exact_outcome(solve, func, target):
 
 def test_invert_is_bitwise_the_power_form(high_degree_poly):
     cases = _newton_cases(high_degree_poly)
-    cases += [(DistortionFunction.from_poly(p), t) for p, t, _, _ in FAILURE_CASES]
+    cases += [(DistortionFunction.from_poly(p), t) for p, t, *_ in FAILURE_CASES]
     for func, target in cases:
         got = _exact_outcome(invert, func, target)
         assert got == _exact_outcome(_invert_power_form, func, target), target
