@@ -18,10 +18,12 @@ directly by a truncated SVD least squares; everything else goes through one
 Levenberg-Marquardt run with an analytic Jacobian (initial lambda 1e-3, times
 10 on reject, divided by 10 on accept, stop at relative cost decrease below
 1e-12 or 200 iterations), from zero coefficients or, for the shared-axis
-family, from the best of its scanned axes, solved as stacked least-squares
-problems (see ``SharedAxisFamily``).  A family's coefficient columns
-come from a table evaluated once per point set: its basis, or for the
-shared-axis family the per-winding parts of its base, turned by the phase law.
+family, from the best of its scanned axes, solved in closed form on one QR
+(see ``SharedAxisFamily``).  Damped steps solve J^T J + lambda I directly;
+the truncated SVD serves the solves that can be rank deficient: the linear
+fit, the axis scan and the report.  A family's coefficient columns come from
+a table evaluated once per point set: its basis, or for the shared-axis
+family the base monomials, turned by the phase law.
 Non-convergence is reported through ``converged=False``, never silently.
 Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
 
@@ -95,8 +97,6 @@ _LAMBDA0 = 1e-3
 _COST_TOL = 1e-12
 # Axes scanned for the shared-axis start; 16 miss the best minimum of rri([0.1]), seed 2.
 _AXIS_SCAN = 32
-# Axes per stacked solve of the scan; one stack of all 32 adds about 4.6 MB of peak memory.
-_SCAN_STACK = 4
 
 
 @dataclass(frozen=True)
@@ -398,14 +398,15 @@ class SharedAxisFamily:
     (theta, a, b, c, d, ..., a3).  Fits report the canonical form with theta
     in [0, pi).
 
-    By the phase law its columns at every axis come from one table of the
-    base's winding parts T_m: amplitude columns sum_m exp(-i theta m) T_m,
-    axis column sum_m -i m exp(-i theta m) (a . T_m) for amplitudes a.
+    Its table is the 9 base monomials; by the phase law, its columns at an axis
+    are that table times the base's winding parts S_m (``_BASE_SPLIT``) turned
+    by phases: amplitude columns sum_m exp(-i theta m) S_m, axis column
+    sum_m -i m exp(-i theta m) (a . S_m) for amplitudes a.
 
     At a fixed theta the family is a linear space, so a fit starts from the
     best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), their amplitudes
-    solved in closed form as stacks of ``_SCAN_STACK`` least-squares problems
-    with the poses frozen (also when poses are refined: no pose columns).
+    solved in closed form with the poses frozen (also when poses are refined:
+    no pose columns), all on one QR of the monomial design (Bjorck, 1996).
     """
 
     linear = False
@@ -419,14 +420,14 @@ class SharedAxisFamily:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
     def table(self, z) -> np.ndarray:
-        """The winding parts T_m of the base functions at z, shape (7, 9, N)."""
-        return _BASE_SPLIT @ np.array([q.evaluate(z) for q in _BASE_MONOMIALS])
+        """The base monomials at z, shape (9, N)."""
+        return np.array([q.evaluate(z) for q in _BASE_MONOMIALS])
 
     def columns(self, coeffs, table) -> np.ndarray:
         """The model's derivatives in the axis, then in each amplitude, at z."""
         phases = np.exp(-1j * float(coeffs[0]) * _BASE_WINDINGS)
-        axis = (-1j * _BASE_WINDINGS * phases) @ (np.asarray(coeffs[1:], dtype=float) @ table)
-        return np.vstack([axis, np.tensordot(phases, table, 1)])
+        amplitudes, turn = np.tensordot([phases, -1j * _BASE_WINDINGS * phases], _BASE_SPLIT, 1)
+        return np.vstack([np.asarray(coeffs[1:], dtype=float) @ turn, amplitudes]) @ table
 
     def canonical(self, coeffs) -> np.ndarray:
         """The equivalent coefficient vector with theta in [0, pi)."""
@@ -443,18 +444,19 @@ class SharedAxisFamily:
         """The scanned axes, and the solved amplitudes and cost at each."""
         x = np.zeros(self.n_params)
         rhs = problem(x)  # zero amplitudes give the zero function at every axis
-        table = problem.table(x)
+        monomials = problem.table(x)
+        # An axis's design is M W: M holds the monomials and i times them as Jacobian
+        # rows, W the real and imaginary parts of the axis's negated coefficients.
+        q, r = np.linalg.qr(problem.jacobian_rows(np.concatenate([monomials, 1j * monomials])))
         thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
-        phases = np.exp(-1j * np.outer(thetas, _BASE_WINDINGS))
-        amplitudes, costs = [], []
-        for stack in np.split(phases, _AXIS_SCAN // _SCAN_STACK):
-            # Negated phases give the negated Jacobian, the design, exactly.
-            design = problem.jacobian_rows(np.tensordot(-stack, table, 1))
-            coeffs, _ = _solve_truncated(design, rhs)
-            residuals = rhs - (design @ coeffs[..., None])[..., 0]
-            amplitudes.append(coeffs)
-            costs.append(np.einsum("ij,ij->i", residuals, residuals))
-        return thetas, np.concatenate(amplitudes), np.concatenate(costs)
+        coeffs = -np.tensordot(np.exp(-1j * np.outer(thetas, _BASE_WINDINGS)), _BASE_SPLIT, 1)
+        designs = r @ np.concatenate([coeffs.real, coeffs.imag], axis=-1).swapaxes(-1, -2)
+        projected = q.T @ rhs
+        amplitudes, _ = _solve_truncated(designs, projected)
+        residuals = projected - (designs @ amplitudes[..., None])[..., 0]
+        rest = rhs - q @ projected  # the part of rhs that no design reaches
+        costs = np.einsum("ij,ij->i", residuals, residuals) + rest @ rest
+        return thetas, amplitudes, costs
 
     def start(self, problem) -> np.ndarray:
         thetas, amplitudes, costs = self.scan(problem)
@@ -528,15 +530,14 @@ def _levenberg_marquardt(fun, x0, jacobian):
     lam = _LAMBDA0
     iterations = 0
     converged = False
-    n = x.size
     while iterations < _MAX_ITER:
         iterations += 1
         jac = jacobian(x)
         grad = jac.T @ r
         hess = jac.T @ jac
-        improved = False
         while lam <= 1e12:
-            delta, _ = _solve_truncated(hess + lam * np.eye(n), grad)
+            # lam > 0 makes the damped normal matrix positive definite.
+            delta = np.linalg.solve(hess + lam * np.eye(x.size), grad)
             x_try = x - delta
             r_try = np.asarray(fun(x_try), dtype=float)
             cost_try = float(r_try @ r_try)
@@ -544,12 +545,11 @@ def _levenberg_marquardt(fun, x0, jacobian):
                 rel_decrease = (cost - cost_try) / max(cost, 1e-300)
                 x, r, cost = x_try, r_try, cost_try
                 lam = max(lam / 10.0, 1e-15)
-                improved = True
                 if rel_decrease < _COST_TOL:
                     converged = True
                 break
             lam *= 10.0
-        if not improved:
+        else:
             # No descent direction at available precision: at a minimum.
             converged = True
             break

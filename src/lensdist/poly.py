@@ -327,12 +327,9 @@ class ComplexPoly:
             _raise_on_overflow(z, plan.d_z + plan.d_zbar)
         return f_z, f_zc
 
-    def generator(self, sign: int = 1) -> "ComplexPoly":
-        """Derivative of rotated(sign * theta) at theta = 0: gamma_kl times
-        sign * i (k - l - 1)."""
-        return ComplexPoly(
-            {(k, l): sign * 1j * (k - l - 1) * c for (k, l), c in self.terms.items()}
-        )
+    def generator(self) -> "ComplexPoly":
+        """Derivative of rotated(theta) at theta = 0: gamma_kl times i (k - l - 1)."""
+        return ComplexPoly({(k, l): 1j * (k - l - 1) * c for (k, l), c in self.terms.items()})
 
     def rotated(self, theta: float) -> "ComplexPoly":
         """Coefficients after a coordinate rotation by theta (radians).

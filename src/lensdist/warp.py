@@ -52,7 +52,7 @@ _MAX_STEP = 1.0
 
 
 class NoConvergence(RuntimeError):
-    """Newton iteration exhausted its budget without meeting the residual tolerance."""
+    """Newton iteration stopped without meeting the residual tolerance."""
 
 
 class SingularJacobian(RuntimeError):
@@ -95,9 +95,10 @@ def invert(func: DistortionFunction, target) -> Point:
     1e-14.  Each line search starts at the full (capped) step and halves it
     down to 2^-40.  Raises SingularJacobian when |det J| < 1e-14 at an
     iterate and NoConvergence when the iteration budget or the monotone line
-    search is exhausted, or when the iterate overflows; all mean the target
-    is outside the local invertibility region.  A target that is not a
-    finite (x, y) pair raises ValueError.
+    search is exhausted, when the Newton step falls below 1e-14 first, or
+    when the iterate overflows; all mean the target is outside the local
+    invertibility region.  A target that is not a finite (x, y) pair raises
+    ValueError.
     """
     pair = np.asarray(target, dtype=float)
     if pair.shape != (2,) or not np.isfinite(pair).all():
@@ -108,7 +109,7 @@ def invert(func: DistortionFunction, target) -> Point:
     try:
         r = q + poly.evaluate(q) - t
         rnorm = abs(r)
-        for _ in range(_MAX_ITER):
+        for k in range(_MAX_ITER):
             if rnorm < _RESIDUAL_TOL:
                 return q.real, q.imag
             f_z, b = poly.wirtinger(q)
@@ -119,7 +120,9 @@ def invert(func: DistortionFunction, target) -> Point:
             step = (a.conjugate() * r - b * r.conjugate()) / det
             step_norm = abs(step)
             if step_norm < _STEP_TOL:
-                break
+                raise NoConvergence(
+                    f"Newton step below {_STEP_TOL:g} after {k} iterations (residual {rnorm:.3e})"
+                )
             if step_norm > _MAX_STEP:
                 step *= _MAX_STEP / step_norm
             alpha = 1.0
