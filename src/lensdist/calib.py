@@ -12,18 +12,18 @@ with seeded Gaussian pixel noise; the same seed always reproduces the same
 observations bit for bit.
 
 ``fit`` estimates family coefficients (optionally refining poses) by
-minimizing the summed squared reprojection residuals.  Linear families with
-frozen poses have residuals affine in the coefficients and are solved
-directly by a truncated SVD least squares; everything else goes through one
+minimizing the summed squared reprojection residuals.  Every family is a
+coefficient matrix over its monomials z^k zbar^l, so with frozen poses a
+design is the scene's monomial design M times that matrix, and the frozen
+solves (linear fits, the shared-axis scan) run on one QR of M (Bjorck, 1996)
+with a truncated SVD of the reduced problem.  Everything else goes through one
 Levenberg-Marquardt run with an analytic Jacobian (initial lambda 1e-3, times
 10 on reject, divided by 10 on accept, stop at relative cost decrease below
 1e-12 or 200 iterations), from zero coefficients or, for the shared-axis
-family, from the best of its scanned axes, solved in closed form on one QR
-(see ``SharedAxisFamily``).  Damped steps solve J^T J + lambda I directly;
-the truncated SVD serves the solves that can be rank deficient: the linear
-fit, the axis scan and the report.  A family's coefficient columns come from
-a table evaluated once per point set: its basis, or for the shared-axis
-family the base monomials, turned by the phase law.
+family, from the best of its scanned axes (see ``SharedAxisFamily``).  Damped
+steps solve J^T J + lambda I directly; the truncated SVD serves the solves
+that can be rank deficient: the frozen solves and the report.  The monomial
+table is evaluated once per point set.
 Non-convergence is reported through ``converged=False``, never silently.
 Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +46,7 @@ from .families import (
     DistortionFunction,
     ModelSpace,
     coefficient_keys,
+    coefficient_matrix,
     mixed_quadratic,
     named_space,
     rri,
@@ -54,7 +55,7 @@ from .families import (
     symmetric_cubic,
     symmetric_quadratic,
 )
-from .poly import ComplexPoly, model_from_json, model_to_json
+from .poly import model_from_json, model_to_json
 
 __all__ = [
     "Intrinsics",
@@ -190,10 +191,8 @@ class Scene:
         object.__setattr__(self, "seed", operator.index(self.seed))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        pts = self.target_points
-        for i, pose in enumerate(self.poses):
-            depths = pts @ rotation_matrix(pose.axis_angle).T[:, 2] + pose.translation[2]
-            if np.any(depths <= 0):
+        for i, cam in enumerate(self.camera_points):
+            if np.any(cam[:, 2] <= 0):
                 raise ValueError(f"pose {i} places target points behind the camera")
 
     @property
@@ -203,6 +202,14 @@ class Scene:
     @property
     def n_points(self) -> int:
         return self.rows * self.cols
+
+    @cached_property
+    def camera_points(self) -> np.ndarray:
+        """The target points in each pose's camera frame, read-only (views, N, 3)."""
+        pts = self.target_points
+        cam = np.stack([_to_camera(pts, p.axis_angle + p.translation) for p in self.poses])
+        cam.setflags(write=False)
+        return cam
 
 
 @dataclass(frozen=True)
@@ -266,12 +273,18 @@ class CompareRow:
 # --------------------------------------------------------------------------
 
 
+def _to_camera(points: np.ndarray, pose) -> np.ndarray:
+    """Camera-frame points R X + t of (N, 3) target points X, pose (axis_angle, t)."""
+    pose = np.asarray(pose, dtype=float)
+    return points @ rotation_matrix(pose[:3]).T + pose[3:]
+
+
 def _pixels(intrinsics: Intrinsics, func: DistortionFunction, xn, yn) -> np.ndarray:
-    """(N, 2) pixels u = fx Fx(xn, yn) + cx, v = fy Fy(xn, yn) + cy."""
+    """(..., 2) pixels u = fx Fx(xn, yn) + cx, v = fy Fy(xn, yn) + cy."""
     dx, dy = func.displacement(xn, yn)
     u = intrinsics.fx * (xn + dx) + intrinsics.cx
     v = intrinsics.fy * (yn + dy) + intrinsics.cy
-    return np.stack([u, v], axis=1)
+    return np.stack([u, v], axis=-1)
 
 
 def project_points(
@@ -279,7 +292,7 @@ def project_points(
 ) -> np.ndarray:
     """Pixel projections of an (N, 3) array of target points."""
     pts = np.asarray(points3, dtype=float).reshape(-1, 3)
-    cam = pts @ rotation_matrix(pose.axis_angle).T + np.asarray(pose.translation)
+    cam = _to_camera(pts, pose.axis_angle + pose.translation)
     if np.any(cam[:, 2] <= 0):
         raise ValueError("point behind camera (nonpositive depth)")
     return _pixels(intrinsics, func, cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2])
@@ -293,10 +306,9 @@ def project(intrinsics: Intrinsics, pose: Pose, func: DistortionFunction, point3
 
 def synthesize(scene: Scene) -> Observations:
     """Noisy observations of the scene; identical seeds give identical output."""
-    pts = scene.target_points
-    views = np.stack(
-        [project_points(scene.intrinsics, pose, scene.truth, pts) for pose in scene.poses]
-    )
+    cam = scene.camera_points
+    xn, yn = cam[..., 0] / cam[..., 2], cam[..., 1] / cam[..., 2]
+    views = _pixels(scene.intrinsics, scene.truth, xn, yn)
     rng = np.random.default_rng(scene.seed)
     noise = rng.normal(0.0, 1.0, size=views.shape) * scene.noise_sigma
     return Observations(views + noise)
@@ -344,16 +356,15 @@ class LinearFamily:
         self.space = space
         self.label = space.label
         self.n_params = space.dimension
+        self.keys = coefficient_keys(space.basis)
+        self._basis = coefficient_matrix(space.basis, self.keys).view(complex)
 
     def build(self, coeffs) -> DistortionFunction:
         return self.space.member(coeffs)
 
-    def table(self, z) -> np.ndarray:
-        """The basis functions at the normalized points z, one row each."""
-        return np.array([f.poly.evaluate(z) for f in self.space.basis])
-
-    def columns(self, coeffs, table) -> np.ndarray:
-        return table
+    def coefficients(self, coeffs) -> np.ndarray:
+        """The model's derivative in each weight over ``keys``: the basis coefficients."""
+        return self._basis
 
     def canonical(self, coeffs) -> np.ndarray:
         """Basis weights are unique, so every coefficient vector is canonical."""
@@ -379,7 +390,6 @@ _BASE_SPLIT = np.array(
     [[[f.poly.terms.get((k, l), 0j) * (k - l - 1 == m) for k, l in _BASE_KEYS]
       for f in _SYMMETRIC_BASE.basis] for m in _BASE_WINDINGS]
 )
-_BASE_MONOMIALS = tuple(ComplexPoly({kl: 1.0}) for kl in _BASE_KEYS)
 
 
 class SharedAxisFamily:
@@ -398,15 +408,15 @@ class SharedAxisFamily:
     (theta, a, b, c, d, ..., a3).  Fits report the canonical form with theta
     in [0, pi).
 
-    Its table is the 9 base monomials; by the phase law, its columns at an axis
-    are that table times the base's winding parts S_m (``_BASE_SPLIT``) turned
-    by phases: amplitude columns sum_m exp(-i theta m) S_m, axis column
+    Its ``keys`` are the 9 base monomials; by the phase law, its coefficient
+    matrix at an axis turns the base's winding parts S_m (``_BASE_SPLIT``) by
+    phases: amplitude rows sum_m exp(-i theta m) S_m, axis row
     sum_m -i m exp(-i theta m) (a . S_m) for amplitudes a.
 
     At a fixed theta the family is a linear space, so a fit starts from the
     best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), their amplitudes
     solved in closed form with the poses frozen (also when poses are refined:
-    no pose columns), all on one QR of the monomial design (Bjorck, 1996).
+    no pose columns), all in one ``_solve_frozen``.
     """
 
     linear = False
@@ -415,19 +425,16 @@ class SharedAxisFamily:
     # Declared classification (the family is not a vector space).
     rri = False
     rsf = True
+    keys = _BASE_KEYS
 
     def build(self, coeffs) -> DistortionFunction:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
-    def table(self, z) -> np.ndarray:
-        """The base monomials at z, shape (9, N)."""
-        return np.array([q.evaluate(z) for q in _BASE_MONOMIALS])
-
-    def columns(self, coeffs, table) -> np.ndarray:
-        """The model's derivatives in the axis, then in each amplitude, at z."""
+    def coefficients(self, coeffs) -> np.ndarray:
+        """The model's derivatives in the axis, then in each amplitude, over ``keys``."""
         phases = np.exp(-1j * float(coeffs[0]) * _BASE_WINDINGS)
         amplitudes, turn = np.tensordot([phases, -1j * _BASE_WINDINGS * phases], _BASE_SPLIT, 1)
-        return np.vstack([np.asarray(coeffs[1:], dtype=float) @ turn, amplitudes]) @ table
+        return np.vstack([np.asarray(coeffs[1:], dtype=float) @ turn, amplitudes])
 
     def canonical(self, coeffs) -> np.ndarray:
         """The equivalent coefficient vector with theta in [0, pi)."""
@@ -442,21 +449,11 @@ class SharedAxisFamily:
 
     def scan(self, problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The scanned axes, and the solved amplitudes and cost at each."""
-        x = np.zeros(self.n_params)
-        rhs = problem(x)  # zero amplitudes give the zero function at every axis
-        monomials = problem.table(x)
-        # An axis's design is M W: M holds the monomials and i times them as Jacobian
-        # rows, W the real and imaginary parts of the axis's negated coefficients.
-        q, r = np.linalg.qr(problem.jacobian_rows(np.concatenate([monomials, 1j * monomials])))
         thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
-        coeffs = -np.tensordot(np.exp(-1j * np.outer(thetas, _BASE_WINDINGS)), _BASE_SPLIT, 1)
-        designs = r @ np.concatenate([coeffs.real, coeffs.imag], axis=-1).swapaxes(-1, -2)
-        projected = q.T @ rhs
-        amplitudes, _ = _solve_truncated(designs, projected)
-        residuals = projected - (designs @ amplitudes[..., None])[..., 0]
-        rest = rhs - q @ projected  # the part of rhs that no design reaches
-        costs = np.einsum("ij,ij->i", residuals, residuals) + rest @ rest
-        return thetas, amplitudes, costs
+        # The amplitude rows of ``coefficients`` at each axis.
+        coeffs = np.tensordot(np.exp(-1j * np.outer(thetas, _BASE_WINDINGS)), _BASE_SPLIT, 1)
+        amplitudes, residuals, _ = _solve_frozen(problem, coeffs)
+        return thetas, amplitudes, np.einsum("ij,ij->i", residuals, residuals)
 
     def start(self, problem) -> np.ndarray:
         thetas, amplitudes, costs = self.scan(problem)
@@ -523,6 +520,21 @@ def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     return (v @ weights[..., None])[..., 0], v * inv[..., None, :]
 
 
+def _solve_frozen(problem, coefficients: np.ndarray):
+    """Least squares with frozen poses for a complex (p, K) coefficient matrix
+    over ``problem.family.keys``, or a stack of them: each design is M W, M the
+    monomials and i times them as Jacobian rows, W the real and imaginary parts
+    of the negated coefficients, so one QR of M reduces all to R W (Bjorck,
+    1996).  Returns the amplitudes, full residuals and ``_solve_truncated`` factor."""
+    x = np.zeros(problem.family.n_params)
+    rhs = problem(x)  # zero coefficients give the zero function
+    monomials = problem.monomials(x)
+    q, r = np.linalg.qr(problem.jacobian_rows(np.concatenate([monomials, 1j * monomials])))
+    designs = r @ -np.concatenate([coefficients.real, coefficients.imag], -1).swapaxes(-1, -2)
+    amplitudes, factor = _solve_truncated(designs, q.T @ rhs)
+    return amplitudes, rhs - (designs @ amplitudes[..., None])[..., 0] @ q.T, factor
+
+
 def _levenberg_marquardt(fun, x0, jacobian):
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(fun(x), dtype=float)
@@ -583,15 +595,6 @@ def _report_from_residuals(
     )
 
 
-def _fit_linear_frozen(scene: Scene, obs: Observations, family: LinearFamily) -> FitReport:
-    problem = _Reprojection(scene, obs, family, refine_poses=False)
-    x = np.zeros(family.n_params)
-    design, rhs = -problem.jacobian(x), problem(x)  # the residuals are rhs - design @ c
-    coeffs, factor = _solve_truncated(design, rhs)
-    residuals = rhs - (design @ coeffs[..., None])[..., 0]
-    return _report_from_residuals(residuals, obs, coeffs, 1, True, factor)
-
-
 def _pack_poses(poses: Sequence[Pose]) -> np.ndarray:
     return np.concatenate([np.concatenate([p.axis_angle, p.translation]) for p in poses])
 
@@ -616,8 +619,8 @@ class _Reprojection:
     view's (axis_angle, translation).  Residuals are measured minus projected
     pixels, ordered (view, point, u/v).  The state of the last evaluated
     vector is kept, so the Jacobian at an accepted step reuses it.  Its
-    coefficient columns are ``family.columns`` over ``family.table``, made at
-    the first Jacobian of each point set (once with frozen poses).
+    coefficient columns are ``family.coefficients`` times ``monomials``, the
+    table made once per point set (once with frozen poses).
     """
 
     def __init__(self, scene: Scene, obs: Observations, family, refine_poses: bool):
@@ -626,36 +629,34 @@ class _Reprojection:
         self.points = scene.target_points
         self.meas = obs.pixels.reshape(-1, 2)
         self.refine_poses = refine_poses
-        self.frozen = None if refine_poses else self._camera_points(_pack_poses(scene.poses))
+        self.frozen = None if refine_poses else scene.camera_points.reshape(-1, 3)
         self._last = None  # (x, state) of the last evaluated vector
-        self._table = None  # (cam, family table) at the last Jacobian's points
-
-    def _camera_points(self, pose_vec: np.ndarray):
-        """Camera-frame points of all views, stacked; None when one is not in front."""
-        cam = np.concatenate(
-            [self.points @ rotation_matrix(c[:3]).T + c[3:] for c in pose_vec.reshape(-1, 6)]
-        )
-        return cam if np.all(cam[:, 2] > 0) else None
+        self._table = None  # (cam, monomial table) at the last table's points
 
     def _state(self, x: np.ndarray):
         if self._last is not None and np.array_equal(self._last[0], x):
             return self._last[1]
         p = self.family.n_params
         func = self.family.build(x[:p])
-        cam = self._camera_points(x[p:]) if self.refine_poses else self.frozen
+        cam = self.frozen  # camera-frame points of all views, stacked
+        if self.refine_poses:
+            cam = np.concatenate([_to_camera(self.points, c) for c in x[p:].reshape(-1, 6)])
         state = None
-        if cam is not None:
+        if np.all(cam[:, 2] > 0):
             xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
             r = (self.meas - _pixels(self.intrinsics, func, xn, yn)).ravel()
             state = (func, cam, xn + 1j * yn, r)
         self._last = (x.copy(), state)
         return state
 
-    def table(self, x: np.ndarray):
-        """The family's table at the normalized points of x, made once per point set."""
+    def monomials(self, x: np.ndarray) -> np.ndarray:
+        """The family's monomials (K, N) at the normalized points of x, one row
+        per key, from one table of powers made once per point set."""
         _, cam, z, _ = self._state(x)
         if self._table is None or self._table[0] is not cam:
-            self._table = (cam, self.family.table(z))
+            keys = self.family.keys
+            powers = {e: z**e for e in {e for key in keys for e in key}}
+            self._table = (cam, np.array([powers[k] * np.conj(powers[l]) for k, l in keys]))
         return self._table[1]
 
     def jacobian_rows(self, columns: np.ndarray) -> np.ndarray:
@@ -675,7 +676,7 @@ class _Reprojection:
         func, cam, z, _ = state
         p = self.family.n_params
         jac = np.zeros((self.meas.size, x.size))
-        jac[:, :p] = self.jacobian_rows(self.family.columns(x[:p], self.table(x)))
+        jac[:, :p] = self.jacobian_rows(self.family.coefficients(x[:p]) @ self.monomials(x))
         if self.refine_poses:
             # A step dz of the normalized point moves the distorted point
             # by dz + f_z dz + f_zbar conj(dz).
@@ -721,7 +722,9 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     if obs.n_views != len(scene.poses) or obs.n_points != scene.n_points:
         raise ValueError("observations do not match the scene geometry")
     if family.linear and not refine_poses:
-        return _fit_linear_frozen(scene, obs, family)
+        problem = _Reprojection(scene, obs, family, refine_poses=False)
+        coeffs, residuals, factor = _solve_frozen(problem, family.coefficients(None))
+        return _report_from_residuals(residuals, obs, coeffs, 1, True, factor)
     return _fit_lm(scene, obs, family, refine_poses)
 
 
@@ -759,11 +762,8 @@ def compare(
 
 def _mixed_rri_space(phi: float) -> ModelSpace:
     p, q = math.cos(phi), math.sin(phi)
-    quad = ModelSpace(
-        (mixed_quadratic(p, q, 1.0, 0.0), mixed_quadratic(p, q, 0.0, 1.0)),
-        f"mixed_quadratic(phi={phi:.12g})",
-    )
-    return space_sum(quad, rri_space(3), label=f"mixed_quadratic(phi={phi:.12g})+rri3")
+    quad = (mixed_quadratic(p, q, 1.0, 0.0), mixed_quadratic(p, q, 0.0, 1.0))
+    return ModelSpace(quad + rri_space(3).basis, f"mixed_quadratic(phi={phi:.12g})+rri3")
 
 
 def sweep_axis_ratio(

@@ -8,6 +8,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lensdist import calib
 from lensdist.calib import (
@@ -28,12 +29,14 @@ from lensdist.calib import (
     write_observations_csv,
 )
 from lensdist.families import (
+    CATALOG_NAMES,
     DistortionFunction,
     ModelSpace,
     decentering,
     mixed_quadratic,
     named_space,
     rri,
+    rri_space,
     space_sum,
     symmetric_cubic,
     symmetric_quadratic,
@@ -121,6 +124,35 @@ def test_scene_validation():
     for seed in (-1, True, False):
         with pytest.raises(ValueError):
             default_scene(truth=TRUTH, seed=seed)
+
+
+def test_scene_names_the_first_pose_behind_the_camera():
+    poses = list(default_scene().poses)
+    poses[5] = Pose(poses[5].axis_angle, (*poses[5].translation[:2], -1.0))
+    with pytest.raises(ValueError, match="^pose 5 places target points behind the camera$"):
+        replace(default_scene(), poses=tuple(poses))
+    # Tilted 1.4 rad, the target's far edge passes behind the camera.
+    poses[2] = Pose((0.0, 1.4, 0.0), (*poses[2].translation[:2], 0.1))
+    with pytest.raises(ValueError, match="^pose 2 places target points behind the camera$"):
+        replace(default_scene(), poses=tuple(poses))
+
+
+def test_scene_camera_points_are_the_projection_transform():
+    scene = default_scene(truth=TRUTH, noise_sigma=0.0, seed=5)
+    cam = scene.camera_points
+    assert cam.shape == (len(scene.poses), scene.n_points, 3)
+    assert scene.camera_points is cam
+    with pytest.raises(ValueError, match="read-only"):
+        cam[0, 0, 0] = 1.0
+    pts = scene.target_points
+    for pose, view in zip(scene.poses, cam, strict=True):
+        want = pts @ rotation_matrix(pose.axis_angle).T + np.asarray(pose.translation)
+        assert view.tobytes() == want.tobytes()
+    # synthesize reads them, and its pixels are project_points' bit for bit.
+    pixels = synthesize(scene).pixels
+    for pose, view in zip(scene.poses, pixels, strict=True):
+        want = calib.project_points(scene.intrinsics, pose, TRUTH, pts)
+        assert view.tobytes() == want.tobytes()
 
 
 # -- synthesis -------------------------------------------------------------------
@@ -275,6 +307,54 @@ def test_numeric_jacobian_matches_exact_linear_jacobian(noisy_setup):
     assert np.max(np.abs(numeric - exact) / scale) < 1e-6
 
 
+LINEAR_TABLE_FAMILIES = tuple(n for n in calib.TABLE_FAMILIES if parse_family(n).linear)
+
+
+@st.composite
+def linear_families(draw):
+    """Catalog spaces, the linear table families, sweep spaces and '+' sums."""
+    kind = draw(st.sampled_from(["catalog", "table", "sweep", "sum"]))
+    if kind == "catalog":
+        return draw(st.sampled_from(CATALOG_NAMES))
+    if kind == "table":
+        return draw(st.sampled_from(LINEAR_TABLE_FAMILIES))
+    if kind == "sweep":
+        return calib._mixed_rri_space(draw(st.floats(0.0, math.pi)))
+    names = CATALOG_NAMES + ("rri1", "rri2", "rri5", "full_quad", "full_cubic")
+    return "+".join(draw(st.lists(st.sampled_from(names), min_size=2, max_size=3, unique=True)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=linear_families())
+def test_frozen_linear_fit_matches_lstsq_on_the_basis_design(noisy_setup, family):
+    # The oracle is the uncompressed design, one column per basis function
+    # evaluated on its own, solved by np.linalg.lstsq.
+    scene, obs = noisy_setup
+    family = calib._as_family(family)
+    report = calib.fit(scene, obs, family)
+    pts, intr, zero = scene.target_points, scene.intrinsics, DistortionFunction.zero()
+    rhs = np.concatenate(
+        [(meas - calib.project_points(intr, pose, zero, pts)).ravel()
+         for meas, pose in zip(obs.pixels, scene.poses, strict=True)]
+    )
+    cam = np.concatenate([pts @ rotation_matrix(p.axis_angle).T + p.translation
+                          for p in scene.poses])
+    z = cam[:, 0] / cam[:, 2] + 1j * cam[:, 1] / cam[:, 2]
+    columns = np.array([f.poly.evaluate(z) for f in family.space.basis])
+    design = np.stack([intr.fx * columns.real, intr.fy * columns.imag], axis=-1)
+    design = design.reshape(family.n_params, -1).T  # the residuals are rhs - design @ c
+    coeffs = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    residuals = rhs - design @ coeffs
+    rms = math.sqrt(residuals @ residuals / rhs.size)
+    sigma2 = residuals @ residuals / (rhs.size - family.n_params)
+    std = np.sqrt(sigma2 * np.sum(np.linalg.pinv(design) ** 2, axis=1))
+    assert abs(report.rms_px - rms) <= 1e-12 * rms
+    got = np.array(report.coefficients)
+    assert np.max(np.abs(got - coeffs)) <= 1e-9 * np.max(np.abs(coeffs))
+    assert np.max(np.abs(report.std_errors - std)) <= 1e-9 * np.max(std)
+
+
 def test_rotation_derivatives_match_central_differences():
     rng = np.random.default_rng(62)
     for w in [np.zeros(3)] + [rng.normal(scale=0.5, size=3) for _ in range(5)]:
@@ -413,6 +493,7 @@ def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
     disc = np.random.default_rng(66)
     z = np.sqrt(disc.random(64)) * np.exp(2j * math.pi * disc.random(64))
     rng = np.random.default_rng(65)
+    table = np.array([ComplexPoly({kl: 1.0}).evaluate(z) for kl in family.keys])
     edge_thetas = (0.0, -0.0, 1e3, -1e3, 999.9, -1000.3)
     for i in range(1200):
         coeffs = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=10)
@@ -431,7 +512,7 @@ def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
             _shared_axis_reference(values[0], *unit).poly for unit in np.eye(9)
         ]
         # The columns follow the phase law, so they match to rounding.
-        columns = family.columns(coeffs, family.table(z))
+        columns = family.coefficients(coeffs) @ table
         for column, poly in zip(columns, derivs, strict=True):
             reference = poly.evaluate(z)
             assert np.linalg.norm(column - reference) <= 1e-12 * np.linalg.norm(reference), coeffs
@@ -546,18 +627,19 @@ def test_batched_axis_scan_matches_per_axis_solves(truth, seed):
 
 def test_shared_axis_fit_evaluates_its_base_table_once(noisy_setup, monkeypatch):
     scene, obs = noisy_setup
-    evaluated = []
-    evaluate = ComplexPoly.evaluate
+    tables = []
+    monomials = calib._Reprojection.monomials
 
-    def counting(self, z):
-        evaluated.append(self)
-        return evaluate(self, z)
+    def recording(self, x):
+        tables.append(monomials(self, x))
+        return tables[-1]
 
-    monkeypatch.setattr(ComplexPoly, "evaluate", counting)
+    monkeypatch.setattr(calib._Reprojection, "monomials", recording)
     calib.fit(scene, obs, "sym_quad_cubic_rri3")
-    base = [p for p in evaluated if any(p is q for q in calib._BASE_MONOMIALS)]
-    assert len(base) == len(calib._BASE_MONOMIALS)
-    assert len(evaluated) < calib._AXIS_SCAN
+    # The scan and every LM Jacobian read one table of the 9 base monomials.
+    assert len(tables) > 1
+    assert all(t is tables[0] for t in tables)
+    assert tables[0].shape == (len(calib.SharedAxisFamily.keys), len(scene.poses) * scene.n_points)
 
 
 # -- camera roll ----------------------------------------------------------------------
@@ -665,6 +747,14 @@ def test_sweep_single_phi_matches_direct_fit(noisy_setup):
     assert phi == 0.0
     direct = calib.fit(scene, obs, calib._mixed_rri_space(0.0))
     assert rms == direct.rms_px
+
+
+def test_sweep_space_is_the_space_sum():
+    for phi in [*np.linspace(0.0, math.pi, 12, endpoint=False), 2.5, 7.0]:
+        p, q = math.cos(phi), math.sin(phi)
+        quad = ModelSpace((mixed_quadratic(p, q, 1, 0), mixed_quadratic(p, q, 0, 1)), "quad")
+        label = f"mixed_quadratic(phi={phi:.12g})+rri3"
+        assert calib._mixed_rri_space(phi) == space_sum(quad, rri_space(3), label)
 
 
 def test_sweep_minimum_near_zero_for_radial_truth():
