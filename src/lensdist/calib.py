@@ -13,17 +13,17 @@ observations bit for bit.
 
 ``fit`` estimates family coefficients (optionally refining poses) by
 minimizing the summed squared reprojection residuals.  Every family is a
-coefficient matrix over its monomials z^k zbar^l, so with frozen poses a
-design is the scene's monomial design M times that matrix, and the frozen
-solves (linear fits, the shared-axis scan) run on one QR of M (Bjorck, 1996)
-with a truncated SVD of the reduced problem.  Everything else goes through one
-Levenberg-Marquardt run with an analytic Jacobian (initial lambda 1e-3, times
-10 on reject, divided by 10 on accept, stop at relative cost decrease below
-1e-12 or 200 iterations), from zero coefficients or, for the shared-axis
-family, from the best of its scanned axes (see ``SharedAxisFamily``).  Damped
-steps solve J^T J + lambda I directly; the truncated SVD serves the solves
-that can be rank deficient: the frozen solves and the report.  The monomial
-table is evaluated once per point set.
+coefficient matrix over its monomials z^k zbar^l, so with frozen poses the
+residuals are affine in the model's coefficients: rhs + M w, M the scene's
+monomial design (``_FrozenDesign``).  Linear fits and the shared-axis scan
+solve on one QR of M (Bjorck, 1996) with a truncated SVD of the reduced
+problem.  The rest is one Levenberg-Marquardt run with an analytic Jacobian
+(initial lambda 1e-3, times 10 on reject, divided by 10 on accept, stop at
+relative cost decrease below 1e-12 or 200 iterations), on M with frozen poses
+or on ``_Reprojection`` with refined ones, from zero coefficients or, for the
+shared-axis family, from the best of its scanned axes (``SharedAxisFamily``).
+Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
+rank-deficient solves: the frozen solves and the report.
 Non-convergence is reported through ``converged=False``, never silently.
 Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
 
@@ -370,9 +370,6 @@ class LinearFamily:
         """Basis weights are unique, so every coefficient vector is canonical."""
         return coeffs
 
-    def start(self, problem) -> np.ndarray:
-        return np.zeros(self.n_params)
-
 
 # The shared-axis amplitudes at axis 0: symmetric_quadratic's 3 and
 # symmetric_cubic's 4 unit members, then the degree-5 and -7 radial terms.
@@ -416,7 +413,7 @@ class SharedAxisFamily:
     At a fixed theta the family is a linear space, so a fit starts from the
     best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), their amplitudes
     solved in closed form with the poses frozen (also when poses are refined:
-    no pose columns), all in one ``_solve_frozen``.
+    no pose columns), all in one ``_FrozenDesign.solve``.
     """
 
     linear = False
@@ -447,16 +444,16 @@ class SharedAxisFamily:
             out[1:4] = -out[1:4]
         return out
 
-    def scan(self, problem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def scan(self, design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The scanned axes, and the solved amplitudes and cost at each."""
         thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
         # The amplitude rows of ``coefficients`` at each axis.
         coeffs = np.tensordot(np.exp(-1j * np.outer(thetas, _BASE_WINDINGS)), _BASE_SPLIT, 1)
-        amplitudes, residuals, _ = _solve_frozen(problem, coeffs)
+        amplitudes, residuals, _ = design.solve(coeffs)
         return thetas, amplitudes, np.einsum("ij,ij->i", residuals, residuals)
 
-    def start(self, problem) -> np.ndarray:
-        thetas, amplitudes, costs = self.scan(problem)
+    def start(self, design) -> np.ndarray:
+        thetas, amplitudes, costs = self.scan(design)
         best = int(np.argmin(costs))
         return np.r_[thetas[best], amplitudes[best]]
 
@@ -520,19 +517,58 @@ def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     return (v @ weights[..., None])[..., 0], v * inv[..., None, :]
 
 
-def _solve_frozen(problem, coefficients: np.ndarray):
-    """Least squares with frozen poses for a complex (p, K) coefficient matrix
-    over ``problem.family.keys``, or a stack of them: each design is M W, M the
-    monomials and i times them as Jacobian rows, W the real and imaginary parts
-    of the negated coefficients, so one QR of M reduces all to R W (Bjorck,
-    1996).  Returns the amplitudes, full residuals and ``_solve_truncated`` factor."""
-    x = np.zeros(problem.family.n_params)
-    rhs = problem(x)  # zero coefficients give the zero function
-    monomials = problem.monomials(x)
-    q, r = np.linalg.qr(problem.jacobian_rows(np.concatenate([monomials, 1j * monomials])))
-    designs = r @ -np.concatenate([coefficients.real, coefficients.imag], -1).swapaxes(-1, -2)
-    amplitudes, factor = _solve_truncated(designs, q.T @ rhs)
-    return amplitudes, rhs - (designs @ amplitudes[..., None])[..., 0] @ q.T, factor
+def _monomials(z: np.ndarray, keys) -> np.ndarray:
+    """The monomials z^k zbar^l (K, N) at the points z, one row per key, from
+    one table of powers."""
+    powers = {e: z**e for e in {e for key in keys for e in key}}
+    return np.array([powers[k] * np.conj(powers[l]) for k, l in keys])
+
+
+def _jacobian_rows(intrinsics: Intrinsics, columns: np.ndarray) -> np.ndarray:
+    """Jacobian rows (..., 2N, p) of complex displacement derivatives
+    (..., p, N): each (Re, Im) pair times (-fx, -fy), in (u, v) order."""
+    scale = np.tile((-intrinsics.fx, -intrinsics.fy), columns.shape[-1])
+    return (np.ascontiguousarray(columns).view(float) * scale).swapaxes(-1, -2)
+
+
+class _FrozenDesign:
+    """The frozen-pose problem of one family, affine in the model's
+    coefficients: residuals rhs + M w(x) and Jacobian M W(x).
+
+    rhs is the measured minus the undistorted pixels and M the monomial
+    design: ``_jacobian_rows`` of the monomials over ``family.keys`` and i
+    times them.  w holds the real and imaginary parts of ``family.build(x)``'s
+    coefficients over the keys, W those of ``family.coefficients(x)``.
+    """
+
+    def __init__(self, scene: Scene, obs: Observations, family):
+        self.family = family
+        cam = scene.camera_points.reshape(-1, 3)
+        xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
+        zero = _pixels(scene.intrinsics, DistortionFunction.zero(), xn, yn)
+        self.rhs = (obs.pixels.reshape(-1, 2) - zero).ravel()
+        monomials = _monomials(xn + 1j * yn, family.keys)
+        self.matrix = _jacobian_rows(scene.intrinsics, np.concatenate([monomials, 1j * monomials]))
+        self.q, self.r = np.linalg.qr(self.matrix)
+
+    def solve(self, coefficients: np.ndarray):
+        """Least squares for a complex (p, K) coefficient matrix over the keys,
+        or a stack of them: one QR of M reduces each design M W to R W
+        (Bjorck, 1996).  Returns the amplitudes, full residuals and
+        ``_solve_truncated`` factor."""
+        w = -np.concatenate([coefficients.real, coefficients.imag], -1).swapaxes(-1, -2)
+        designs = self.r @ w
+        amplitudes, factor = _solve_truncated(designs, self.q.T @ self.rhs)
+        return amplitudes, self.rhs - (designs @ amplitudes[..., None])[..., 0] @ self.q.T, factor
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        terms = self.family.build(x).poly.terms
+        c = np.array([terms.get(key, 0j) for key in self.family.keys])
+        return self.rhs + self.matrix @ np.concatenate([c.real, c.imag])
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        c = self.family.coefficients(x)
+        return self.matrix @ np.concatenate([c.real, c.imag], -1).T
 
 
 def _levenberg_marquardt(fun, x0, jacobian):
@@ -613,34 +649,29 @@ def _rotation_derivatives(axis_angle) -> np.ndarray:
 
 
 class _Reprojection:
-    """Reprojection residuals of one fit problem and their analytic Jacobian.
+    """Reprojection residuals with refined poses and their analytic Jacobian.
 
-    Parameters are the family coefficients, then, with refined poses, each
-    view's (axis_angle, translation).  Residuals are measured minus projected
-    pixels, ordered (view, point, u/v).  The state of the last evaluated
-    vector is kept, so the Jacobian at an accepted step reuses it.  Its
-    coefficient columns are ``family.coefficients`` times ``monomials``, the
-    table made once per point set (once with frozen poses).
+    Parameters are the family coefficients, then each view's (axis_angle,
+    translation).  Residuals are measured minus projected pixels, ordered
+    (view, point, u/v).  The state of the last evaluated vector is kept, so
+    the Jacobian at an accepted step reuses it.  Its coefficient columns are
+    ``family.coefficients`` times the monomials at the state's points.
+    Frozen poses are the affine ``_FrozenDesign`` instead.
     """
 
-    def __init__(self, scene: Scene, obs: Observations, family, refine_poses: bool):
+    def __init__(self, scene: Scene, obs: Observations, family):
         self.family = family
         self.intrinsics = scene.intrinsics
         self.points = scene.target_points
         self.meas = obs.pixels.reshape(-1, 2)
-        self.refine_poses = refine_poses
-        self.frozen = None if refine_poses else scene.camera_points.reshape(-1, 3)
         self._last = None  # (x, state) of the last evaluated vector
-        self._table = None  # (cam, monomial table) at the last table's points
 
     def _state(self, x: np.ndarray):
         if self._last is not None and np.array_equal(self._last[0], x):
             return self._last[1]
         p = self.family.n_params
         func = self.family.build(x[:p])
-        cam = self.frozen  # camera-frame points of all views, stacked
-        if self.refine_poses:
-            cam = np.concatenate([_to_camera(self.points, c) for c in x[p:].reshape(-1, 6)])
+        cam = np.concatenate([_to_camera(self.points, c) for c in x[p:].reshape(-1, 6)])
         state = None
         if np.all(cam[:, 2] > 0):
             xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
@@ -648,22 +679,6 @@ class _Reprojection:
             state = (func, cam, xn + 1j * yn, r)
         self._last = (x.copy(), state)
         return state
-
-    def monomials(self, x: np.ndarray) -> np.ndarray:
-        """The family's monomials (K, N) at the normalized points of x, one row
-        per key, from one table of powers made once per point set."""
-        _, cam, z, _ = self._state(x)
-        if self._table is None or self._table[0] is not cam:
-            keys = self.family.keys
-            powers = {e: z**e for e in {e for key in keys for e in key}}
-            self._table = (cam, np.array([powers[k] * np.conj(powers[l]) for k, l in keys]))
-        return self._table[1]
-
-    def jacobian_rows(self, columns: np.ndarray) -> np.ndarray:
-        """Jacobian rows (..., 2N, p) of complex displacement derivatives
-        (..., p, N): each (Re, Im) pair times (-fx, -fy), in (u, v) order."""
-        scale = np.tile((-self.intrinsics.fx, -self.intrinsics.fy), columns.shape[-1])
-        return (np.ascontiguousarray(columns).view(float) * scale).swapaxes(-1, -2)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         state = self._state(x)
@@ -676,37 +691,24 @@ class _Reprojection:
         func, cam, z, _ = state
         p = self.family.n_params
         jac = np.zeros((self.meas.size, x.size))
-        jac[:, :p] = self.jacobian_rows(self.family.coefficients(x[:p]) @ self.monomials(x))
-        if self.refine_poses:
-            # A step dz of the normalized point moves the distorted point
-            # by dz + f_z dz + f_zbar conj(dz).
-            f_z, f_zc = func.poly.wirtinger(z)
-            n = self.points.shape[0]
-            for v in range(len(cam) // n):
-                rows, cols = slice(v * n, (v + 1) * n), slice(p + 6 * v, p + 6 * v + 6)
-                # Camera-frame point velocities: G_i R X per rotation
-                # parameter, the unit vector e_i per translation parameter.
-                vel = np.empty((6, n, 3))
-                rx = cam[rows] - x[cols][3:]  # R X
-                vel[:3] = rx @ _rotation_derivatives(x[cols][:3]).transpose(0, 2, 1)
-                vel[3:] = np.eye(3)[:, None, :]
-                dz = (vel[..., 0] + 1j * vel[..., 1] - z[rows] * vel[..., 2]) / cam[rows, 2]
-                dw = dz + f_z[rows] * dz + f_zc[rows] * np.conj(dz)
-                jac[2 * v * n : 2 * (v + 1) * n, cols] = self.jacobian_rows(dw)
+        columns = self.family.coefficients(x[:p]) @ _monomials(z, self.family.keys)
+        jac[:, :p] = _jacobian_rows(self.intrinsics, columns)
+        # A step dz of the normalized point moves the distorted point
+        # by dz + f_z dz + f_zbar conj(dz).
+        f_z, f_zc = func.poly.wirtinger(z)
+        n = self.points.shape[0]
+        for v in range(len(cam) // n):
+            rows, cols = slice(v * n, (v + 1) * n), slice(p + 6 * v, p + 6 * v + 6)
+            # Camera-frame point velocities: G_i R X per rotation
+            # parameter, the unit vector e_i per translation parameter.
+            vel = np.empty((6, n, 3))
+            rx = cam[rows] - x[cols][3:]  # R X
+            vel[:3] = rx @ _rotation_derivatives(x[cols][:3]).transpose(0, 2, 1)
+            vel[3:] = np.eye(3)[:, None, :]
+            dz = (vel[..., 0] + 1j * vel[..., 1] - z[rows] * vel[..., 2]) / cam[rows, 2]
+            dw = dz + f_z[rows] * dz + f_zc[rows] * np.conj(dz)
+            jac[2 * v * n : 2 * (v + 1) * n, cols] = _jacobian_rows(self.intrinsics, dw)
         return jac
-
-
-def _fit_lm(scene: Scene, obs: Observations, family, refine_poses: bool) -> FitReport:
-    problem = _Reprojection(scene, obs, family, refine_poses)
-    frozen = _Reprojection(scene, obs, family, False) if refine_poses else problem
-    pose_init = _pack_poses(scene.poses) if refine_poses else np.zeros(0)
-    x0 = np.concatenate([family.start(frozen), pose_init])
-    x, r, iterations, converged = _levenberg_marquardt(problem, x0, problem.jacobian)
-    p = family.n_params
-    x = np.concatenate([family.canonical(x[:p]), x[p:]])
-    # R of J = QR has J's singular values and right singular vectors.
-    _, factor = _solve_truncated(np.linalg.qr(problem.jacobian(x), mode="r"), np.zeros(x.size))
-    return _report_from_residuals(r, obs, x[:p], iterations, converged, factor)
 
 
 def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = None) -> FitReport:
@@ -721,11 +723,22 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     family = _as_family(family)
     if obs.n_views != len(scene.poses) or obs.n_points != scene.n_points:
         raise ValueError("observations do not match the scene geometry")
-    if family.linear and not refine_poses:
-        problem = _Reprojection(scene, obs, family, refine_poses=False)
-        coeffs, residuals, factor = _solve_frozen(problem, family.coefficients(None))
-        return _report_from_residuals(residuals, obs, coeffs, 1, True, factor)
-    return _fit_lm(scene, obs, family, refine_poses)
+    p = family.n_params
+    if refine_poses:
+        problem = _Reprojection(scene, obs, family)
+        start = np.zeros(p) if family.linear else family.start(_FrozenDesign(scene, obs, family))
+        x0 = np.concatenate([start, _pack_poses(scene.poses)])
+    else:
+        problem = _FrozenDesign(scene, obs, family)
+        if family.linear:
+            coeffs, residuals, factor = problem.solve(family.coefficients(None))
+            return _report_from_residuals(residuals, obs, coeffs, 1, True, factor)
+        x0 = family.start(problem)
+    x, r, iterations, converged = _levenberg_marquardt(problem, x0, problem.jacobian)
+    x = np.concatenate([family.canonical(x[:p]), x[p:]])
+    # R of J = QR has J's singular values and right singular vectors.
+    _, factor = _solve_truncated(np.linalg.qr(problem.jacobian(x), mode="r"), np.zeros(x.size))
+    return _report_from_residuals(r, obs, x[:p], iterations, converged, factor)
 
 
 def compare(

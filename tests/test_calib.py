@@ -230,7 +230,7 @@ def test_fit_nested_chain_monotone(noisy_setup, chain, refine_poses):
         for name in chain[1:]:
             family = parse_family(name)
             p = family.n_params
-            problem = calib._Reprojection(scene, obs, family, refine_poses=True)
+            problem = calib._Reprojection(scene, obs, family)
             x0 = np.concatenate([np.zeros(p), calib._pack_poses(scene.poses)])
             x, r, _, _ = calib._levenberg_marquardt(problem, x0, problem.jacobian)
             jac = problem.jacobian(x)
@@ -249,9 +249,10 @@ def test_fast_path_matches_generic_lm(noisy_setup):
     scene, obs = noisy_setup
     fam = parse_family("decentering+rri3")
     fast = calib.fit(scene, obs, fam)
-    lm = calib._fit_lm(scene, obs, fam, refine_poses=False)
-    assert lm.converged
-    assert abs(fast.rms_px - lm.rms_px) < 1e-8
+    design = calib._FrozenDesign(scene, obs, fam)
+    _, r, _, converged = calib._levenberg_marquardt(design, np.zeros(5), design.jacobian)
+    assert converged
+    assert abs(fast.rms_px - math.sqrt(r @ r / r.size)) < 1e-8
 
 
 def test_fit_with_pose_refinement():
@@ -274,34 +275,38 @@ def test_fit_rejects_mismatched_observations(noisy_setup):
         calib.fit(scene, Observations(obs.pixels[:4]), "rri3")
 
 
+def _reprojection_residuals(scene, obs, func) -> np.ndarray:
+    """Measured minus projected pixels at the scene's poses, view by view
+    through project_points: the oracle of the frozen-pose residuals."""
+    pts, intr = scene.target_points, scene.intrinsics
+    return np.concatenate(
+        [(meas - calib.project_points(intr, pose, func, pts)).ravel()
+         for meas, pose in zip(obs.pixels, scene.poses, strict=True)]
+    )
+
+
+def _basis_design(scene, obs, basis) -> tuple[np.ndarray, np.ndarray]:
+    """The uncompressed frozen-pose design, one column per basis function
+    evaluated on its own, and the residuals at zero: the residuals at c are
+    rhs - design @ c.  The oracle of the frozen solves."""
+    intr = scene.intrinsics
+    rhs = _reprojection_residuals(scene, obs, DistortionFunction.zero())
+    cam = np.concatenate([scene.target_points @ rotation_matrix(p.axis_angle).T + p.translation
+                          for p in scene.poses])
+    z = cam[:, 0] / cam[:, 2] + 1j * cam[:, 1] / cam[:, 2]
+    columns = np.array([f.poly.evaluate(z) for f in basis])
+    design = np.stack([intr.fx * columns.real, intr.fy * columns.imag], axis=-1)
+    return design.reshape(len(basis), -1).T, rhs
+
+
 def test_numeric_jacobian_matches_exact_linear_jacobian(noisy_setup):
     # With poses frozen the residuals are affine in the coefficients, so the
-    # exact Jacobian is -[fx dx_i, fy dy_i] over the basis fields.
+    # exact Jacobian is minus the basis design -[fx dx_i, fy dy_i].
     scene, obs = noisy_setup
     fam = parse_family("decentering+rri3")
-    pts = scene.target_points
-    meas = obs.pixels
-    intr = scene.intrinsics
-
-    def residuals(x):
-        func = fam.build(x)
-        out = []
-        for v, pose in enumerate(scene.poses):
-            out.append(meas[v] - calib.project_points(intr, pose, func, pts))
-        return np.concatenate([o.ravel() for o in out])
-
-    columns = []
-    for basis_func in fam.space.basis:
-        per_view = []
-        for pose in scene.poses:
-            cam = pts @ rotation_matrix(pose.axis_angle).T + np.asarray(pose.translation)
-            dx, dy = basis_func.displacement(cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2])
-            per_view.append(np.stack([intr.fx * dx, intr.fy * dy], axis=1).ravel())
-        columns.append(-np.concatenate(per_view))
-    exact = np.column_stack(columns)
-
+    exact = -_basis_design(scene, obs, fam.space.basis)[0]
     x = np.random.default_rng(61).normal(scale=0.01, size=5)
-    numeric = numeric_jacobian(residuals, x)
+    numeric = numeric_jacobian(lambda c: _reprojection_residuals(scene, obs, fam.build(c)), x)
     assert numeric.shape == exact.shape
     scale = np.maximum(np.abs(exact), 1.0)
     assert np.max(np.abs(numeric - exact) / scale) < 1e-6
@@ -333,17 +338,7 @@ def test_frozen_linear_fit_matches_lstsq_on_the_basis_design(noisy_setup, family
     scene, obs = noisy_setup
     family = calib._as_family(family)
     report = calib.fit(scene, obs, family)
-    pts, intr, zero = scene.target_points, scene.intrinsics, DistortionFunction.zero()
-    rhs = np.concatenate(
-        [(meas - calib.project_points(intr, pose, zero, pts)).ravel()
-         for meas, pose in zip(obs.pixels, scene.poses, strict=True)]
-    )
-    cam = np.concatenate([pts @ rotation_matrix(p.axis_angle).T + p.translation
-                          for p in scene.poses])
-    z = cam[:, 0] / cam[:, 2] + 1j * cam[:, 1] / cam[:, 2]
-    columns = np.array([f.poly.evaluate(z) for f in family.space.basis])
-    design = np.stack([intr.fx * columns.real, intr.fy * columns.imag], axis=-1)
-    design = design.reshape(family.n_params, -1).T  # the residuals are rhs - design @ c
+    design, rhs = _basis_design(scene, obs, family.space.basis)
     coeffs = np.linalg.lstsq(design, rhs, rcond=None)[0]
     residuals = rhs - design @ coeffs
     rms = math.sqrt(residuals @ residuals / rhs.size)
@@ -353,6 +348,49 @@ def test_frozen_linear_fit_matches_lstsq_on_the_basis_design(noisy_setup, family
     got = np.array(report.coefficients)
     assert np.max(np.abs(got - coeffs)) <= 1e-9 * np.max(np.abs(coeffs))
     assert np.max(np.abs(report.std_errors - std)) <= 1e-9 * np.max(std)
+
+
+@st.composite
+def frozen_problems(draw):
+    """A catalog space, a linear table family or the shared-axis family at a
+    drawn axis, with drawn coefficients."""
+    kind = draw(st.sampled_from(["catalog", "table", "shared_axis"]))
+    if kind == "shared_axis":
+        family = calib.SharedAxisFamily()
+    else:
+        family = parse_family(draw(st.sampled_from(CATALOG_NAMES if kind == "catalog"
+                                                   else LINEAR_TABLE_FAMILIES)))
+    size = family.n_params
+    x = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=size, max_size=size)))
+    if not family.linear:
+        x[0] = draw(st.floats(-10.0, 10.0))
+    return family, x
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(problem=frozen_problems())
+def test_frozen_design_matches_the_reprojection_oracle(noisy_setup, problem):
+    # rhs + M w(x) on the scene's monomial design is measured minus projected
+    # pixels of the built model.
+    scene, obs = noisy_setup
+    family, x = problem
+    want = _reprojection_residuals(scene, obs, family.build(x))
+    got = calib._FrozenDesign(scene, obs, family)(x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    theta=st.floats(-10.0, 10.0),
+    phi=st.floats(-10.0, 10.0),
+    amplitudes=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+)
+def test_shared_axis_members_obey_the_phase_law(theta, phi, amplitudes):
+    # Turning the axis by phi turns the member by phi: rotated(-phi).
+    family = calib.SharedAxisFamily()
+    turned = family.build(np.array([theta + phi, *amplitudes])).poly
+    want = family.build(np.array([theta, *amplitudes])).poly.rotated(-phi)
+    assert turned.isclose(want, tol=1e-12)
 
 
 def test_rotation_derivatives_match_central_differences():
@@ -381,7 +419,7 @@ def test_analytic_jacobian_matches_central_differences(noisy_setup, name, refine
         coeffs[0] = 0.37  # a generic axis, off the scanned grid
     poses = calib._pack_poses(scene.poses) if refine_poses else np.zeros(0)
     x = np.concatenate([coeffs, poses])
-    problem = calib._Reprojection(scene, obs, family, refine_poses)
+    problem = (calib._Reprojection if refine_poses else calib._FrozenDesign)(scene, obs, family)
     analytic = problem.jacobian(x)
     numeric = numeric_jacobian(problem, x)
     assert analytic.shape == numeric.shape == (obs.pixels.size, x.size)
@@ -394,7 +432,7 @@ def test_refine_poses_std_errors_are_marginal_over_the_poses(noisy_setup):
     family = parse_family("decentering+rri3")
     report = calib.fit(scene, obs, family, FitOptions(refine_poses=True))
     # The same single-start solve, to recover the refined poses.
-    problem = calib._Reprojection(scene, obs, family, refine_poses=True)
+    problem = calib._Reprojection(scene, obs, family)
     x0 = np.concatenate([np.zeros(5), calib._pack_poses(scene.poses)])
     x, r, _, _ = calib._levenberg_marquardt(problem, x0, problem.jacobian)
     assert tuple(x[:5]) == report.coefficients
@@ -418,7 +456,7 @@ def test_refine_poses_std_errors_of_ill_conditioned_fits(noisy_setup, name):
     family = parse_family(name)
     p = family.n_params
     report = calib.fit(scene, obs, family, FitOptions(refine_poses=True))
-    problem = calib._Reprojection(scene, obs, family, refine_poses=True)
+    problem = calib._Reprojection(scene, obs, family)
     x0 = np.concatenate([np.zeros(p), calib._pack_poses(scene.poses)])
     x, r, _, _ = calib._levenberg_marquardt(problem, x0, problem.jacobian)
     assert tuple(x[:p]) == report.coefficients
@@ -536,7 +574,7 @@ def _four_start_fit(scene, obs, refine_poses: bool):
     3 pi/4, keeping the lowest cost: the oracle for the axis-scan start.
     Returns the rms and whether the kept LM converged."""
     family = calib.SharedAxisFamily()
-    problem = calib._Reprojection(scene, obs, family, refine_poses)
+    problem = (calib._Reprojection if refine_poses else calib._FrozenDesign)(scene, obs, family)
     poses = calib._pack_poses(scene.poses) if refine_poses else np.zeros(0)
     fits = []
     for k in range(4):
@@ -585,11 +623,8 @@ def _per_axis_scan_costs(scene, obs) -> np.ndarray:
     scan of SharedAxisFamily."""
     costs = []
     for theta in np.linspace(0.0, math.pi, 32, endpoint=False):
-        units = tuple(_shared_axis_reference(theta, *unit) for unit in np.eye(9))
-        space = ModelSpace(units, "the family at the axis")
-        problem = calib._Reprojection(scene, obs, calib.LinearFamily(space), False)
-        x = np.zeros(9)
-        design, rhs = -problem.jacobian(x), problem(x)
+        units = [_shared_axis_reference(theta, *unit) for unit in np.eye(9)]
+        design, rhs = _basis_design(scene, obs, units)
         residuals = rhs - design @ np.linalg.lstsq(design, rhs, rcond=None)[0]
         costs.append(float(residuals @ residuals))
     return np.array(costs)
@@ -618,7 +653,7 @@ def test_batched_axis_scan_matches_per_axis_solves(truth, seed):
     scene = default_scene(truth, 0.2, seed)
     obs = synthesize(scene)
     family = calib.SharedAxisFamily()
-    thetas, _, costs = family.scan(calib._Reprojection(scene, obs, family, False))
+    thetas, _, costs = family.scan(calib._FrozenDesign(scene, obs, family))
     assert np.array_equal(thetas, np.linspace(0.0, math.pi, 32, endpoint=False))
     want = _per_axis_scan_costs(scene, obs)
     assert np.max(np.abs(costs - want) / want) <= 1e-10
@@ -628,17 +663,16 @@ def test_batched_axis_scan_matches_per_axis_solves(truth, seed):
 def test_shared_axis_fit_evaluates_its_base_table_once(noisy_setup, monkeypatch):
     scene, obs = noisy_setup
     tables = []
-    monomials = calib._Reprojection.monomials
+    monomials = calib._monomials
 
-    def recording(self, x):
-        tables.append(monomials(self, x))
+    def recording(z, keys):
+        tables.append(monomials(z, keys))
         return tables[-1]
 
-    monkeypatch.setattr(calib._Reprojection, "monomials", recording)
+    monkeypatch.setattr(calib, "_monomials", recording)
     calib.fit(scene, obs, "sym_quad_cubic_rri3")
-    # The scan and every LM Jacobian read one table of the 9 base monomials.
-    assert len(tables) > 1
-    assert all(t is tables[0] for t in tables)
+    # The scan and the LM share one frozen design: one table of the 9 base monomials.
+    assert len(tables) == 1
     assert tables[0].shape == (len(calib.SharedAxisFamily.keys), len(scene.poses) * scene.n_points)
 
 

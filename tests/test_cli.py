@@ -11,6 +11,9 @@ from lensdist.families import decentering, rri
 from lensdist.poly import load_model, save_model
 
 
+REFINED = calib.FitOptions(refine_poses=True)
+
+
 @pytest.fixture()
 def model_file(tmp_path):
     path = tmp_path / "dec.json"
@@ -242,6 +245,27 @@ def test_bench_deterministic(tmp_path, capsys, scene_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("family", ["decentering+rri3", "sym_quad_cubic_rri3"])
+def test_fit_refine_poses_is_the_refined_fit(tmp_path, scene_file, family):
+    out = tmp_path / "report.json"
+    argv = ["fit", "--scene", scene_file, "--family", family, "--refine-poses", "--out", str(out)]
+    assert main(argv) == 0
+    scene = calib.load_scene(scene_file)
+    report = calib.fit(scene, calib.synthesize(scene), family, REFINED)
+    assert json.loads(out.read_text()) == json.loads(json.dumps(report.to_json_dict()))
+
+
+def test_bench_refine_poses_rows_are_the_refined_compare(tmp_path, capsys, scene_file):
+    out = tmp_path / "bench.json"
+    names = ["rri2", "decentering+rri3", "sym_quad_cubic_rri3"]
+    argv = ["bench", "--scene", scene_file, "--families", ",".join(names), "--refine-poses"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    scene = calib.load_scene(scene_file)
+    rows = calib.compare(scene, calib.synthesize(scene), names, REFINED)
+    assert json.loads(out.read_text())["rows"] == [row.to_json_dict() for row in rows]
+
+
 @pytest.mark.parametrize(
     "section, field, value",
     [
@@ -323,6 +347,19 @@ def test_sweep_single_step_matches_fit(tmp_path, scene_file, capsys):
     obs = calib.synthesize(scene)
     direct = calib.sweep_axis_ratio(scene, obs, [0.0])[0][1]
     assert rms == direct
+
+
+def test_sweep_refine_poses_rows_are_the_refined_fits(tmp_path, scene_file):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scene", scene_file, "--steps", "2", "--refine-poses", "--out", str(out)]
+    assert main(argv) == 0
+    scene = calib.load_scene(scene_file)
+    obs = calib.synthesize(scene)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(phi) for phi, _ in rows] == [0.0, math.pi / 2]
+    for phi, rms in rows:
+        family = calib.LinearFamily(calib._mixed_rri_space(float(phi)))
+        assert float(rms) == calib.fit(scene, obs, family, REFINED).rms_px
 
 
 def test_sweep_deterministic(tmp_path, scene_file):
