@@ -26,6 +26,8 @@ Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
 rank-deficient solves: the frozen solves and the report.
 Non-convergence is reported through ``converged=False``, never silently.
 Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
+A frozen-pose ``sweep_axis_ratio`` builds one ``_FrozenDesign`` per distinct
+key set and solves each phi on it, with the rms of ``fit``.
 
 Residual evaluation is sequential with a fixed accumulation order, so a fit
 is reproducible bit for bit on one host, BLAS kernel and numpy dispatch level.
@@ -50,7 +52,6 @@ from .families import (
     mixed_quadratic,
     named_space,
     rri,
-    rri_space,
     space_sum,
     symmetric_cubic,
     symmetric_quadratic,
@@ -606,6 +607,10 @@ def _levenberg_marquardt(fun, x0, jacobian):
     return x, r, iterations, converged
 
 
+def _rms(residuals: np.ndarray) -> float:
+    return math.sqrt(float(residuals @ residuals) / residuals.size)
+
+
 def _report_from_residuals(
     residuals: np.ndarray,
     obs: Observations,
@@ -615,14 +620,13 @@ def _report_from_residuals(
     factor: np.ndarray,
 ) -> FitReport:
     m = residuals.size
-    rms = float(math.sqrt(float(residuals @ residuals) / m))
     per_view = residuals.reshape(obs.n_views, obs.n_points, 2)
     per_view_rms = tuple(float(math.sqrt(np.mean(v**2))) for v in per_view)
     # sigma^2 F F^T is J's covariance: its coefficient block is marginal over poses.
     sigma2 = float(residuals @ residuals) / max(m - factor.shape[0], 1)
     std = tuple(float(v) for v in np.sqrt(sigma2 * np.sum(factor[: coeffs.size] ** 2, axis=1)))
     return FitReport(
-        rms_px=rms,
+        rms_px=_rms(residuals),
         coefficients=tuple(float(c) for c in coeffs),
         iterations=iterations,
         converged=converged,
@@ -711,6 +715,11 @@ class _Reprojection:
         return jac
 
 
+def _check_geometry(scene: Scene, obs: Observations) -> None:
+    if obs.n_views != len(scene.poses) or obs.n_points != scene.n_points:
+        raise ValueError("observations do not match the scene geometry")
+
+
 def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = None) -> FitReport:
     """Fit one model family to the observations.
 
@@ -721,8 +730,7 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     """
     refine_poses = options is not None and options.refine_poses
     family = _as_family(family)
-    if obs.n_views != len(scene.poses) or obs.n_points != scene.n_points:
-        raise ValueError("observations do not match the scene geometry")
+    _check_geometry(scene, obs)
     p = family.n_params
     if refine_poses:
         problem = _Reprojection(scene, obs, family)
@@ -776,7 +784,7 @@ def compare(
 def _mixed_rri_space(phi: float) -> ModelSpace:
     p, q = math.cos(phi), math.sin(phi)
     quad = (mixed_quadratic(p, q, 1.0, 0.0), mixed_quadratic(p, q, 0.0, 1.0))
-    return ModelSpace(quad + rri_space(3).basis, f"mixed_quadratic(phi={phi:.12g})+rri3")
+    return ModelSpace(quad + named_space("rri3").basis, f"mixed_quadratic(phi={phi:.12g})+rri3")
 
 
 def sweep_axis_ratio(
@@ -786,13 +794,22 @@ def sweep_axis_ratio(
     options: FitOptions | None = None,
 ) -> list[tuple[float, float]]:
     """Fit the radial/tangential blend (cos phi : sin phi) plus 3-coefficient
-    invariant radial model for each phi; returns (phi, rms) pairs."""
+    invariant radial model for each phi; returns (phi, rms) pairs.  Frozen-pose
+    phis with the same monomials share one ``_FrozenDesign``, solved per phi."""
     if len(phis) == 0:
         raise ValueError("need at least one phi value")
+    if options is not None and options.refine_poses:
+        return [(float(phi), fit(scene, obs, _mixed_rri_space(float(phi)), options).rms_px)
+                for phi in phis]
+    _check_geometry(scene, obs)
+    designs: dict[tuple, _FrozenDesign] = {}
     out = []
-    for phi in phis:
-        report = fit(scene, obs, LinearFamily(_mixed_rri_space(float(phi))), options)
-        out.append((float(phi), report.rms_px))
+    for phi in map(float, phis):
+        family = LinearFamily(_mixed_rri_space(phi))
+        if family.keys not in designs:
+            designs[family.keys] = _FrozenDesign(scene, obs, family)
+        _, r, _ = designs[family.keys].solve(family.coefficients(None))
+        out.append((phi, _rms(r)))
     return out
 
 

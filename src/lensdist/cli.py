@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Model spaces are named by the catalog (rri3, decentering, thin_prism, "
             "radial_quad, tangential_quad, conj_quad, weng, matlab, opencv_prism4), "
-            "by rriN, full_quad, full_cubic, full_quad_cubic, by '+' sums of those, "
+            "by rriN (N <= 7), full_quad, full_cubic, full_quad_cubic, by '+' sums of those, "
             "or by the nonlinear family sym_quad_cubic_rri3."
         ),
     )

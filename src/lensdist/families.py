@@ -23,15 +23,15 @@ space, so they return functions, not spaces.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._io import check_header, load_json, save_json
 from .poly import (
+    MAX_DEGREE,
     ComplexPoly,
     MonomialKey,
     RealPolyModel,
@@ -462,19 +462,21 @@ _CATALOG = {
 CATALOG_NAMES = tuple(sorted(_CATALOG))
 
 _FULL_DEGREES = {"full_quad": [2], "full_cubic": [3], "full_quad_cubic": [2, 3]}
+# rriN for each N whose top monomial z^(N+1) zbar^N has degree 2N + 1 <= MAX_DEGREE.
+_RRI_NAMES = {f"rri{n}": n for n in range(1, (MAX_DEGREE + 1) // 2)}
 
 
+@lru_cache(maxsize=64)
 def named_space(name: str) -> ModelSpace:
-    """The model space of one name: a CATALOG_NAMES entry, rriN for any
-    N >= 1, or full_quad, full_cubic and full_quad_cubic."""
+    """The model space of one name (memoized, immutable): a CATALOG_NAMES
+    entry, rri1..rri7, or full_quad, full_cubic and full_quad_cubic."""
     if name in _CATALOG:
         return _CATALOG[name]()
     if name in _FULL_DEGREES:
         return full_poly_space(_FULL_DEGREES[name], label=name)
-    match = re.fullmatch(r"rri(\d+)", name)
-    if match:
-        return rri_space(int(match.group(1)))
-    known = ", ".join(CATALOG_NAMES + ("rriN",) + tuple(_FULL_DEGREES))
+    if name in _RRI_NAMES:
+        return rri_space(_RRI_NAMES[name])
+    known = ", ".join(CATALOG_NAMES + (f"rri1..rri{len(_RRI_NAMES)}",) + tuple(_FULL_DEGREES))
     raise ValueError(f"unknown model space {name!r}; known names: {known}")
 
 

@@ -3,7 +3,7 @@
 import json
 import math
 import operator
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from functools import reduce
 
 import numpy as np
@@ -806,6 +806,59 @@ def test_sweep_rejects_empty(noisy_setup):
     scene, obs = noisy_setup
     with pytest.raises(ValueError):
         calib.sweep_axis_ratio(scene, obs, [])
+
+
+def test_sweep_rows_equal_one_fit_per_phi(noisy_setup):
+    # A frozen sweep shares one design among the phis with the same monomials;
+    # each row must still equal that phi's own fit, bit for bit.
+    scene, obs = noisy_setup
+    for phis in (
+        [k * math.pi / 12 for k in range(12)],
+        [k * math.pi / 32 for k in range(32)],
+        [0.0, math.pi / 2],
+    ):
+        spaces = [calib._mixed_rri_space(phi) for phi in phis]
+        assert len({calib.LinearFamily(space).keys for space in spaces}) == 2
+        direct = [(phi, calib.fit(scene, obs, space).rms_px) for phi, space in zip(phis, spaces)]
+        assert calib.sweep_axis_ratio(scene, obs, phis) == direct
+
+
+@pytest.mark.parametrize("options", [None, FitOptions(refine_poses=True)])
+def test_sweep_rejects_mismatched_observations(noisy_setup, options):
+    # The same 432 pixels in a 6 x 72 layout would reshape into a design
+    # without complaint, so only the geometry check catches them.
+    scene, obs = noisy_setup
+    swapped = Observations(obs.pixels.reshape(6, 72, 2))
+    with pytest.raises(ValueError, match="geometry"):
+        calib.sweep_axis_ratio(scene, swapped, [0.0, math.pi / 2], options)
+
+
+def test_compare_classification_columns_are_classify(noisy_setup):
+    scene, obs = noisy_setup
+    for row in calib.compare(scene, obs, LINEAR_TABLE_FAMILIES):
+        cls = classify(parse_family(row.label).space)
+        assert (row.rri, row.rsf) == (cls.rotation_invariant, cls.rsf), row.label
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(parts=st.lists(st.sampled_from(CATALOG_NAMES + ("rri1", "rri5", "full_quad")),
+                      min_size=2, max_size=3))
+def test_compare_classification_columns_of_sums(noisy_setup, parts):
+    scene, obs = noisy_setup
+    name = "+".join(parts)
+    (row,) = calib.compare(scene, obs, [name])
+    cls = classify(reduce(space_sum, map(named_space, parts)))
+    assert (row.rri, row.rsf) == (cls.rotation_invariant, cls.rsf)
+
+
+def test_named_space_cache_is_bounded_and_immutable():
+    assert named_space.cache_info().maxsize is not None
+    space = named_space("rri3")
+    assert named_space("rri3") is space
+    with pytest.raises(FrozenInstanceError):
+        space.label = "other"
+    with pytest.raises(TypeError):
+        space.basis[0].poly.terms[(2, 1)] = 1.0
 
 
 def test_compare_full_table_catalog(noisy_setup):

@@ -308,7 +308,9 @@ def test_negative_seed_exit_2(tmp_path, capsys, scene_file, argv):
 
 
 def test_bench_unknown_family_exit_2(scene_file):
-    assert main(["bench", "--scene", scene_file, "--families", "nope"]) == 2
+    # rriN exists only for N = 1..7, written without leading zeros.
+    for family in ("nope", "rri01", "rri8", "rri3+rri99"):
+        assert main(["bench", "--scene", scene_file, "--families", family]) == 2
 
 
 def test_fit_strict_nonconvergence_exit_4(monkeypatch, scene_file, capsys):
@@ -369,6 +371,22 @@ def test_sweep_deterministic(tmp_path, scene_file):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_bench_and_sweep_bytes_do_not_depend_on_the_caches(tmp_path, scene_file):
+    from lensdist import families
+
+    def run(tag):
+        bench, sweep = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        families_arg = ",".join(calib.TABLE_FAMILIES)
+        assert main(["bench", "--scene", scene_file, "--families", families_arg,
+                     "--out", str(bench)]) == 0
+        assert main(["sweep", "--scene", scene_file, "--steps", "12", "--out", str(sweep)]) == 0
+        return bench.read_bytes(), sweep.read_bytes()
+
+    first, second = run("a"), run("b")
+    families.named_space.cache_clear()
+    assert first == second == run("c")
 
 
 def test_sweep_zero_steps_exit_2(scene_file):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lensdist import calib
+from lensdist import calib, families
 from lensdist.families import (
     CATALOG_NAMES,
     DistortionFunction,
@@ -376,6 +376,27 @@ def test_named_space_catalog():
     assert named_space("full_cubic").label == "full_cubic"
     with pytest.raises(ValueError):
         named_space("nope")
+
+
+def test_named_space_rri_range(monkeypatch):
+    # rri7's top monomial z^8 zbar^7 has degree 15; rri8's would exceed
+    # MAX_DEGREE, so no rri member may be built for it or any larger N.
+    calls = []
+
+    def counting_rri(alphas):
+        calls.append(len(alphas))
+        return rri(alphas)
+
+    monkeypatch.setattr(families, "rri", counting_rri)
+    assert named_space.__wrapped__("rri7").label == "rri7"
+    assert calls == [7] * 7
+    calls.clear()
+    # Each name is checked on its own, so a regression stops at rri8 before
+    # the huge one would build its coefficient list.
+    for name in ("rri8", "rri0", "rri01", "rri-1", "rri", "rri1000000000"):
+        with pytest.raises(ValueError, match="unknown model space"):
+            named_space(name)
+        assert calls == [], name
 
 
 def test_rri3_degrees():
