@@ -26,8 +26,8 @@ Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
 rank-deficient solves: the frozen solves and the report.
 Non-convergence is reported through ``converged=False``, never silently.
 Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
-A frozen-pose ``sweep_axis_ratio`` builds one ``_FrozenDesign`` per distinct
-key set and solves each phi on it, with the rms of ``fit``.
+With frozen poses, ``compare`` and ``sweep_axis_ratio`` solve all their linear
+families on one ``_FrozenDesign`` over the union of the families' monomials.
 
 Residual evaluation is sequential with a fixed accumulation order, so a fit
 is reproducible bit for bit on one host, BLAS kernel and numpy dispatch level.
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -533,22 +533,22 @@ def _jacobian_rows(intrinsics: Intrinsics, columns: np.ndarray) -> np.ndarray:
 
 
 class _FrozenDesign:
-    """The frozen-pose problem of one family, affine in the model's
-    coefficients: residuals rhs + M w(x) and Jacobian M W(x).
+    """The frozen-pose problem over the monomials ``keys``, affine in a
+    family's coefficients: residuals rhs + M w(x) and Jacobian M W(x).
 
     rhs is the measured minus the undistorted pixels and M the monomial
-    design: ``_jacobian_rows`` of the monomials over ``family.keys`` and i
-    times them.  w holds the real and imaginary parts of ``family.build(x)``'s
-    coefficients over the keys, W those of ``family.coefficients(x)``.
+    design: ``_jacobian_rows`` of the monomials over ``keys`` and i times
+    them.  w and W hold the real and imaginary parts of ``family.build(x)``'s
+    coefficients and of ``family.coefficients(x)`` over the keys.
     """
 
-    def __init__(self, scene: Scene, obs: Observations, family):
-        self.family = family
+    def __init__(self, scene: Scene, obs: Observations, keys):
+        self.keys = keys
         cam = scene.camera_points.reshape(-1, 3)
         xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
         zero = _pixels(scene.intrinsics, DistortionFunction.zero(), xn, yn)
         self.rhs = (obs.pixels.reshape(-1, 2) - zero).ravel()
-        monomials = _monomials(xn + 1j * yn, family.keys)
+        monomials = _monomials(xn + 1j * yn, keys)
         self.matrix = _jacobian_rows(scene.intrinsics, np.concatenate([monomials, 1j * monomials]))
         self.q, self.r = np.linalg.qr(self.matrix)
 
@@ -562,13 +562,13 @@ class _FrozenDesign:
         amplitudes, factor = _solve_truncated(designs, self.q.T @ self.rhs)
         return amplitudes, self.rhs - (designs @ amplitudes[..., None])[..., 0] @ self.q.T, factor
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        terms = self.family.build(x).poly.terms
-        c = np.array([terms.get(key, 0j) for key in self.family.keys])
+    def __call__(self, family, x: np.ndarray) -> np.ndarray:
+        terms = family.build(x).poly.terms
+        c = np.array([terms.get(key, 0j) for key in self.keys])
         return self.rhs + self.matrix @ np.concatenate([c.real, c.imag])
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        c = self.family.coefficients(x)
+    def jacobian(self, family, x: np.ndarray) -> np.ndarray:
+        c = family.coefficients(x)
         return self.matrix @ np.concatenate([c.real, c.imag], -1).T
 
 
@@ -734,19 +734,35 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     p = family.n_params
     if refine_poses:
         problem = _Reprojection(scene, obs, family)
-        start = np.zeros(p) if family.linear else family.start(_FrozenDesign(scene, obs, family))
+        start = np.zeros(p) if family.linear else family.start(_FrozenDesign(scene, obs, family.keys))
         x0 = np.concatenate([start, _pack_poses(scene.poses)])
+        fun, jacobian = problem, problem.jacobian
     else:
-        problem = _FrozenDesign(scene, obs, family)
+        design = _FrozenDesign(scene, obs, family.keys)
         if family.linear:
-            coeffs, residuals, factor = problem.solve(family.coefficients(None))
+            coeffs, residuals, factor = design.solve(family.coefficients(None))
             return _report_from_residuals(residuals, obs, coeffs, 1, True, factor)
-        x0 = family.start(problem)
-    x, r, iterations, converged = _levenberg_marquardt(problem, x0, problem.jacobian)
+        x0 = family.start(design)
+        fun, jacobian = partial(design, family), partial(design.jacobian, family)
+    x, r, iterations, converged = _levenberg_marquardt(fun, x0, jacobian)
     x = np.concatenate([family.canonical(x[:p]), x[p:]])
     # R of J = QR has J's singular values and right singular vectors.
-    _, factor = _solve_truncated(np.linalg.qr(problem.jacobian(x), mode="r"), np.zeros(x.size))
+    _, factor = _solve_truncated(np.linalg.qr(jacobian(x), mode="r"), np.zeros(x.size))
     return _report_from_residuals(r, obs, x[:p], iterations, converged, factor)
+
+
+def _fits(scene: Scene, obs: Observations, families: Sequence, options: FitOptions | None):
+    """(rms, converged) per family; frozen linear fits share one design over their keys' union."""
+    _check_geometry(scene, obs)
+    bases = [f.space.basis for f in families if f.linear and not (options and options.refine_poses)]
+    design = _FrozenDesign(scene, obs, coefficient_keys(f for b in bases for f in b)) if bases else None
+    for family in families:
+        if family.linear and design is not None:
+            basis = coefficient_matrix(family.space.basis, design.keys).view(complex)
+            yield _rms(design.solve(basis)[1]), True
+        else:
+            report = fit(scene, obs, family, options)
+            yield report.rms_px, report.converged
 
 
 def compare(
@@ -755,13 +771,12 @@ def compare(
     families: Sequence,
     options: FitOptions | None = None,
 ) -> list[CompareRow]:
-    """Fit every family and tabulate rms with the geometric property columns."""
+    """Fit every family, frozen linear ones on one design, and tabulate rms and property columns."""
     from .symmetry import classify
 
+    families = [_as_family(entry) for entry in families]
     rows = []
-    for entry in families:
-        family = _as_family(entry)
-        report = fit(scene, obs, family, options)
+    for family, (rms, converged) in zip(families, _fits(scene, obs, families, options)):
         if family.linear:
             cls = classify(family.space)
             rri_flag, rsf_flag = cls.rotation_invariant, cls.rsf
@@ -774,8 +789,8 @@ def compare(
                 linear=family.linear,
                 rri=rri_flag,
                 rsf=rsf_flag,
-                rms_px=report.rms_px,
-                converged=report.converged,
+                rms_px=rms,
+                converged=converged,
             )
         )
     return rows
@@ -794,23 +809,12 @@ def sweep_axis_ratio(
     options: FitOptions | None = None,
 ) -> list[tuple[float, float]]:
     """Fit the radial/tangential blend (cos phi : sin phi) plus 3-coefficient
-    invariant radial model for each phi; returns (phi, rms) pairs.  Frozen-pose
-    phis with the same monomials share one ``_FrozenDesign``, solved per phi."""
+    invariant radial model for each phi; returns (phi, rms) pairs.  With frozen
+    poses every phi solves on one design (``_fits``)."""
     if len(phis) == 0:
         raise ValueError("need at least one phi value")
-    if options is not None and options.refine_poses:
-        return [(float(phi), fit(scene, obs, _mixed_rri_space(float(phi)), options).rms_px)
-                for phi in phis]
-    _check_geometry(scene, obs)
-    designs: dict[tuple, _FrozenDesign] = {}
-    out = []
-    for phi in map(float, phis):
-        family = LinearFamily(_mixed_rri_space(phi))
-        if family.keys not in designs:
-            designs[family.keys] = _FrozenDesign(scene, obs, family)
-        _, r, _ = designs[family.keys].solve(family.coefficients(None))
-        out.append((phi, _rms(r)))
-    return out
+    families = [LinearFamily(_mixed_rri_space(float(phi))) for phi in phis]
+    return [(float(phi), rms) for phi, (rms, _) in zip(phis, _fits(scene, obs, families, options))]
 
 
 # --------------------------------------------------------------------------

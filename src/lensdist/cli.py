@@ -12,7 +12,7 @@ Subcommands:
 
 All outputs are deterministic for fixed inputs and seeds (no timestamps).
 Exit codes: 0 success, 2 input error, 3 output I/O error, 4 numerical
-failure (fit non-convergence under --strict).
+failure (fit non-convergence under ``fit --strict`` or ``bench --strict``).
 """
 
 from __future__ import annotations
@@ -318,16 +318,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scene", required=True, help="scene JSON file")
         p.add_argument("--seed", type=int, default=None, help="override the scene seed")
         p.add_argument("--refine-poses", action="store_true", dest="refine_poses")
-        p.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
 
     p_fit = sub.add_parser("fit", help="fit one family to a synthetic scene")
     add_fit_args(p_fit)
+    p_fit.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
     p_fit.add_argument("--family", required=True)
     p_fit.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_bench = sub.add_parser("bench", help="compare families on a synthetic scene")
     add_fit_args(p_bench)
+    p_bench.add_argument("--strict", action="store_true", help="exit 4 if any fit does not converge")
     p_bench.add_argument("--families", required=True, help="comma separated family names")
     p_bench.add_argument("--out", default=None, help="report JSON path")
     p_bench.set_defaults(handler=_cmd_bench)

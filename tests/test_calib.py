@@ -4,7 +4,7 @@ import json
 import math
 import operator
 from dataclasses import FrozenInstanceError, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from lensdist.families import (
     CATALOG_NAMES,
     DistortionFunction,
     ModelSpace,
+    coefficient_keys,
     decentering,
     mixed_quadratic,
     named_space,
@@ -245,12 +246,22 @@ def test_fit_deterministic(noisy_setup):
     assert a == b
 
 
+def _lm_problem(scene, obs, family, refine_poses: bool):
+    """The residual function and Jacobian that ``fit``'s Levenberg-Marquardt
+    runs on: the refined reprojection, or the frozen design bound to the family."""
+    if refine_poses:
+        problem = calib._Reprojection(scene, obs, family)
+        return problem, problem.jacobian
+    design = calib._FrozenDesign(scene, obs, family.keys)
+    return partial(design, family), partial(design.jacobian, family)
+
+
 def test_fast_path_matches_generic_lm(noisy_setup):
     scene, obs = noisy_setup
     fam = parse_family("decentering+rri3")
     fast = calib.fit(scene, obs, fam)
-    design = calib._FrozenDesign(scene, obs, fam)
-    _, r, _, converged = calib._levenberg_marquardt(design, np.zeros(5), design.jacobian)
+    fun, jacobian = _lm_problem(scene, obs, fam, False)
+    _, r, _, converged = calib._levenberg_marquardt(fun, np.zeros(5), jacobian)
     assert converged
     assert abs(fast.rms_px - math.sqrt(r @ r / r.size)) < 1e-8
 
@@ -375,7 +386,7 @@ def test_frozen_design_matches_the_reprojection_oracle(noisy_setup, problem):
     scene, obs = noisy_setup
     family, x = problem
     want = _reprojection_residuals(scene, obs, family.build(x))
-    got = calib._FrozenDesign(scene, obs, family)(x)
+    got = calib._FrozenDesign(scene, obs, family.keys)(family, x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -419,9 +430,9 @@ def test_analytic_jacobian_matches_central_differences(noisy_setup, name, refine
         coeffs[0] = 0.37  # a generic axis, off the scanned grid
     poses = calib._pack_poses(scene.poses) if refine_poses else np.zeros(0)
     x = np.concatenate([coeffs, poses])
-    problem = (calib._Reprojection if refine_poses else calib._FrozenDesign)(scene, obs, family)
-    analytic = problem.jacobian(x)
-    numeric = numeric_jacobian(problem, x)
+    fun, jacobian = _lm_problem(scene, obs, family, refine_poses)
+    analytic = jacobian(x)
+    numeric = numeric_jacobian(fun, x)
     assert analytic.shape == numeric.shape == (obs.pixels.size, x.size)
     scale = np.maximum(np.abs(analytic), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < 1e-6
@@ -574,12 +585,12 @@ def _four_start_fit(scene, obs, refine_poses: bool):
     3 pi/4, keeping the lowest cost: the oracle for the axis-scan start.
     Returns the rms and whether the kept LM converged."""
     family = calib.SharedAxisFamily()
-    problem = (calib._Reprojection if refine_poses else calib._FrozenDesign)(scene, obs, family)
+    fun, jacobian = _lm_problem(scene, obs, family, refine_poses)
     poses = calib._pack_poses(scene.poses) if refine_poses else np.zeros(0)
     fits = []
     for k in range(4):
         x0 = np.concatenate([[k * math.pi / 4], np.zeros(9), poses])
-        _, r, _, converged = calib._levenberg_marquardt(problem, x0, problem.jacobian)
+        _, r, _, converged = calib._levenberg_marquardt(fun, x0, jacobian)
         fits.append((float(r @ r), converged))
     cost, converged = min(fits, key=lambda f: f[0])
     return math.sqrt(cost / obs.pixels.size), converged
@@ -653,7 +664,7 @@ def test_batched_axis_scan_matches_per_axis_solves(truth, seed):
     scene = default_scene(truth, 0.2, seed)
     obs = synthesize(scene)
     family = calib.SharedAxisFamily()
-    thetas, _, costs = family.scan(calib._FrozenDesign(scene, obs, family))
+    thetas, _, costs = family.scan(calib._FrozenDesign(scene, obs, family.keys))
     assert np.array_equal(thetas, np.linspace(0.0, math.pi, 32, endpoint=False))
     want = _per_axis_scan_costs(scene, obs)
     assert np.max(np.abs(costs - want) / want) <= 1e-10
@@ -809,18 +820,28 @@ def test_sweep_rejects_empty(noisy_setup):
 
 
 def test_sweep_rows_equal_one_fit_per_phi(noisy_setup):
-    # A frozen sweep shares one design among the phis with the same monomials;
-    # each row must still equal that phi's own fit, bit for bit.
+    # A frozen sweep solves every phi on one design over the union of the
+    # phis' monomials.  Where a phi's own keys are the union, its row is that
+    # phi's own fit bit for bit; elsewhere it agrees to rounding.  (Some phis
+    # carry a zbar^2 term of about 1e-17, which from_real leaves behind.)
     scene, obs = noisy_setup
     for phis in (
         [k * math.pi / 12 for k in range(12)],
         [k * math.pi / 32 for k in range(32)],
         [0.0, math.pi / 2],
     ):
-        spaces = [calib._mixed_rri_space(phi) for phi in phis]
-        assert len({calib.LinearFamily(space).keys for space in spaces}) == 2
-        direct = [(phi, calib.fit(scene, obs, space).rms_px) for phi, space in zip(phis, spaces)]
-        assert calib.sweep_axis_ratio(scene, obs, phis) == direct
+        families = [calib.LinearFamily(calib._mixed_rri_space(phi)) for phi in phis]
+        union = coefficient_keys(f for family in families for f in family.space.basis)
+        rows = calib.sweep_axis_ratio(scene, obs, phis)
+        assert [phi for phi, _ in rows] == phis
+        own = [family.keys == union for family in families]
+        assert any(own)
+        for (_, rms), family, exact in zip(rows, families, own):
+            want = calib.fit(scene, obs, family).rms_px
+            if exact:
+                assert rms == want
+            else:
+                assert abs(rms - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("options", [None, FitOptions(refine_poses=True)])
@@ -849,6 +870,70 @@ def test_compare_classification_columns_of_sums(noisy_setup, parts):
     (row,) = calib.compare(scene, obs, [name])
     cls = classify(reduce(space_sum, map(named_space, parts)))
     assert (row.rri, row.rsf) == (cls.rotation_invariant, cls.rsf)
+
+
+UNION_NAMES = CATALOG_NAMES + tuple(f"rri{n}" for n in range(1, 8)) + (
+    "full_quad", "full_cubic", "full_quad_cubic")
+
+
+@st.composite
+def union_families(draw):
+    """A catalog space, rriN, a full_* space, a '+' sum of those, or a sweep space."""
+    kind = draw(st.sampled_from(["name", "sum", "sweep"]))
+    if kind == "name":
+        return draw(st.sampled_from(UNION_NAMES))
+    if kind == "sum":
+        names = draw(st.lists(st.sampled_from(UNION_NAMES), min_size=2, max_size=3, unique=True))
+        return "+".join(names)
+    return calib._mixed_rri_space(draw(st.floats(0.0, math.pi)))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(families=st.lists(union_families(), min_size=1, max_size=4))
+def test_compare_rows_on_the_union_design_are_each_own_fit(noisy_setup, families):
+    # compare solves every frozen linear family on one design over the union
+    # of their monomials, each basis placed into the union's columns.  A row
+    # is the family's own fit to rounding, and bit for bit when the union is
+    # that family's own keys.
+    scene, obs = noisy_setup
+    rows = calib.compare(scene, obs, families)
+    for row, family in zip(rows, families, strict=True):
+        want = calib.fit(scene, obs, family).rms_px
+        if len(families) == 1:
+            assert row.rms_px == want
+        else:
+            assert abs(row.rms_px - want) <= 1e-12 * want
+
+
+def test_a_frozen_call_builds_one_design(noisy_setup, monkeypatch):
+    scene, obs = noisy_setup
+    built = []
+
+    class Counting(calib._FrozenDesign):
+        def __init__(self, scene, obs, keys):
+            built.append(keys)
+            super().__init__(scene, obs, keys)
+
+    monkeypatch.setattr(calib, "_FrozenDesign", Counting)
+
+    def designs(call, *args):
+        built.clear()
+        call(scene, obs, *args)
+        return list(built)
+
+    union = coefficient_keys(
+        f for name in LINEAR_TABLE_FAMILIES for f in parse_family(name).space.basis)
+    assert designs(calib.compare, LINEAR_TABLE_FAMILIES) == [union]
+    # The nonlinear family keeps its own design, built by its fit.
+    assert designs(calib.compare, calib.TABLE_FAMILIES) == [union, calib.SharedAxisFamily.keys]
+    assert len(designs(calib.sweep_axis_ratio, [k * math.pi / 12 for k in range(12)])) == 1
+    # Refined fits build no union design: a refined linear fit builds none,
+    # the shared-axis fit one for its scanned start.
+    refined = FitOptions(refine_poses=True)
+    assert designs(calib.compare, ["rri3", "sym_quad_cubic_rri3"], refined) == [
+        calib.SharedAxisFamily.keys]
+    assert designs(calib.sweep_axis_ratio, [0.0, math.pi / 2], refined) == []
 
 
 def test_named_space_cache_is_bounded_and_immutable():

@@ -389,6 +389,21 @@ def test_bench_and_sweep_bytes_do_not_depend_on_the_caches(tmp_path, scene_file)
     assert first == second == run("c")
 
 
+def test_sweep_rejects_strict(tmp_path, scene_file, capsys):
+    # --strict belongs to fit and bench: a sweep's rows are linear solves
+    # with nothing to converge, so argparse rejects the flag.
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scene", scene_file, "--steps", "2", "--strict", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--strict" in capsys.readouterr().err
+    assert not out.exists()
+    for command in ("fit", "bench"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--strict" in capsys.readouterr().out
+
+
 def test_sweep_zero_steps_exit_2(scene_file):
     assert main(["sweep", "--scene", scene_file, "--steps", "0", "--out", "x.csv"]) == 2
 
