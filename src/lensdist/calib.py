@@ -26,8 +26,8 @@ Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
 rank-deficient solves: the frozen solves and the report.
 Non-convergence is reported through ``converged=False``, never silently.
 Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
-With frozen poses, ``compare`` and ``sweep_axis_ratio`` solve all their linear
-families on one ``_FrozenDesign`` over the union of the families' monomials.
+With frozen poses, ``compare`` solves its linear families on one ``_FrozenDesign`` over
+their monomials' union, ``sweep_axis_ratio`` every phi on one over its five monomials.
 
 Residual evaluation is sequential with a fixed accumulation order, so a fit
 is reproducible bit for bit on one host, BLAS kernel and numpy dispatch level.
@@ -49,14 +49,13 @@ from .families import (
     ModelSpace,
     coefficient_keys,
     coefficient_matrix,
-    mixed_quadratic,
     named_space,
     rri,
     space_sum,
     symmetric_cubic,
     symmetric_quadratic,
 )
-from .poly import model_from_json, model_to_json
+from .poly import ComplexPoly, model_from_json, model_to_json
 
 __all__ = [
     "Intrinsics",
@@ -751,20 +750,6 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     return _report_from_residuals(r, obs, x[:p], iterations, converged, factor)
 
 
-def _fits(scene: Scene, obs: Observations, families: Sequence, options: FitOptions | None):
-    """(rms, converged) per family; frozen linear fits share one design over their keys' union."""
-    _check_geometry(scene, obs)
-    bases = [f.space.basis for f in families if f.linear and not (options and options.refine_poses)]
-    design = _FrozenDesign(scene, obs, coefficient_keys(f for b in bases for f in b)) if bases else None
-    for family in families:
-        if family.linear and design is not None:
-            basis = coefficient_matrix(family.space.basis, design.keys).view(complex)
-            yield _rms(design.solve(basis)[1]), True
-        else:
-            report = fit(scene, obs, family, options)
-            yield report.rms_px, report.converged
-
-
 def compare(
     scene: Scene,
     obs: Observations,
@@ -775,8 +760,17 @@ def compare(
     from .symmetry import classify
 
     families = [_as_family(entry) for entry in families]
+    _check_geometry(scene, obs)
+    bases = [f.space.basis for f in families if f.linear and not (options and options.refine_poses)]
+    design = _FrozenDesign(scene, obs, coefficient_keys(f for b in bases for f in b)) if bases else None
     rows = []
-    for family, (rms, converged) in zip(families, _fits(scene, obs, families, options)):
+    for family in families:
+        if family.linear and design is not None:
+            basis = coefficient_matrix(family.space.basis, design.keys).view(complex)
+            rms, converged = _rms(design.solve(basis)[1]), True
+        else:
+            report = fit(scene, obs, family, options)
+            rms, converged = report.rms_px, report.converged
         if family.linear:
             cls = classify(family.space)
             rri_flag, rsf_flag = cls.rotation_invariant, cls.rsf
@@ -796,10 +790,21 @@ def compare(
     return rows
 
 
+# The sweep space's (5, 5) coefficients at phi: cos phi A + sin phi B over z^2 and z zbar is
+# mixed_quadratic(c, s, t) at t = 1 and i, (c - s)/2 t z^2 + (c + s)/2 conj(t) z zbar; rri3 follows.
+_SWEEP_KEYS = ((2, 0), (1, 1), (2, 1), (3, 2), (4, 3))
+_SWEEP_A, _SWEEP_B = np.array([[[0.5, 0.5], [0.5j, -0.5j]], [[-0.5, 0.5], [-0.5j, -0.5j]]])
+
+
+def _sweep_matrix(phi: float) -> np.ndarray:
+    matrix = np.eye(5, dtype=complex)
+    matrix[:2, :2] = math.cos(phi) * _SWEEP_A + math.sin(phi) * _SWEEP_B
+    return matrix
+
+
 def _mixed_rri_space(phi: float) -> ModelSpace:
-    p, q = math.cos(phi), math.sin(phi)
-    quad = (mixed_quadratic(p, q, 1.0, 0.0), mixed_quadratic(p, q, 0.0, 1.0))
-    return ModelSpace(quad + named_space("rri3").basis, f"mixed_quadratic(phi={phi:.12g})+rri3")
+    basis = (DistortionFunction(ComplexPoly(dict(zip(_SWEEP_KEYS, row)))) for row in _sweep_matrix(phi))
+    return ModelSpace(tuple(basis), f"mixed_quadratic(phi={phi:.12g})+rri3")
 
 
 def sweep_axis_ratio(
@@ -808,13 +813,19 @@ def sweep_axis_ratio(
     phis: Sequence[float],
     options: FitOptions | None = None,
 ) -> list[tuple[float, float]]:
-    """Fit the radial/tangential blend (cos phi : sin phi) plus 3-coefficient
-    invariant radial model for each phi; returns (phi, rms) pairs.  With frozen
-    poses every phi solves on one design (``_fits``)."""
-    if len(phis) == 0:
+    """(phi, rms) per finite phi: the radial/tangential blend (cos phi : sin phi) plus
+    rri3, each row that phi's own ``fit``, frozen ones on one design over ``_SWEEP_KEYS``."""
+    phis = [float(phi) for phi in phis]
+    if not phis:
         raise ValueError("need at least one phi value")
-    families = [LinearFamily(_mixed_rri_space(float(phi))) for phi in phis]
-    return [(float(phi), rms) for phi, (rms, _) in zip(phis, _fits(scene, obs, families, options))]
+    if bad := [phi for phi in phis if not math.isfinite(phi)]:
+        raise ValueError(f"phi must be finite, got {bad[0]}")
+    if options is not None and options.refine_poses:
+        return [(phi, fit(scene, obs, _mixed_rri_space(phi), options).rms_px) for phi in phis]
+    _check_geometry(scene, obs)
+    # No rank check: the quadratic rows are orthogonal, of norm 1/sqrt(2), off rri3's monomials.
+    design = _FrozenDesign(scene, obs, _SWEEP_KEYS)
+    return [(phi, _rms(design.solve(_sweep_matrix(phi))[1])) for phi in phis]
 
 
 # --------------------------------------------------------------------------

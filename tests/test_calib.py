@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from functools import partial, reduce
 
@@ -31,9 +32,12 @@ from lensdist.calib import (
 from lensdist.families import (
     CATALOG_NAMES,
     DistortionFunction,
+    IrreducibleSpec,
     ModelSpace,
     coefficient_keys,
+    coefficient_matrix,
     decentering,
+    irreducible_space,
     mixed_quadratic,
     named_space,
     rri,
@@ -698,6 +702,8 @@ def _rolled_axis_angle(axis_angle, theta: float) -> tuple:
     r_w, r_v = math.cos(theta / 2), np.array([0.0, 0.0, math.sin(theta / 2)])
     p_w, p_v = r_w * q_w - r_v @ q_v, r_w * q_v + q_w * r_v + np.cross(r_v, q_v)
     norm = float(np.linalg.norm(p_v))
+    if norm == 0.0:  # no rotation
+        return (0.0, 0.0, 0.0)
     return tuple(p_v * (2 * math.atan2(norm, p_w) / norm))
 
 
@@ -743,6 +749,75 @@ def test_fit_commutes_with_camera_roll(noisy_setup, name, refine_poses, tol):
     if not family.linear:  # the axis turns with the image
         turned = family.canonical([before.coefficients[0] + ROLL, *before.coefficients[1:]])
         assert np.max(np.abs(np.array(after.coefficients) - turned)) <= tol
+
+
+ROLL_ANGLES = st.floats(-math.pi, math.pi)
+ISOTROPIC_NAMES = tuple(f"rri{n}" for n in range(1, 8)) + (
+    "full_quad", "full_cubic", "full_quad_cubic", "conj_quad")
+
+
+def _winding_keys(m: int) -> list:
+    """The monomials z^k zbar^l of total degree 2 to 5 with winding k - l - 1 = m."""
+    return [(k, n - k) for n in range(2, 6) for k in range(n + 1) if 2 * k - n - 1 == m]
+
+
+@st.composite
+def irreducible_spaces(draw):
+    """{gamma f + conj(gamma) g} for a drawn winding m, f of winding m, g of -m."""
+    m = draw(st.sampled_from([m for m in range(-6, 5) if m]))
+    coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+
+    def part(winding: int, min_size: int) -> ComplexPoly:
+        keys = _winding_keys(winding)
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=min_size, unique=True)) if keys else []
+        return ComplexPoly({key: draw(coeff) for key in chosen})
+
+    return irreducible_space(IrreducibleSpec(m, part(m, 1), part(-m, 0)))
+
+
+@st.composite
+def isotropic_spaces(draw):
+    """rriN, a full_* space, conj_quad or an irreducible space, or a '+' sum of them."""
+    part = st.one_of(st.sampled_from(ISOTROPIC_NAMES).map(named_space), irreducible_spaces())
+    return reduce(space_sum, draw(st.lists(part, min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(space=isotropic_spaces(), theta=ROLL_ANGLES)
+def test_fits_of_drawn_isotropic_spaces_commute_with_camera_roll(noisy_setup, space, theta):
+    # The roll test above over drawn spaces: any isotropic space's frozen fit
+    # of the rolled scene is the original fit rotated(-theta).
+    assert classify(space).isotropic
+    scene, obs = noisy_setup
+    before = calib.fit(scene, obs, space)
+    after = calib.fit(*_rolled(scene, obs, theta), space)
+    assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
+    want = space.member(before.coefficients).poly.rotated(-theta)
+    scale = max(abs(c) for c in want.terms.values())
+    assert space.member(after.coefficients).poly.isclose(want, tol=1e-9 * scale)
+
+
+@pytest.fixture(scope="module")
+def shared_axis_fit(noisy_setup):
+    return calib.fit(*noisy_setup, "sym_quad_cubic_rri3")
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(theta=ROLL_ANGLES)
+def test_frozen_shared_axis_fit_turns_its_axis_with_camera_roll(
+        noisy_setup, shared_axis_fit, theta):
+    # Rolling the camera by theta turns the fitted axis by theta, reported
+    # canonically in [0, pi), and the member by rotated(-theta).  The 1e-7
+    # is the LM stop's slack (a relative cost decrease below 1e-12).
+    family, before = calib.SharedAxisFamily(), shared_axis_fit
+    after = calib.fit(*_rolled(*noisy_setup, theta), family)
+    assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
+    assert 0.0 <= after.coefficients[0] < math.pi
+    turn = after.coefficients[0] - before.coefficients[0] - theta
+    assert abs((turn + math.pi / 2) % math.pi - math.pi / 2) <= 1e-7
+    want = family.build(np.array(before.coefficients)).poly.rotated(-theta)
+    assert family.build(np.array(after.coefficients)).poly.isclose(want, tol=1e-7)
 
 
 def test_roll_changes_the_fit_of_an_anisotropic_family(noisy_setup):
@@ -794,12 +869,28 @@ def test_sweep_single_phi_matches_direct_fit(noisy_setup):
     assert rms == direct.rms_px
 
 
+SWEEP_GRIDS = ([k * math.pi / 12 for k in range(12)], [k * math.pi / 32 for k in range(32)])
+
+
 def test_sweep_space_is_the_space_sum():
-    for phi in [*np.linspace(0.0, math.pi, 12, endpoint=False), 2.5, 7.0]:
+    # The sweep's matrix at phi is mixed_quadratic's pair plus rri3 over the
+    # five _SWEEP_KEYS at every phi.  mixed_quadratic goes through the real
+    # block form, which rounds once more (and leaves up to 2.8e-17 on zbar^2),
+    # so they agree within 2^-53, one ulp of a coefficient in [0.5, 1).
+    # Every space is full rank (ModelSpace checks), isotropic and rsf: this
+    # grid stands in for the rank check the sweep does not make per phi.
+    rng = np.random.default_rng(63)
+    for phi in [*SWEEP_GRIDS[0], *SWEEP_GRIDS[1], *rng.uniform(-10.0, 10.0, 400)]:
+        space = calib._mixed_rri_space(phi)
+        assert space.label == f"mixed_quadratic(phi={phi:.12g})+rri3"
+        assert coefficient_keys(space.basis) == calib._SWEEP_KEYS
         p, q = math.cos(phi), math.sin(phi)
-        quad = ModelSpace((mixed_quadratic(p, q, 1, 0), mixed_quadratic(p, q, 0, 1)), "quad")
-        label = f"mixed_quadratic(phi={phi:.12g})+rri3"
-        assert calib._mixed_rri_space(phi) == space_sum(quad, rri_space(3), label)
+        want = (mixed_quadratic(p, q, 1, 0), mixed_quadratic(p, q, 0, 1)) + rri_space(3).basis
+        keys = coefficient_keys(space.basis + want)
+        diff = coefficient_matrix(space.basis, keys) - coefficient_matrix(want, keys)
+        assert np.max(np.abs(diff)) <= 2.0**-53
+        cls = classify(space)
+        assert cls.isotropic and cls.rsf
 
 
 def test_sweep_minimum_near_zero_for_radial_truth():
@@ -819,29 +910,75 @@ def test_sweep_rejects_empty(noisy_setup):
         calib.sweep_axis_ratio(scene, obs, [])
 
 
+# cos(phi) == sin(phi) in floating point: the space has no z^2 term.
+SWEEP_PHI_WITHOUT_Z2 = 22.776546738526
+
+
 def test_sweep_rows_equal_one_fit_per_phi(noisy_setup):
-    # A frozen sweep solves every phi on one design over the union of the
-    # phis' monomials.  Where a phi's own keys are the union, its row is that
-    # phi's own fit bit for bit; elsewhere it agrees to rounding.  (Some phis
-    # carry a zbar^2 term of about 1e-17, which from_real leaves behind.)
+    # A frozen sweep solves every phi's matrix on one design over _SWEEP_KEYS,
+    # the same design and matrix as that phi's own fit, so every row is its
+    # fit bit for bit; refined rows are their refined fits.
     scene, obs = noisy_setup
-    for phis in (
-        [k * math.pi / 12 for k in range(12)],
-        [k * math.pi / 32 for k in range(32)],
-        [0.0, math.pi / 2],
-    ):
-        families = [calib.LinearFamily(calib._mixed_rri_space(phi)) for phi in phis]
-        union = coefficient_keys(f for family in families for f in family.space.basis)
+    for phis in (*SWEEP_GRIDS, [0.0, math.pi / 2]):
         rows = calib.sweep_axis_ratio(scene, obs, phis)
         assert [phi for phi, _ in rows] == phis
-        own = [family.keys == union for family in families]
-        assert any(own)
-        for (_, rms), family, exact in zip(rows, families, own):
-            want = calib.fit(scene, obs, family).rms_px
-            if exact:
-                assert rms == want
-            else:
-                assert abs(rms - want) <= 1e-12 * want
+        for phi, rms in rows:
+            assert rms == calib.fit(scene, obs, calib._mixed_rri_space(phi)).rms_px
+    refined = FitOptions(refine_poses=True)
+    for phi, rms in calib.sweep_axis_ratio(scene, obs, [0.4, 2.0], refined):
+        assert rms == calib.fit(scene, obs, calib._mixed_rri_space(phi), refined).rms_px
+    # Where cos phi == sin phi the space drops z^2, so its own fit solves on
+    # four monomials and the sweep's row matches it only to rounding.
+    phi = SWEEP_PHI_WITHOUT_Z2
+    space = calib._mixed_rri_space(phi)
+    assert coefficient_keys(space.basis) == calib._SWEEP_KEYS[1:]
+    ((_, rms),) = calib.sweep_axis_ratio(scene, obs, [phi])
+    want = calib.fit(scene, obs, space).rms_px
+    assert abs(rms - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("options", [None, FitOptions(refine_poses=True)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_a_non_finite_phi_before_building(noisy_setup, monkeypatch, bad, options):
+    scene, obs = noisy_setup
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a design or a fit")
+
+    monkeypatch.setattr(calib, "_FrozenDesign", no_build)
+    monkeypatch.setattr(calib, "fit", no_build)
+    with pytest.raises(ValueError, match=f"phi must be finite, got {bad}"):
+        calib.sweep_axis_ratio(scene, obs, np.array([0.0, bad, 1.0]), options)
+
+
+def test_a_frozen_sweep_builds_no_space_per_phi(noisy_setup, monkeypatch):
+    # Only _FrozenDesign's zero model is a ComplexPoly, whatever the step count.
+    scene, obs = noisy_setup
+    built = Counter()
+    for cls, method in ((ComplexPoly, "__post_init__"), (ModelSpace, "__post_init__"),
+                        (calib.LinearFamily, "__init__")):
+        def counting(self, *args, _cls=cls, _original=getattr(cls, method)):
+            built[_cls.__name__] += 1
+            _original(self, *args)
+        monkeypatch.setattr(cls, method, counting)
+
+    def builds(steps):
+        built.clear()
+        calib.sweep_axis_ratio(scene, obs, [k * math.pi / steps for k in range(steps)])
+        return dict(built)
+
+    assert builds(32) == builds(1) == {"ComplexPoly": 1}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(phis=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6), theta=ROLL_ANGLES)
+def test_sweep_rows_commute_with_camera_roll(noisy_setup, phis, theta):
+    # Every sweep space is isotropic, so a camera roll leaves every row's rms.
+    scene, obs = noisy_setup
+    before = calib.sweep_axis_ratio(scene, obs, phis)
+    after = calib.sweep_axis_ratio(*_rolled(scene, obs, theta), phis)
+    for (_, want), (_, got) in zip(before, after, strict=True):
+        assert abs(got - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("options", [None, FitOptions(refine_poses=True)])
