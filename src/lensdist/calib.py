@@ -20,8 +20,9 @@ solve on one QR of M (Bjorck, 1996) with a truncated SVD of the reduced
 problem.  The rest is one Levenberg-Marquardt run with an analytic Jacobian
 (initial lambda 1e-3, times 10 on reject, divided by 10 on accept, stop at
 relative cost decrease below 1e-12 or 200 iterations), on M with frozen poses
-or on ``_Reprojection`` with refined ones, from zero coefficients or, for the
-shared-axis family, from the best of its scanned axes (``SharedAxisFamily``).
+or on ``_Reprojection`` with refined ones (one state maps all views at once and
+computes each view's R once), from zero coefficients or, for the shared-axis
+family, from the best of its scanned axes (``SharedAxisFamily``).
 Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
 rank-deficient solves: the frozen solves and the report.
 Non-convergence is reported through ``converged=False``, never silently.
@@ -133,23 +134,24 @@ class Pose:
 
 
 def _skew(v) -> np.ndarray:
-    """Cross-product matrix [v]x: [v]x u = v x u."""
-    kx, ky, kz = v
-    return np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+    """Cross-product matrices [v]x (..., 3, 3) of vectors (..., 3): [v]x u = v x u."""
+    kx, ky, kz = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    zero = np.zeros_like(kx)
+    return np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], -1).reshape(*kx.shape, 3, 3)
 
 
 def rotation_matrix(axis_angle) -> np.ndarray:
-    """Rodrigues rotation matrix for an axis-angle vector."""
+    """Rodrigues matrices (..., 3, 3) of axis-angle vectors (..., 3) in one pass, angles one by one."""
     rvec = np.asarray(axis_angle, dtype=float)
-    theta = float(np.linalg.norm(rvec))
+    a, b = np.empty((2, *rvec.shape[:-1], 1, 1))
+    for i in np.ndindex(rvec.shape[:-1]):
+        theta = float(np.linalg.norm(rvec[i]))
+        if theta < 1e-8:
+            # Series expansion keeps the zero-rotation case exact.
+            a[i], b[i] = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0
+        else:
+            a[i], b[i] = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta**2
     skew = _skew(rvec)
-    if theta < 1e-8:
-        # Series expansion keeps the zero-rotation case exact.
-        a = 1.0 - theta**2 / 6.0
-        b = 0.5 - theta**2 / 24.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta**2
     return np.eye(3) + a * skew + b * (skew @ skew)
 
 
@@ -206,8 +208,7 @@ class Scene:
     @cached_property
     def camera_points(self) -> np.ndarray:
         """The target points in each pose's camera frame, read-only (views, N, 3)."""
-        pts = self.target_points
-        cam = np.stack([_to_camera(pts, p.axis_angle + p.translation) for p in self.poses])
+        cam, _ = _to_camera(self.target_points, _pack_poses(self.poses).reshape(-1, 6))
         cam.setflags(write=False)
         return cam
 
@@ -273,10 +274,10 @@ class CompareRow:
 # --------------------------------------------------------------------------
 
 
-def _to_camera(points: np.ndarray, pose) -> np.ndarray:
-    """Camera-frame points R X + t of (N, 3) target points X, pose (axis_angle, t)."""
-    pose = np.asarray(pose, dtype=float)
-    return points @ rotation_matrix(pose[:3]).T + pose[3:]
+def _to_camera(points: np.ndarray, poses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-frame points R X + t (V, N, 3) of (N, 3) points X under packed (V, 6) poses, and R."""
+    rot = rotation_matrix(poses[:, :3])
+    return points @ np.swapaxes(rot, -1, -2) + poses[:, None, 3:], rot
 
 
 def _pixels(intrinsics: Intrinsics, func: DistortionFunction, xn, yn) -> np.ndarray:
@@ -292,7 +293,7 @@ def project_points(
 ) -> np.ndarray:
     """Pixel projections of an (N, 3) array of target points."""
     pts = np.asarray(points3, dtype=float).reshape(-1, 3)
-    cam = _to_camera(pts, pose.axis_angle + pose.translation)
+    (cam,), _ = _to_camera(pts, _pack_poses([pose]).reshape(1, 6))
     if np.any(cam[:, 2] <= 0):
         raise ValueError("point behind camera (nonpositive depth)")
     return _pixels(intrinsics, func, cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2])
@@ -550,6 +551,7 @@ class _FrozenDesign:
         monomials = _monomials(xn + 1j * yn, keys)
         self.matrix = _jacobian_rows(scene.intrinsics, np.concatenate([monomials, 1j * monomials]))
         self.q, self.r = np.linalg.qr(self.matrix)
+        self.q_rhs = self.q.T @ self.rhs
 
     def solve(self, coefficients: np.ndarray):
         """Least squares for a complex (p, K) coefficient matrix over the keys,
@@ -558,7 +560,7 @@ class _FrozenDesign:
         ``_solve_truncated`` factor."""
         w = -np.concatenate([coefficients.real, coefficients.imag], -1).swapaxes(-1, -2)
         designs = self.r @ w
-        amplitudes, factor = _solve_truncated(designs, self.q.T @ self.rhs)
+        amplitudes, factor = _solve_truncated(designs, self.q_rhs)
         return amplitudes, self.rhs - (designs @ amplitudes[..., None])[..., 0] @ self.q.T, factor
 
     def __call__(self, family, x: np.ndarray) -> np.ndarray:
@@ -638,17 +640,16 @@ def _pack_poses(poses: Sequence[Pose]) -> np.ndarray:
     return np.concatenate([np.concatenate([p.axis_angle, p.translation]) for p in poses])
 
 
-def _rotation_derivatives(axis_angle) -> np.ndarray:
-    """The matrices G_i with dR/dw_i = G_i R for R = rotation_matrix(w):
-    G_i = (w_i [w]x + [w x (I - R) e_i]x) / |w|^2 (Gallego and Yezzi, 2015),
-    and [e_i]x where rotation_matrix uses its series."""
-    w = np.asarray(axis_angle, dtype=float)
-    theta2 = float(w @ w)
-    if math.sqrt(theta2) < 1e-8:
-        return np.stack([_skew(e) for e in np.eye(3)])
+def _rotation_derivatives(w: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """The matrices G_i (V, 3, 3, 3) with dR/dw_i = G_i R for (V, 3) vectors w and
+    their R = rotation_matrix(w): G_i = (w_i [w]x + [w x (I - R) e_i]x) / |w|^2
+    (Gallego and Yezzi, 2015), and [e_i]x where rotation_matrix uses its series."""
+    theta2 = np.array([float(v @ v) for v in w])[:, None, None, None]
+    series = np.sqrt(theta2) < 1e-8
     w_cross = _skew(w)
-    v = w_cross @ (np.eye(3) - rotation_matrix(w))  # column i is w x (I - R) e_i
-    return np.stack([(w[i] * w_cross + _skew(v[:, i])) / theta2 for i in range(3)])
+    v = np.swapaxes(w_cross @ (np.eye(3) - rot), -1, -2)  # row i is w x (I - R) e_i
+    g = (w[..., None, None] * w_cross[:, None] + _skew(v)) / np.where(series, 1.0, theta2)
+    return np.where(series, _skew(np.eye(3)), g)
 
 
 class _Reprojection:
@@ -656,8 +657,9 @@ class _Reprojection:
 
     Parameters are the family coefficients, then each view's (axis_angle,
     translation).  Residuals are measured minus projected pixels, ordered
-    (view, point, u/v).  The state of the last evaluated vector is kept, so
-    the Jacobian at an accepted step reuses it.  Its coefficient columns are
+    (view, point, u/v).  A state holds all views at once, with their R.  The
+    last one is kept: the Jacobian, asked for only at the start and at accepted
+    steps (in front of the camera), reuses it.  Its coefficient columns are
     ``family.coefficients`` times the monomials at the state's points.
     Frozen poses are the affine ``_FrozenDesign`` instead.
     """
@@ -666,7 +668,7 @@ class _Reprojection:
         self.family = family
         self.intrinsics = scene.intrinsics
         self.points = scene.target_points
-        self.meas = obs.pixels.reshape(-1, 2)
+        self.meas = obs.pixels
         self._last = None  # (x, state) of the last evaluated vector
 
     def _state(self, x: np.ndarray):
@@ -674,43 +676,41 @@ class _Reprojection:
             return self._last[1]
         p = self.family.n_params
         func = self.family.build(x[:p])
-        cam = np.concatenate([_to_camera(self.points, c) for c in x[p:].reshape(-1, 6)])
+        cam, rot = _to_camera(self.points, x[p:].reshape(-1, 6))
         state = None
-        if np.all(cam[:, 2] > 0):
-            xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
+        if np.all(cam[..., 2] > 0):
+            xn, yn = cam[..., 0] / cam[..., 2], cam[..., 1] / cam[..., 2]
             r = (self.meas - _pixels(self.intrinsics, func, xn, yn)).ravel()
-            state = (func, cam, xn + 1j * yn, r)
+            state = (func, rot, cam, xn + 1j * yn, r)
         self._last = (x.copy(), state)
         return state
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         state = self._state(x)
-        return np.full(self.meas.size, _BAD_RESIDUAL) if state is None else state[3]
+        return np.full(self.meas.size, _BAD_RESIDUAL) if state is None else state[-1]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        state = self._state(x)
-        if state is None:
-            return np.zeros((self.meas.size, x.size))
-        func, cam, z, _ = state
-        p = self.family.n_params
+        func, rot, cam, z, _ = self._state(x)
+        p, (n_views, n, _) = self.family.n_params, cam.shape
         jac = np.zeros((self.meas.size, x.size))
-        columns = self.family.coefficients(x[:p]) @ _monomials(z, self.family.keys)
+        columns = self.family.coefficients(x[:p]) @ _monomials(z.ravel(), self.family.keys)
         jac[:, :p] = _jacobian_rows(self.intrinsics, columns)
         # A step dz of the normalized point moves the distorted point
         # by dz + f_z dz + f_zbar conj(dz).
-        f_z, f_zc = func.poly.wirtinger(z)
-        n = self.points.shape[0]
-        for v in range(len(cam) // n):
-            rows, cols = slice(v * n, (v + 1) * n), slice(p + 6 * v, p + 6 * v + 6)
-            # Camera-frame point velocities: G_i R X per rotation
-            # parameter, the unit vector e_i per translation parameter.
-            vel = np.empty((6, n, 3))
-            rx = cam[rows] - x[cols][3:]  # R X
-            vel[:3] = rx @ _rotation_derivatives(x[cols][:3]).transpose(0, 2, 1)
-            vel[3:] = np.eye(3)[:, None, :]
-            dz = (vel[..., 0] + 1j * vel[..., 1] - z[rows] * vel[..., 2]) / cam[rows, 2]
-            dw = dz + f_z[rows] * dz + f_zc[rows] * np.conj(dz)
-            jac[2 * v * n : 2 * (v + 1) * n, cols] = _jacobian_rows(self.intrinsics, dw)
+        f_z, f_zc = (f[:, None] for f in func.poly.wirtinger(z))
+        poses = x[p:].reshape(n_views, 6)
+        # Camera-frame point velocities (view, parameter, point, xyz): G_i R X
+        # per rotation parameter, the unit vector e_i per translation parameter.
+        vel = np.empty((n_views, 6, n, 3))
+        rx = cam - poses[:, None, 3:]  # R X
+        vel[:, :3] = rx[:, None] @ np.swapaxes(_rotation_derivatives(poses[:, :3], rot), -1, -2)
+        vel[:, 3:] = np.eye(3)[:, None, :]
+        dz = (vel[..., 0] + 1j * vel[..., 1] - z[:, None] * vel[..., 2]) / cam[:, None, :, 2]
+        # Each entry rounds as in a one-view pass while the arrays stay below numpy's temporary
+        # reuse (see poly._EVAL_BLOCK); much larger rigs may differ from that in the last bit.
+        dw = dz + f_z * dz + f_zc * np.conj(dz)
+        blocks = jac[:, p:].reshape(n_views, 2 * n, n_views, 6)  # a view; zero off the diagonal
+        blocks[range(n_views), :, range(n_views)] = _jacobian_rows(self.intrinsics, dw)
         return jac
 
 

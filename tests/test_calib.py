@@ -412,10 +412,122 @@ def test_rotation_derivatives_match_central_differences():
     rng = np.random.default_rng(62)
     for w in [np.zeros(3)] + [rng.normal(scale=0.5, size=3) for _ in range(5)]:
         rot = rotation_matrix(w)
-        exact = calib._rotation_derivatives(w) @ rot
+        exact = calib._rotation_derivatives(w[None], rot[None])[0] @ rot
         for i, e in enumerate(np.eye(3)):
             numeric = numeric_jacobian(lambda t: rotation_matrix(w + t[0] * e).ravel(), [0.0])
             assert np.max(np.abs(numeric[:, 0] - exact[i].ravel())) < 1e-8
+
+
+def _skew_one(v) -> np.ndarray:
+    kx, ky, kz = v
+    return np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+
+
+def _rotation_one(w) -> np.ndarray:
+    """Rodrigues for one axis-angle vector, with the series below 1e-8: the
+    oracle of the batched rotation_matrix."""
+    w = np.asarray(w, dtype=float)
+    theta = float(np.linalg.norm(w))
+    skew = _skew_one(w)
+    if theta < 1e-8:
+        a, b = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta**2
+    return np.eye(3) + a * skew + b * (skew @ skew)
+
+
+def _rotation_derivatives_one(w) -> np.ndarray:
+    """G_i of one vector (Gallego and Yezzi, 2015), [e_i]x in the series
+    case: the oracle of the batched rotation derivatives."""
+    w = np.asarray(w, dtype=float)
+    theta2 = float(w @ w)
+    if math.sqrt(theta2) < 1e-8:
+        return np.stack([_skew_one(e) for e in np.eye(3)])
+    w_cross = _skew_one(w)
+    v = w_cross @ (np.eye(3) - _rotation_one(w))
+    return np.stack([(w[i] * w_cross + _skew_one(v[:, i])) / theta2 for i in range(3)])
+
+
+def test_batched_pose_math_is_the_one_vector_math_bit_for_bit():
+    rng = np.random.default_rng(64)
+    stack = np.array(
+        [[0.0, 0.0, 0.0], [3e-9, 0.0, 0.0], [0.0, -2e-9, 2e-9]]
+        + [rng.normal(scale=scale, size=3).tolist() for scale in (1e-3, 0.3, 2.0) for _ in range(7)]
+    )
+    stack = stack[rng.permutation(len(stack))]
+    rot = rotation_matrix(stack)
+    derivatives = calib._rotation_derivatives(stack, rot)
+    assert rot.shape == (len(stack), 3, 3)
+    assert derivatives.shape == (len(stack), 3, 3, 3)
+    for w, r, g in zip(stack, rot, derivatives, strict=True):
+        assert r.tobytes() == _rotation_one(w).tobytes()
+        assert g.tobytes() == _rotation_derivatives_one(w).tobytes()
+    for w in stack[:3]:
+        assert rotation_matrix(w).shape == (3, 3)
+        assert rotation_matrix(tuple(w)).tobytes() == _rotation_one(w).tobytes()
+    assert rotation_matrix(stack.reshape(3, -1, 3)).tobytes() == rot.tobytes()
+
+
+def _per_view_jacobian(problem, x) -> np.ndarray:
+    """The refined-pose Jacobian built one view at a time from the one-vector
+    rotation math: the oracle of ``_Reprojection.jacobian``."""
+    family, intr, pts = problem.family, problem.intrinsics, problem.points
+    p, n = family.n_params, len(pts)
+    poses = x[p:].reshape(-1, 6)
+    cam = np.concatenate([pts @ _rotation_one(c[:3]).T + c[3:] for c in poses])
+    z = cam[:, 0] / cam[:, 2] + 1j * (cam[:, 1] / cam[:, 2])
+    jac = np.zeros((2 * len(cam), x.size))
+    columns = family.coefficients(x[:p]) @ calib._monomials(z, family.keys)
+    jac[:, :p] = calib._jacobian_rows(intr, columns)
+    f_z, f_zc = family.build(x[:p]).poly.wirtinger(z)
+    for v, pose in enumerate(poses):
+        rows, cols = slice(v * n, (v + 1) * n), slice(p + 6 * v, p + 6 * v + 6)
+        vel = np.empty((6, n, 3))
+        vel[:3] = (cam[rows] - pose[3:]) @ _rotation_derivatives_one(pose[:3]).transpose(0, 2, 1)
+        vel[3:] = np.eye(3)[:, None, :]
+        dz = (vel[..., 0] + 1j * vel[..., 1] - z[rows] * vel[..., 2]) / cam[rows, 2]
+        dw = dz + f_z[rows] * dz + f_zc[rows] * np.conj(dz)
+        jac[2 * v * n : 2 * (v + 1) * n, cols] = calib._jacobian_rows(intr, dw)
+    return jac
+
+
+@pytest.mark.parametrize("name", ["decentering+rri3", "sym_quad_cubic_rri3"])
+def test_refined_jacobian_is_the_per_view_jacobian_bit_for_bit(name):
+    poses = list(default_scene().poses)
+    # Exact zero rotation (pose 0), and one that takes the series branch.
+    poses[3] = Pose((3e-9, 0.0, 0.0), poses[3].translation)
+    scene = replace(default_scene(truth=TRUTH, noise_sigma=0.2, seed=4), poses=tuple(poses))
+    obs = synthesize(scene)
+    family = parse_family(name)
+    p, n_views, n = family.n_params, len(poses), scene.n_points
+    rng = np.random.default_rng(65)
+    x0 = np.concatenate([rng.normal(scale=0.02, size=p), calib._pack_poses(poses)])
+    problem = calib._Reprojection(scene, obs, family)
+    x_fit, _, _, _ = calib._levenberg_marquardt(problem, x0, problem.jacobian)
+    for x in (x0, x_fit):
+        jac = problem.jacobian(x)
+        assert jac.tobytes() == _per_view_jacobian(problem, x).tobytes()
+        blocks = jac[:, p:].reshape(n_views, 2 * n, n_views, 6)
+        for v in range(n_views):
+            assert np.any(blocks[v, :, v] != 0.0)
+            assert not np.any(np.delete(blocks[v], v, axis=1))
+
+
+def test_a_refined_fit_takes_one_rodrigues_pass_per_state(noisy_setup, monkeypatch):
+    scene, obs = noisy_setup
+    calls, states = [], set()
+    rotation = calib.rotation_matrix
+    monkeypatch.setattr(calib, "rotation_matrix", lambda w: calls.append(w) or rotation(w))
+    for method in ("__call__", "jacobian"):
+        def recording(self, x, _bound=getattr(calib._Reprojection, method)):
+            states.add(x.tobytes())
+            return _bound(self, x)
+        monkeypatch.setattr(calib._Reprojection, method, recording)
+    report = calib.fit(scene, obs, "decentering+rri3", FitOptions(refine_poses=True))
+    assert report.converged
+    assert len(states) > 1
+    assert len(calls) == len(states)
+    assert all(np.shape(w) == (len(scene.poses), 3) for w in calls)
 
 
 @pytest.mark.parametrize(
