@@ -38,7 +38,7 @@ import operator
 from cmath import exp as cexp
 from cmath import isfinite as cisfinite
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -75,10 +75,8 @@ MonomialKey = tuple[int, int]
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _NEG_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
-# Points per block of an array evaluate: the power table stays near 1 MB, and
-# blocks stay below the 16,384 points at which numpy reuses temporaries in
-# place.  That reuse can swap a complex product's operands, which changes its
-# rounding, so a point's value would depend on the size of its array.
+# Points per block of an array evaluate: a degree-16 power table stays near
+# 1 MB.  Terms go through out= buffers, not temporaries numpy may reuse.
 _EVAL_BLOCK = 4096
 
 # z**0 as CPython returns it for a complex z.
@@ -186,9 +184,8 @@ def _power_tables(z: complex, steps) -> tuple[list[complex], list[complex]]:
     z^e = z^(e - h) * z^h with h the top bit of e.  zbar runs its own chain,
     since conj(z**e) can differ from zbar**e in the sign of a zero.
     """
-    zc = z.conjugate()
     pw, pc = [_ONE], [_ONE]
-    sq, sqc = z, zc
+    sq, sqc = z, z.conjugate()
     for rest, new in steps:
         if new:
             sq, sqc = sq * sq, sqc * sqc
@@ -198,12 +195,33 @@ def _power_tables(z: complex, steps) -> tuple[list[complex], list[complex]]:
 
 
 def _raise_on_overflow(z: complex, terms) -> None:
-    # A Python complex product overflows to inf where z**e raises
-    # OverflowError.  Take the powers the z**i * zbar**j form takes, so the
-    # same inputs raise.
+    # z**e raises OverflowError where a product overflows to inf: take the
+    # powers of the z**i * zbar**j form, so the same inputs raise.
     zc = z.conjugate()
     for i, j, _ in terms:
         z**i, zc**j
+
+
+def _value(plan: _Plan, z: complex, pw, pc) -> complex:
+    # Value at a Python complex z from its tables of z**e and zbar**e.
+    out = 0j
+    for i, j, c in plan.value:
+        out = out + c * pw[i] * pc[j]
+    if not cisfinite(out):
+        _raise_on_overflow(z, plan.value)
+    return out
+
+
+def _derivatives(plan: _Plan, z, pw, pc):
+    # (f_z, f_zbar) at z from tables of z**e and zbar**e, summed from 0 * z.
+    f_z = f_zc = 0 * z
+    for i, j, c in plan.d_z:
+        f_z = f_z + c * pw[i] * pc[j]
+    for i, j, c in plan.d_zbar:
+        f_zc = f_zc + c * pw[i] * pc[j]
+    if type(z) is complex and not (cisfinite(f_z) and cisfinite(f_zc)):
+        _raise_on_overflow(z, plan.d_z + plan.d_zbar)
+    return f_z, f_zc
 
 
 @dataclass(frozen=True)
@@ -268,34 +286,31 @@ class ComplexPoly:
         so the value is bit for bit the sum of gamma_kl * z**k * zbar**l in
         term order, and where one of those powers raises OverflowError, so
         does this (checked only when the value is not finite).  Arrays go in
-        blocks of 4,096 points that share z^e per distinct exponent
-        (zbar^l = conj(z^l) bit for bit), so a point's value does not depend
-        on its batch.  The zero polynomial returns its zeros at once.
+        blocks of 4,096 points that take z^e on the same ladder, zbar^l as
+        conj(z^l) and each term as (gamma_kl * z^k) * zbar^l, so a point's
+        value does not depend on its batch; it differs from the numpy z**k
+        form by rounding only.
         """
         if type(z) is complex:
             plan = self._plan
-            pw, pc = _power_tables(z, plan.steps)
-            out = 0j
-            for i, j, c in plan.value:
-                out = out + c * pw[i] * pc[j]
-            if not cisfinite(out):
-                _raise_on_overflow(z, plan.value)
-            return out
+            return _value(plan, z, *_power_tables(z, plan.steps))
+        steps = _power_steps(max((max(key) for key in self.terms), default=0))
         zarr = np.asarray(z, dtype=complex)
-        if not self.terms:
-            return 0j if zarr.ndim == 0 else np.zeros(zarr.shape, dtype=complex)
         flat = zarr.reshape(-1)
         out = np.zeros_like(flat)
-        exponents = {e for key in self.terms for e in key}
         for start in range(0, flat.size, _EVAL_BLOCK):
             acc = out[start : start + _EVAL_BLOCK]
-            block = flat[start : start + _EVAL_BLOCK]
-            powers = {e: block**e for e in exponents}
-            for (k, l), coeff in self.terms.items():
-                acc += coeff * powers[k] * np.conj(powers[l])
-        if zarr.ndim == 0:
-            return complex(out[0])
-        return out.reshape(zarr.shape)
+            t, zc = np.empty_like(acc), np.empty_like(acc)
+            pw, sq = [_ONE], flat[start : start + _EVAL_BLOCK]
+            for rest, new in steps:
+                if new:
+                    sq = sq * sq
+                pw.append(pw[rest] * sq)
+            for (i, j), c in self.terms.items():
+                np.multiply(c, pw[i], out=t)
+                t *= np.conjugate(pw[j], out=zc)
+                acc += t
+        return complex(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)
 
     def wirtinger(self, z):
         """Wirtinger derivatives (f_z, f_zbar) at a complex scalar or array.
@@ -310,22 +325,13 @@ class ComplexPoly:
         also for the zero polynomial.
         """
         plan = self._plan
-        scalar = type(z) is complex
-        if scalar:
-            pw, pc = _power_tables(z, plan.steps)
-        else:
-            zc = z.conjugate()
-            reads = plan.d_z + plan.d_zbar
-            pw = {i: z**i for i in {i for i, _, _ in reads}}
-            pc = {j: zc**j for j in {j for _, j, _ in reads}}
-        f_z = f_zc = 0 * z
-        for i, j, c in plan.d_z:
-            f_z = f_z + c * pw[i] * pc[j]
-        for i, j, c in plan.d_zbar:
-            f_zc = f_zc + c * pw[i] * pc[j]
-        if scalar and not (cisfinite(f_z) and cisfinite(f_zc)):
-            _raise_on_overflow(z, plan.d_z + plan.d_zbar)
-        return f_z, f_zc
+        if type(z) is complex:
+            return _derivatives(plan, z, *_power_tables(z, plan.steps))
+        zc = z.conjugate()
+        reads = plan.d_z + plan.d_zbar
+        pw = {i: z**i for i in {i for i, _, _ in reads}}
+        pc = {j: zc**j for j in {j for _, j, _ in reads}}
+        return _derivatives(plan, z, pw, pc)
 
     def generator(self) -> "ComplexPoly":
         """Derivative of rotated(theta) at theta = 0: gamma_kl times i (k - l - 1)."""
@@ -472,14 +478,9 @@ class RealPolyModel:
         )
 
     def isclose(self, other: "RealPolyModel", tol: float = DEFAULT_TOL) -> bool:
-        degrees = set(self.blocks) | set(other.blocks)
-        for n in degrees:
-            a = self.blocks.get(n)
-            b = other.blocks.get(n)
-            if a is None:
-                a = np.zeros((2, n + 1))
-            if b is None:
-                b = np.zeros((2, n + 1))
+        for n in set(self.blocks) | set(other.blocks):
+            zero = np.zeros((2, n + 1))
+            a, b = self.blocks.get(n, zero), other.blocks.get(n, zero)
             if not np.allclose(a, b, rtol=0.0, atol=tol):
                 return False
         return True
@@ -499,11 +500,7 @@ def monomial_vector(n: int, x, y) -> np.ndarray:
 
 
 def _lin_pow(c0: float, c1: float, e: int) -> np.ndarray:
-    out = np.array([1.0])
-    base = np.array([c0, c1])
-    for _ in range(e):
-        out = np.convolve(out, base)
-    return out
+    return reduce(np.convolve, [np.array([c0, c1])] * e, np.array([1.0]))
 
 
 def monomial_rotation(n: int, theta: float) -> np.ndarray:

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 import operator
+from cmath import isfinite as cisfinite
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._io import read_csv, write_csv
 from .families import DistortionFunction
+from .poly import _derivatives, _power_tables, _value
 
 __all__ = [
     "NoConvergence",
@@ -101,18 +103,18 @@ def invert(func: DistortionFunction, target) -> Point:
     ValueError.
     """
     pair = np.asarray(target, dtype=float)
-    if pair.shape != (2,) or not np.isfinite(pair).all():
+    if pair.shape != (2,) or not cisfinite(t := complex(*pair.tolist())):
         raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
-    poly = func.poly
-    t = complex(pair[0], pair[1])
+    plan = func.poly._plan  # an accepted iterate's table also serves f_z, f_zbar
     q = t
     try:
-        r = q + poly.evaluate(q) - t
+        table = _power_tables(q, plan.steps)
+        r = q + _value(plan, q, *table) - t
         rnorm = abs(r)
         for k in range(_MAX_ITER):
             if rnorm < _RESIDUAL_TOL:
                 return q.real, q.imag
-            f_z, b = poly.wirtinger(q)
+            f_z, b = _derivatives(plan, q, *table)
             a = 1.0 + f_z
             det = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
             if abs(det) < _SINGULAR_DET:
@@ -128,10 +130,11 @@ def invert(func: DistortionFunction, target) -> Point:
             alpha = 1.0
             while True:
                 q_try = q - alpha * step
-                r_try = q_try + poly.evaluate(q_try) - t
+                table_try = _power_tables(q_try, plan.steps)
+                r_try = q_try + _value(plan, q_try, *table_try) - t
                 rnorm_try = abs(r_try)
                 if rnorm_try < rnorm:
-                    q, r, rnorm = q_try, r_try, rnorm_try
+                    q, r, rnorm, table = q_try, r_try, rnorm_try, table_try
                     break
                 alpha *= 0.5
                 if alpha < _MIN_STEP_SCALE:

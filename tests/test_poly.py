@@ -118,7 +118,27 @@ def test_eval_vectorized_matches_scalar():
 
 
 def _evaluate_reference(f, z):
-    """The unblocked expression: two numpy powers per term, summed in order."""
+    """The unblocked expression on the scalar ladder, summed in term order.
+
+    z^e = z^(e - h) * z^h with h the top bit of e and z^0 = 1, each square
+    from the one before, and zbar^l = conj(z^l).
+    """
+    zarr = np.asarray(z, dtype=complex)
+    squares = {1: zarr}
+    pw = [np.ones_like(zarr)]
+    for e in range(1, max(max(key) for key in f.terms) + 1):
+        h = 1 << (e.bit_length() - 1)
+        if h not in squares:
+            squares[h] = squares[h // 2] * squares[h // 2]
+        pw.append(pw[e - h] * squares[h])
+    out = np.zeros_like(zarr)
+    for (k, l), c in f.terms.items():
+        out = out + c * pw[k] * np.conj(pw[l])
+    return out
+
+
+def _evaluate_power_form(f, z):
+    """Two numpy powers per term, summed in term order."""
     zarr = np.asarray(z, dtype=complex)
     zc = np.conj(zarr)
     out = np.zeros_like(zarr)
@@ -135,6 +155,25 @@ def test_eval_bitwise_equals_unblocked_expression(high_degree_poly, size):
     z = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
     got = high_degree_poly.evaluate(z)
     assert np.array_equal(got.view(float), _evaluate_reference(high_degree_poly, z).view(float))
+
+
+def test_eval_agrees_with_the_power_form():
+    # Both forms build a term as a product tree of gamma and its k + l <= 16
+    # powers of z and zbar.  A complex product errs by at most sqrt(5) u
+    # (u = 2^-53), and a sum of n terms by n u times their absolute sum, so
+    # to first order the two differ by at most (32 sqrt(5) + 2 n) u times
+    # sum |gamma| max(1, |z|)^16.  Both overflow and go NaN alike.
+    rng = np.random.default_rng(93)
+    special = np.array([complex(a, b) for a in _SPECIAL_PARTS for b in _SPECIAL_PARTS])
+    for _ in range(40):
+        f = random_poly(rng, max_degree=MAX_DEGREE, max_terms=40)
+        z = rng.uniform(-1.5, 1.5, 500) + 1j * rng.uniform(-1.5, 1.5, 500)
+        scale = sum(map(abs, f.terms.values())) * np.maximum(1.0, abs(z)) ** 16
+        bound = (32 * math.sqrt(5) + 2 * len(f.terms)) * 2.0**-53 * scale
+        assert np.all(abs(f.evaluate(z) - _evaluate_power_form(f, z)) <= bound)
+        with np.errstate(all="ignore"):
+            got, want = f.evaluate(special), _evaluate_power_form(f, special)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
 
 
 def test_eval_value_does_not_depend_on_the_batch(high_degree_poly):

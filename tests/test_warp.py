@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from lensdist import poly as poly_module
+from lensdist import warp
 from lensdist.families import DistortionFunction, decentering, rri
 from lensdist.poly import ComplexPoly
 from lensdist.warp import (
@@ -315,6 +317,35 @@ def test_invert_is_bitwise_the_power_form(high_degree_poly):
     for func, target in cases:
         got = _exact_outcome(invert, func, target)
         assert got == _exact_outcome(_invert_power_form, func, target), target
+
+
+def test_invert_tabulates_each_point_once(high_degree_poly, monkeypatch):
+    # One power table for the target and one per line-search trial, each
+    # read by that point's residual: the derivatives at an accepted iterate
+    # read the table of its trial.
+    points, residuals = [], []
+
+    def tables_spy(z, steps):
+        points.append(z)
+        return power_tables(z, steps)
+
+    def value_spy(plan, z, pw, pc):
+        residuals.append(z)
+        return value(plan, z, pw, pc)
+
+    power_tables, value = poly_module._power_tables, poly_module._value
+    # Both modules: a table built through evaluate or wirtinger counts too.
+    monkeypatch.setattr(poly_module, "_power_tables", tables_spy)
+    monkeypatch.setattr(warp, "_power_tables", tables_spy)
+    monkeypatch.setattr(warp, "_value", value_spy)
+    func = DistortionFunction.from_poly(high_degree_poly)
+    sources = np.random.default_rng(57).uniform(-0.6, 0.6, (100, 2))
+    for target in apply_distortion(func, sources):
+        points.clear()
+        residuals.clear()
+        solved = invert(func, target)
+        assert points == residuals and len(set(points)) == len(points) >= 2, target
+        assert points[0] == complex(*target) and points[-1] == complex(*solved)
 
 
 def test_invert_round_trip_many_small_functions():
