@@ -38,7 +38,7 @@ import operator
 from cmath import exp as cexp
 from cmath import isfinite as cisfinite
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -75,8 +75,9 @@ MonomialKey = tuple[int, int]
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _NEG_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
-# Points per block of an array evaluate: a degree-16 power table stays near
-# 1 MB.  Terms go through out= buffers, not temporaries numpy may reuse.
+# Points per block of an array evaluate: a degree-16 power table of one block
+# stays near 1 MB.  Each term goes through explicit out= buffers, so numpy's
+# reuse of temporaries does not reach the arithmetic at any block size.
 _EVAL_BLOCK = 4096
 
 # z**0 as CPython returns it for a complex z.
@@ -158,10 +159,9 @@ def _xy_monomial(n: int, j: int) -> tuple[complex, ...]:
 
 
 class _Plan(NamedTuple):
-    # Recipe of one polynomial: the scalar power steps, then terms (i, j, c)
-    # for c z^i zbar^j of the value, (k, l, gamma), of f_z,
-    # (k - 1, l, gamma k), and of f_zbar, (k, l - 1, gamma l).
-    steps: tuple
+    # Terms (i, j, c) for c z^i zbar^j of one polynomial: of the value,
+    # (k, l, gamma), of f_z, (k - 1, l, gamma k), and of f_zbar,
+    # (k, l - 1, gamma l).
     value: tuple
     d_z: tuple
     d_zbar: tuple
@@ -176,27 +176,32 @@ def _power_steps(top: int) -> tuple[tuple[int, bool], ...]:
     )
 
 
+def _ladder(z, steps) -> list:
+    # [z^0, z^1, ..., z^len(steps)] for a complex scalar or array, one
+    # product per power: z^e = z^(e - h) * z^h with h the top bit of e.
+    pw, sq = [_ONE], z
+    for rest, new in steps:
+        if new:
+            sq = sq * sq
+        pw.append(pw[rest] * sq)
+    return pw
+
+
 def _power_tables(z: complex, steps) -> tuple[list[complex], list[complex]]:
     """Lists of z**e and zbar**e for e = 0 .. len(steps), bit for bit.
 
     CPython's complex ** int starts from 1 + 0j and multiplies in z^h for
-    each set bit h of e, low bit first, squaring as it goes: so
-    z^e = z^(e - h) * z^h with h the top bit of e.  zbar runs its own chain,
-    since conj(z**e) can differ from zbar**e in the sign of a zero.
+    each set bit h of e, low bit first, squaring as it goes: ``_ladder``
+    takes the same products.  zbar runs its own chain, since conj(z**e) can
+    differ from zbar**e in the sign of a zero.
     """
-    pw, pc = [_ONE], [_ONE]
-    sq, sqc = z, z.conjugate()
-    for rest, new in steps:
-        if new:
-            sq, sqc = sq * sq, sqc * sqc
-        pw.append(pw[rest] * sq)
-        pc.append(pc[rest] * sqc)
-    return pw, pc
+    return _ladder(z, steps), _ladder(z.conjugate(), steps)
 
 
 def _raise_on_overflow(z: complex, terms) -> None:
-    # z**e raises OverflowError where a product overflows to inf: take the
-    # powers of the z**i * zbar**j form, so the same inputs raise.
+    # A Python complex product overflows to inf where z**e raises
+    # OverflowError.  Take the powers the z**i * zbar**j form takes, so the
+    # same inputs raise.
     zc = z.conjugate()
     for i, j, _ in terms:
         z**i, zc**j
@@ -269,10 +274,14 @@ class ComplexPoly:
         return ComplexPoly({kl: c for kl, c in self.terms.items() if kl[0] - kl[1] - 1 == m})
 
     @cached_property
+    def _steps(self) -> tuple:
+        # The power ladder up to the largest exponent, for scalars and arrays.
+        return _power_steps(max((max(key) for key in self.terms), default=0))
+
+    @cached_property
     def _plan(self) -> _Plan:
         terms = self.terms.items()
         return _Plan(
-            _power_steps(max((max(key) for key in self.terms), default=0)),
             tuple((k, l, c) for (k, l), c in terms),
             tuple((k - 1, l, c * k) for (k, l), c in terms if k),
             tuple((k, l - 1, c * l) for (k, l), c in terms if l),
@@ -292,20 +301,14 @@ class ComplexPoly:
         form by rounding only.
         """
         if type(z) is complex:
-            plan = self._plan
-            return _value(plan, z, *_power_tables(z, plan.steps))
-        steps = _power_steps(max((max(key) for key in self.terms), default=0))
+            return _value(self._plan, z, *_power_tables(z, self._steps))
         zarr = np.asarray(z, dtype=complex)
         flat = zarr.reshape(-1)
         out = np.zeros_like(flat)
         for start in range(0, flat.size, _EVAL_BLOCK):
             acc = out[start : start + _EVAL_BLOCK]
             t, zc = np.empty_like(acc), np.empty_like(acc)
-            pw, sq = [_ONE], flat[start : start + _EVAL_BLOCK]
-            for rest, new in steps:
-                if new:
-                    sq = sq * sq
-                pw.append(pw[rest] * sq)
+            pw = _ladder(flat[start : start + _EVAL_BLOCK], self._steps)
             for (i, j), c in self.terms.items():
                 np.multiply(c, pw[i], out=t)
                 t *= np.conjugate(pw[j], out=zc)
@@ -326,7 +329,7 @@ class ComplexPoly:
         """
         plan = self._plan
         if type(z) is complex:
-            return _derivatives(plan, z, *_power_tables(z, plan.steps))
+            return _derivatives(plan, z, *_power_tables(z, self._steps))
         zc = z.conjugate()
         reads = plan.d_z + plan.d_zbar
         pw = {i: z**i for i in {i for i, _, _ in reads}}
@@ -478,9 +481,14 @@ class RealPolyModel:
         )
 
     def isclose(self, other: "RealPolyModel", tol: float = DEFAULT_TOL) -> bool:
-        for n in set(self.blocks) | set(other.blocks):
-            zero = np.zeros((2, n + 1))
-            a, b = self.blocks.get(n, zero), other.blocks.get(n, zero)
+        degrees = set(self.blocks) | set(other.blocks)
+        for n in degrees:
+            a = self.blocks.get(n)
+            b = other.blocks.get(n)
+            if a is None:
+                a = np.zeros((2, n + 1))
+            if b is None:
+                b = np.zeros((2, n + 1))
             if not np.allclose(a, b, rtol=0.0, atol=tol):
                 return False
         return True
@@ -500,7 +508,11 @@ def monomial_vector(n: int, x, y) -> np.ndarray:
 
 
 def _lin_pow(c0: float, c1: float, e: int) -> np.ndarray:
-    return reduce(np.convolve, [np.array([c0, c1])] * e, np.array([1.0]))
+    out = np.array([1.0])
+    base = np.array([c0, c1])
+    for _ in range(e):
+        out = np.convolve(out, base)
+    return out
 
 
 def monomial_rotation(n: int, theta: float) -> np.ndarray:

@@ -105,16 +105,16 @@ def invert(func: DistortionFunction, target) -> Point:
     pair = np.asarray(target, dtype=float)
     if pair.shape != (2,) or not cisfinite(t := complex(*pair.tolist())):
         raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
-    plan = func.poly._plan  # an accepted iterate's table also serves f_z, f_zbar
+    plan, steps = func.poly._plan, func.poly._steps
     q = t
     try:
-        table = _power_tables(q, plan.steps)
+        table = _power_tables(q, steps)
         r = q + _value(plan, q, *table) - t
         rnorm = abs(r)
         for k in range(_MAX_ITER):
             if rnorm < _RESIDUAL_TOL:
                 return q.real, q.imag
-            f_z, b = _derivatives(plan, q, *table)
+            f_z, b = _derivatives(plan, q, *table)  # the accepted iterate's table
             a = 1.0 + f_z
             det = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
             if abs(det) < _SINGULAR_DET:
@@ -130,7 +130,7 @@ def invert(func: DistortionFunction, target) -> Point:
             alpha = 1.0
             while True:
                 q_try = q - alpha * step
-                table_try = _power_tables(q_try, plan.steps)
+                table_try = _power_tables(q_try, steps)
                 r_try = q_try + _value(plan, q_try, *table_try) - t
                 rnorm_try = abs(r_try)
                 if rnorm_try < rnorm:
