@@ -49,7 +49,6 @@ from .families import (
     DistortionFunction,
     ModelSpace,
     coefficient_keys,
-    coefficient_matrix,
     named_space,
     rri,
     space_sum,
@@ -357,15 +356,14 @@ class LinearFamily:
         self.space = space
         self.label = space.label
         self.n_params = space.dimension
-        self.keys = coefficient_keys(space.basis)
-        self._basis = coefficient_matrix(space.basis, self.keys).view(complex)
+        self.keys = space.keys
 
     def build(self, coeffs) -> DistortionFunction:
         return self.space.member(coeffs)
 
     def coefficients(self, coeffs) -> np.ndarray:
         """The model's derivative in each weight over ``keys``: the basis coefficients."""
-        return self._basis
+        return self.space.matrix
 
     def canonical(self, coeffs) -> np.ndarray:
         """Basis weights are unique, so every coefficient vector is canonical."""
@@ -382,12 +380,9 @@ _SYMMETRIC_BASE = ModelSpace(
 )
 # The base by winding m = k - l - 1: _BASE_SPLIT[i, j, q] is the coefficient of
 # monomial q in base function j if q winds _BASE_WINDINGS[i] times (7 windings).
-_BASE_KEYS = coefficient_keys(_SYMMETRIC_BASE.basis)
-_BASE_WINDINGS = np.array(sorted({k - l - 1 for k, l in _BASE_KEYS}))
-_BASE_SPLIT = np.array(
-    [[[f.poly.terms.get((k, l), 0j) * (k - l - 1 == m) for k, l in _BASE_KEYS]
-      for f in _SYMMETRIC_BASE.basis] for m in _BASE_WINDINGS]
-)
+_KEY_WINDINGS = np.array([k - l - 1 for k, l in _SYMMETRIC_BASE.keys])
+_BASE_WINDINGS = np.array(sorted(set(_KEY_WINDINGS.tolist())))
+_BASE_SPLIT = _SYMMETRIC_BASE.matrix * (_BASE_WINDINGS[:, None, None] == _KEY_WINDINGS)
 
 
 class SharedAxisFamily:
@@ -423,7 +418,7 @@ class SharedAxisFamily:
     # Declared classification (the family is not a vector space).
     rri = False
     rsf = True
-    keys = _BASE_KEYS
+    keys = _SYMMETRIC_BASE.keys
 
     def build(self, coeffs) -> DistortionFunction:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
@@ -762,11 +757,13 @@ def compare(
     families = [_as_family(entry) for entry in families]
     _check_geometry(scene, obs)
     bases = [f.space.basis for f in families if f.linear and not (options and options.refine_poses)]
-    design = _FrozenDesign(scene, obs, coefficient_keys(f for b in bases for f in b)) if bases else None
+    column = {key: j for j, key in enumerate(coefficient_keys(f for b in bases for f in b))}
+    design = _FrozenDesign(scene, obs, tuple(column)) if bases else None
     rows = []
     for family in families:
         if family.linear and design is not None:
-            basis = coefficient_matrix(family.space.basis, design.keys).view(complex)
+            basis = np.zeros((family.n_params, len(design.keys)), dtype=complex)
+            basis[:, [column[key] for key in family.keys]] = family.coefficients(None)
             rms, converged = _rms(design.solve(basis)[1]), True
         else:
             report = fit(scene, obs, family, options)

@@ -23,7 +23,7 @@ space, so they return functions, not spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -287,13 +287,10 @@ def coefficient_matrix(
     """Stack real coefficient vectors (Re, Im per monomial), one row per function."""
     if keys is None:
         keys = coefficient_keys(funcs)
-    rows = np.zeros((len(funcs), max(2 * len(keys), 1)))
-    for i, f in enumerate(funcs):
-        for j, key in enumerate(keys):
-            c = f.poly.terms.get(key, 0j)
-            rows[i, 2 * j] = c.real
-            rows[i, 2 * j + 1] = c.imag
-    return rows
+    if not keys:
+        return np.zeros((len(funcs), 1))
+    rows = [[f.poly.terms.get(key, 0j) for key in keys] for f in funcs]
+    return np.array(rows, dtype=complex).reshape(len(funcs), len(keys)).view(float)
 
 
 def _independent(matrix: np.ndarray) -> bool:
@@ -308,10 +305,17 @@ def _independent(matrix: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Real span of an ordered, linearly independent basis of displacements."""
+    """Real span of an ordered, linearly independent basis of displacements.
+
+    ``keys`` is the sorted union of the basis monomials (``coefficient_keys``)
+    and ``matrix`` the read-only complex (dimension, len(keys)) coefficient
+    array over them, one row per basis function, both built once.
+    """
 
     basis: tuple[DistortionFunction, ...]
     label: str
+    keys: tuple[MonomialKey, ...] = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -320,8 +324,13 @@ class ModelSpace:
             raise ValueError("a model space needs at least one basis function")
         if any(f.is_zero() for f in basis):
             raise ValueError("the zero function cannot be a basis element")
-        if not _independent(coefficient_matrix(basis)):
+        keys = coefficient_keys(basis)
+        rows = coefficient_matrix(basis, keys)
+        if not _independent(rows):
             raise ValueError(f"basis of {self.label!r} is linearly dependent")
+        rows.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "matrix", rows.view(complex))
 
     @property
     def dimension(self) -> int:
@@ -389,9 +398,14 @@ def space_sum(a: ModelSpace, b: ModelSpace, label: str | None = None) -> ModelSp
     basis of ``a`` survives unchanged.
     """
     candidates = a.basis + b.basis
-    rows = coefficient_matrix(candidates, coefficient_keys(candidates))
+    keys = coefficient_keys(candidates)
+    column = {key: j for j, key in enumerate(keys)}
+    stacked = np.zeros((len(candidates), len(keys)), dtype=complex)
+    stacked[: a.dimension, [column[key] for key in a.keys]] = a.matrix
+    stacked[a.dimension :, [column[key] for key in b.keys]] = b.matrix
+    rows = stacked.view(float)
     kept: list[int] = []
-    for i, f in enumerate(candidates):
+    for i in range(len(candidates)):
         if _independent(rows[kept + [i]]):
             kept.append(i)
     basis = tuple(candidates[i] for i in kept)

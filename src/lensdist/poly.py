@@ -269,10 +269,6 @@ class ComplexPoly:
         """Winding numbers of all stored monomials."""
         return {k - l - 1 for k, l in self.terms}
 
-    def winding_part(self, m: int) -> "ComplexPoly":
-        """Sub-polynomial made of the monomials with winding number m."""
-        return ComplexPoly({kl: c for kl, c in self.terms.items() if kl[0] - kl[1] - 1 == m})
-
     @cached_property
     def _steps(self) -> tuple:
         # The power ladder up to the largest exponent, for scalars and arrays.
@@ -335,10 +331,6 @@ class ComplexPoly:
         pw = {i: z**i for i in {i for i, _, _ in reads}}
         pc = {j: zc**j for j in {j for _, j, _ in reads}}
         return _derivatives(plan, z, pw, pc)
-
-    def generator(self) -> "ComplexPoly":
-        """Derivative of rotated(theta) at theta = 0: gamma_kl times i (k - l - 1)."""
-        return ComplexPoly({(k, l): 1j * (k - l - 1) * c for (k, l), c in self.terms.items()})
 
     def rotated(self, theta: float) -> "ComplexPoly":
         """Coefficients after a coordinate rotation by theta (radians).

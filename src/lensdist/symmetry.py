@@ -11,8 +11,8 @@ Checks provided here, all working directly on complex coefficients:
   Im[gamma^m' conj(gamma')^m] = 0.  They are not sufficient: z^3 + i z zbar^2
   passes them but is not symmetric about any axis.
 * ``is_isotropic`` decides whether a linear space is closed under rotations
-  by the infinitesimal generator test: each coefficient multiplied by i m
-  must stay in the span.
+  by the infinitesimal generator test: the coefficient matrix with each
+  column multiplied by i m must stay in the row span.
 * ``classify`` aggregates the predicates for a space.  The "every member is
   reflection-symmetric" flag (rsf) holds exactly when one of two exact
   certificates does: all basis functions share one mirror axis, or the space
@@ -30,13 +30,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .families import (
-    DistortionFunction,
-    ModelSpace,
-    coefficient_keys,
-    coefficient_matrix,
-)
-from .poly import DEFAULT_TOL
+from .families import DistortionFunction, ModelSpace
+from .poly import DEFAULT_TOL, ComplexPoly
 
 __all__ = [
     "SymmetryReport",
@@ -197,23 +192,28 @@ def _span_residuals(basis_mat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.linalg.norm(basis_mat.T @ sol - vectors.T, axis=0)
 
 
-def _vectorize(polys, keys) -> np.ndarray:
-    funcs = [DistortionFunction.from_poly(p) for p in polys]
-    return coefficient_matrix(funcs, keys)
+def _unit_rows(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
+    """``space.matrix`` with each row scaled by a power of two to a largest
+    modulus in [1, 2), exactly, so the span tests read no absolute scale;
+    and the winding number k - l - 1 of each column."""
+    _, exponents = np.frexp(np.abs(space.matrix).max(axis=1))
+    unit = np.ldexp(space.matrix.view(float), 1 - exponents[:, None]).view(complex)
+    return unit, np.array([k - l - 1 for k, l in space.keys])
 
 
 def is_isotropic(space: ModelSpace) -> bool:
     """True when the real span is closed under every coordinate rotation.
 
-    The rotation derivative at angle zero, the generator G, multiplies each
-    coefficient by i m.  A span that G maps into itself is mapped into
-    itself by exp(theta G), which is the rotation by theta, so membership of
-    the generator image of every basis function decides isotropy exactly.
+    The rotation derivative at angle zero, the generator G, multiplies the
+    coefficient column of z^k zbar^l by i m, m = k - l - 1.  A span that G
+    maps into itself is mapped into itself by exp(theta G), which is the
+    rotation by theta, so membership of the generator image of every basis
+    function decides isotropy exactly.  On ``_unit_rows``, the test is
+    invariant to basis scale.
     """
-    keys = coefficient_keys(space.basis)
-    basis_mat = coefficient_matrix(space.basis, keys)
-    images = _vectorize([f.poly.generator() for f in space.basis], keys)
-    return bool(np.all(_span_residuals(basis_mat, images) <= ISOTROPY_TOL))
+    unit, windings = _unit_rows(space)
+    images = unit * (1j * windings)
+    return bool(np.all(_span_residuals(unit.view(float), images.view(float)) <= ISOTROPY_TOL))
 
 
 def structural_rsf(space: ModelSpace) -> bool:
@@ -222,49 +222,44 @@ def structural_rsf(space: ModelSpace) -> bool:
     The normal form: winding-zero coefficients real in every basis function,
     at most one |m| among the other windings, and +/-m content spanning a
     plane that the generator G maps into itself and that holds a nonzero
-    symmetric element w.  G multiplies winding +/-m coefficients by +/-i m,
-    so G^2 is -m^2 on the plane, which is therefore {r exp(phi G) w}: the
-    multiples of w rotated by phi.  A rotated symmetric function is
+    symmetric element w.  G multiplies winding +/-m coefficient columns by
+    +/-i m, so G^2 is -m^2 on the plane, which is therefore {r exp(phi G) w}:
+    the multiples of w rotated by phi.  A rotated symmetric function is
     symmetric about the rotated axis, and real winding-zero content is
-    symmetric about every axis, so every member is symmetric.
+    symmetric about every axis, so every member is symmetric.  The test reads
+    the +/-m columns of ``_unit_rows``, so it is invariant to basis scale.
     """
-    windings = set()
-    for f in space.basis:
-        for (k, l), c in f.poly.terms.items():
-            m = k - l - 1
-            if m == 0 and abs(c.imag) > ISOTROPY_TOL:
-                return False
-            if m != 0 and abs(c) > ISOTROPY_TOL:
-                windings.add(abs(m))
-    if not windings:
-        return True
-    if len(windings) > 1:
+    unit, windings = _unit_rows(space)
+    if np.any(np.abs(unit[:, windings == 0].imag) > ISOTROPY_TOL):
         return False
-    (m,) = windings
+    swirling = set(np.abs(windings[(np.abs(unit) > ISOTROPY_TOL).any(axis=0) & (windings != 0)]))
+    if len(swirling) != 1:  # all content winds 0, or two |m| turn at two rates
+        return not swirling
 
-    keys = [kl for kl in coefficient_keys(space.basis) if abs(kl[0] - kl[1] - 1) == m]
-    projections = [f.poly.winding_part(m) + f.poly.winding_part(-m) for f in space.basis]
-    proj_mat = _vectorize(projections, keys)
+    plane = np.abs(windings) == swirling.pop()
+    proj = np.ascontiguousarray(unit[:, plane])
+    proj_mat = proj.view(float)
     svals = np.linalg.svd(proj_mat, compute_uv=False)
     if int(np.sum(svals > svals[0] * 1e-9)) != 2:
         return False
-    images = _vectorize([p.generator() for p in projections], keys)
+    images = (proj * (1j * windings[plane])).view(float)
     scale = np.maximum(1.0, np.linalg.norm(images, axis=1))
     if np.any(_span_residuals(proj_mat, images) > ISOTROPY_TOL * scale):
         return False
     norms = np.linalg.norm(proj_mat, axis=1)
     idx = int(np.argmax(norms))
-    w = projections[idx] * (1.0 / norms[idx])
+    w = ComplexPoly(dict(zip(space.keys, (unit[idx] * plane / norms[idx]).tolist())))
     return reflection_symmetry(DistortionFunction.from_poly(w)).symmetric
 
 
-def _common_axis(space: ModelSpace) -> float | str | None:
-    """An axis that every basis function is mirror symmetric about, else None.
+def _common_axis(unit: np.ndarray, keys) -> float | str | None:
+    """An axis that every row of ``_unit_rows`` is mirror symmetric about, else None.
 
     The functions symmetric about one axis form a real subspace, so when the
     basis lies in it the whole span does.
     """
-    axis, residual = _best_axis([t for f in space.basis for t in f.poly.terms.items()])
+    terms = [(kl, c) for row in unit.tolist() for kl, c in zip(keys, row) if c]
+    axis, residual = _best_axis(terms)
     return axis if residual < DEFAULT_TOL else None
 
 
@@ -273,7 +268,8 @@ def classify(space: ModelSpace) -> ClassReport:
 
     rsf is true exactly when the basis has a common axis (``_common_axis``)
     or the space has the normal form of ``structural_rsf``.  ``details``
-    records both certificates.
+    records both certificates.  Every flag reads ``_unit_rows``, so none
+    depends on the scale of a basis function.
 
     The two are exhaustive.  Suppose every member of the span V is
     symmetric.  Then its winding-zero content is real; let Q be the
@@ -289,12 +285,13 @@ def classify(space: ModelSpace) -> ClassReport:
     different |m| would make the axis turn at two rates as gamma turns
     once.  That is the normal form.
     """
+    unit, windings = _unit_rows(space)
     structural = structural_rsf(space)
-    common = _common_axis(space)
+    common = _common_axis(unit, space.keys)
     return ClassReport(
         space.dimension,
         is_isotropic(space),
-        all(is_rotation_invariant(f, DEFAULT_TOL) for f in space.basis),
+        not np.any(np.abs(unit[:, windings != 0]) > DEFAULT_TOL),
         structural or common is not None,
         f"structural_normal_form={structural}; common_axis={common}",
     )

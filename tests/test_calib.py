@@ -673,7 +673,9 @@ def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
         want = _shared_axis_reference(*values)
         got = family.build(coeffs)
         assert _bits(got.poly) == _bits(want.poly), coeffs
-        derivs = [-want.poly.generator()] + [
+        # The axis column is minus the rotation generator: gamma_kl times -i (k - l - 1).
+        turn = ComplexPoly({(k, l): -1j * (k - l - 1) * c for (k, l), c in want.poly.terms.items()})
+        derivs = [turn] + [
             _shared_axis_reference(values[0], *unit).poly for unit in np.eye(9)
         ]
         # The columns follow the phase law, so they match to rounding.
@@ -1183,6 +1185,20 @@ def test_a_frozen_call_builds_one_design(noisy_setup, monkeypatch):
     assert designs(calib.compare, ["rri3", "sym_quad_cubic_rri3"], refined) == [
         calib.SharedAxisFamily.keys]
     assert designs(calib.sweep_axis_ratio, [0.0, math.pi / 2], refined) == []
+
+
+def test_compare_builds_at_most_one_polynomial_per_linear_family(monkeypatch):
+    # Fits and classification read each space's coefficient matrix; none
+    # rebuilds its basis as polynomials.
+    scene = default_scene()
+    obs = synthesize(scene)
+    families = [parse_family(name) for name in LINEAR_TABLE_FAMILIES]
+    built = []
+    init = ComplexPoly.__post_init__
+    monkeypatch.setattr(ComplexPoly, "__post_init__", lambda self: built.append(self) or init(self))
+    calib.compare(scene, obs, families)
+    assert len(families) == 10
+    assert len(built) <= len(families)
 
 
 def test_named_space_cache_is_bounded_and_immutable():

@@ -1,10 +1,12 @@
 """Model family constructors, their identities, and linear space machinery."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lensdist import calib, families
 from lensdist.families import (
@@ -26,7 +28,9 @@ from lensdist.families import (
     radial_homogeneous,
     rri,
     save_space,
+    space_from_json,
     space_sum,
+    space_to_json,
     symmetric_cubic,
     symmetric_quadratic,
     tangential_homogeneous,
@@ -351,6 +355,67 @@ def test_space_sum_keeps_the_per_candidate_decisions():
         got = space_sum(a, b).basis
         want = _space_sum_reference(a, b)
         assert len(got) == len(want) and all(f is g for f, g in zip(got, want)), (a.label, b.label)
+
+
+def _coefficient_matrix_reference(funcs, keys=None):
+    """Entry by entry into a float array: the reference for coefficient_matrix."""
+    if keys is None:
+        keys = coefficient_keys(funcs)
+    rows = np.zeros((len(funcs), max(2 * len(keys), 1)))
+    for i, f in enumerate(funcs):
+        for j, key in enumerate(keys):
+            c = f.poly.terms.get(key, 0j)
+            rows[i, 2 * j] = c.real
+            rows[i, 2 * j + 1] = c.imag
+    return rows
+
+
+_KEYS_5 = [(k, n - k) for n in range(2, 6) for k in range(n + 1)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    terms=st.lists(
+        st.dictionaries(
+            st.sampled_from(_KEYS_5),
+            st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+            max_size=4,
+        ),
+        max_size=5,
+    ),
+    extra=st.lists(st.sampled_from(_KEYS_5), max_size=3),
+    explicit=st.booleans(),
+)
+@example(terms=[], extra=[], explicit=False)
+@example(terms=[{}, {}], extra=[], explicit=True)
+@example(terms=[{(2, 0): complex(1.0, -0.0)}, {(1, 1): complex(-0.0, -2.0)}], extra=[], explicit=False)
+def test_coefficient_matrix_matches_the_entry_loop_bit_for_bit(terms, extra, explicit):
+    funcs = [DistortionFunction(ComplexPoly(t)) for t in terms]
+    # Explicit keys in another order, possibly repeated or absent from every function.
+    keys = coefficient_keys(funcs)[::-1] + tuple(extra) if explicit else None
+    got = coefficient_matrix(funcs, keys)
+    want = _coefficient_matrix_reference(funcs, keys)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_space_matrix_is_the_coefficient_matrix_of_its_basis():
+    names = list(CATALOG_NAMES) + ["rri5", "full_quad_cubic"]
+    spaces = [space_sum(named_space(a), named_space(b)) for a in names for b in names]
+    for m in (1, 2, 3):
+        plus = ComplexPoly({(m + 1, 0): 0.5 - 2j, (m + 2, 1): 1e-3})
+        minus = ComplexPoly({(1, m): -1.25 + 0.0j})
+        spaces += [irreducible_space(IrreducibleSpec(m, plus, minus)),
+                   irreducible_space(IrreducibleSpec(m, plus, ComplexPoly({})))]
+    spaces += [space.relabeled("relabeled") for space in spaces[::7]]
+    spaces += [space_from_json(json.loads(json.dumps(space_to_json(s)))) for s in spaces[::5]]
+    for space in spaces:
+        assert space.keys == coefficient_keys(space.basis)
+        want = coefficient_matrix(space.basis, space.keys)
+        assert space.matrix.dtype == complex
+        assert space.matrix.shape == (space.dimension, len(space.keys))
+        assert np.array_equal(space.matrix.view(float).view(np.uint64), want.view(np.uint64))
+        assert not space.matrix.flags.writeable
 
 
 def test_named_space_catalog():

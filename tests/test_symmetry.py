@@ -1,13 +1,15 @@
 """Reflection symmetry, isotropy, classification, and the pointwise split."""
 
+import cmath
 import math
 from functools import reduce
 from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, reject, settings, strategies as st
 
+from lensdist import calib
 from lensdist.families import (
     CATALOG_NAMES,
     DistortionFunction,
@@ -28,8 +30,12 @@ from lensdist.families import (
     tangential_homogeneous,
     thin_prism,
 )
-from lensdist.poly import ComplexPoly
+from lensdist.poly import DEFAULT_TOL, ComplexPoly
 from lensdist.symmetry import (
+    ISOTROPY_TOL,
+    ClassReport,
+    _best_axis,
+    _span_residuals,
     classify,
     in_radial_tangential_span,
     is_isotropic,
@@ -503,6 +509,145 @@ def test_rsf_matches_sampled_oracle(space):
 @example(space=ModelSpace(COMMON_AXIS_SPANS["sym_quad+sym_cubic"], "sym_quad+sym_cubic"))
 def test_isotropy_matches_finite_angle_oracle(space):
     assert is_isotropic(space) == _probed_isotropic(space)
+
+
+# -- the per-basis classification: the reference for the matrix path -----------------
+
+
+def _generator(poly):
+    """Derivative of poly.rotated(theta) at theta = 0: gamma_kl times i (k - l - 1)."""
+    return ComplexPoly({(k, l): 1j * (k - l - 1) * c for (k, l), c in poly.terms.items()})
+
+
+def _winding_part(poly, m):
+    return ComplexPoly({kl: c for kl, c in poly.terms.items() if kl[0] - kl[1] - 1 == m})
+
+
+def _vectorize(polys, keys):
+    return coefficient_matrix([DistortionFunction(p) for p in polys], keys)
+
+
+def _reference_isotropic(space):
+    keys = coefficient_keys(space.basis)
+    basis_mat = coefficient_matrix(space.basis, keys)
+    images = _vectorize([_generator(f.poly) for f in space.basis], keys)
+    return bool(np.all(_span_residuals(basis_mat, images) <= ISOTROPY_TOL))
+
+
+def _reference_structural_rsf(space):
+    windings = set()
+    for f in space.basis:
+        for (k, l), c in f.poly.terms.items():
+            m = k - l - 1
+            if m == 0 and abs(c.imag) > ISOTROPY_TOL:
+                return False
+            if m != 0 and abs(c) > ISOTROPY_TOL:
+                windings.add(abs(m))
+    if not windings:
+        return True
+    if len(windings) > 1:
+        return False
+    (m,) = windings
+    keys = [kl for kl in coefficient_keys(space.basis) if abs(kl[0] - kl[1] - 1) == m]
+    projections = [_winding_part(f.poly, m) + _winding_part(f.poly, -m) for f in space.basis]
+    proj_mat = _vectorize(projections, keys)
+    svals = np.linalg.svd(proj_mat, compute_uv=False)
+    if int(np.sum(svals > svals[0] * 1e-9)) != 2:
+        return False
+    images = _vectorize([_generator(p) for p in projections], keys)
+    scale = np.maximum(1.0, np.linalg.norm(images, axis=1))
+    if np.any(_span_residuals(proj_mat, images) > ISOTROPY_TOL * scale):
+        return False
+    norms = np.linalg.norm(proj_mat, axis=1)
+    idx = int(np.argmax(norms))
+    w = projections[idx] * (1.0 / norms[idx])
+    return reflection_symmetry(DistortionFunction(w)).symmetric
+
+
+def _reference_classify(space):
+    structural = _reference_structural_rsf(space)
+    axis, residual = _best_axis([t for f in space.basis for t in f.poly.terms.items()])
+    common = axis if residual < DEFAULT_TOL else None
+    return ClassReport(
+        space.dimension,
+        _reference_isotropic(space),
+        all(is_rotation_invariant(f, DEFAULT_TOL) for f in space.basis),
+        structural or common is not None,
+        f"structural_normal_form={structural}; common_axis={common}",
+    )
+
+
+def _flags(report):
+    """The flags of a ClassReport: the axis itself is left out, only whether there is one."""
+    return (
+        report.isotropic,
+        report.rotation_invariant,
+        report.rsf,
+        report.details.split(";")[0],
+        report.details.endswith("common_axis=None"),
+    )
+
+
+def _unit_scaled(space):
+    """The basis with each function times the power of two that brings its
+    largest coefficient modulus into [1, 2), as the matrix path reads it."""
+    exponents = (math.frexp(max(map(abs, f.poly.terms.values())))[1] for f in space.basis)
+    return ModelSpace(tuple(f * math.ldexp(1.0, 1 - e) for f, e in zip(space.basis, exponents)),
+                      space.label)
+
+
+@st.composite
+def sparse_spaces(draw):
+    """Spans of one to four functions, each one to three monomials of degree <= 7
+    from a shared pool, with phases j pi / 4 and moduli 10^u, u in [-3, 3]."""
+    pool = st.sampled_from(draw(st.lists(st.sampled_from(_keys_up_to(7)), min_size=1,
+                                         max_size=4, unique=True)))
+    coefficient = st.builds(lambda j, u: cmath.rect(10.0**u, j * math.pi / 4),
+                            st.integers(0, 7), st.floats(-3.0, 3.0))
+    bases = st.lists(st.dictionaries(pool, coefficient, min_size=1, max_size=3),
+                     min_size=1, max_size=4)
+    return _span([func(terms) for terms in draw(bases)])
+
+
+@ORACLE_SETTINGS
+@given(space=st.one_of(sparse_spaces(), drawn_spaces()))
+def test_matrix_classification_matches_the_per_basis_reference(space):
+    # The reference's absolute tolerances hold for unit-scale functions only.
+    unit = _unit_scaled(space)
+    assert is_isotropic(space) == _reference_isotropic(unit)
+    assert structural_rsf(space) == _reference_structural_rsf(unit)
+    assert _flags(classify(space)) == _flags(_reference_classify(unit))
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted({*CATALOG_NAMES, *(n for n in calib.TABLE_FAMILIES if calib.parse_family(n).linear)}),
+)
+def test_named_spaces_classify_as_the_per_basis_reference(name):
+    space = calib.parse_family(name).space
+    assert classify(space) == _reference_classify(space)
+
+
+@pytest.mark.parametrize("scale", [1.0, -1.0, 1e-6, 1e-9, 1e-10, 2.0**-40, 2.0**20, 1e6])
+def test_span_of_z2_classifies_alike_at_every_scale(scale):
+    report = classify(ModelSpace((func({(2, 0): scale}),), "span_z2"))
+    assert (report.isotropic, report.rotation_invariant, report.rsf) == (False, False, True)
+    assert report.details.startswith("structural_normal_form=False;")
+
+
+@ORACLE_SETTINGS
+@given(space=st.one_of(sparse_spaces(), drawn_spaces()), data=st.data())
+def test_classify_flags_do_not_depend_on_basis_scale(space, data):
+    # Each function times +/-2^k, k in [-40, 20], the k within 12 of each other:
+    # ModelSpace's relative singular-value test rejects wider spreads as dependent.
+    common = data.draw(st.integers(-34, 14))
+    scale = st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(common - 6, common + 6))
+    scales = data.draw(st.lists(scale, min_size=space.dimension, max_size=space.dimension))
+    try:
+        scaled = ModelSpace(tuple(f * s for f, s in zip(space.basis, scales)), space.label)
+    except ValueError:
+        reject()
+    assert _flags(classify(scaled)) == _flags(classify(space))
 
 
 # -- radial / tangential decomposition ------------------------------------------------
