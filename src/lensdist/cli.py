@@ -10,6 +10,8 @@ Subcommands:
 * sweep   - rms versus the radial/tangential blend angle phi
 * sphere  - sphere embedding of the quadratic irreducible-model parameters
 
+Each call builds only the parser of the subcommand it runs; help and usage
+texts are those of the parser with every subcommand.
 All outputs are deterministic for fixed inputs and seeds (no timestamps).
 Exit codes: 0 success, 2 input error, 3 output I/O error, 4 numerical
 failure (fit non-convergence under ``fit --strict`` or ``bench --strict``).
@@ -276,7 +278,20 @@ def _cmd_sphere(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    "render": ("render a distortion field as SVG", _cmd_render),
+    "verify": ("verify symmetry / classify a space", _cmd_verify),
+    "convert": ("convert between coefficient forms", _cmd_convert),
+    "fit": ("fit one family to a synthetic scene", _cmd_fit),
+    "bench": ("compare families on a synthetic scene", _cmd_bench),
+    "sweep": ("rms versus blend angle phi", _cmd_sweep),
+    "sphere": ("parameter-sphere embedding CSV", _cmd_sphere),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser alone, or with every subcommand
+    bare (no arguments, no -h) for the top-level help and errors."""
     parser = argparse.ArgumentParser(
         prog="lensdist",
         description="Polynomial lens distortion models: rendering, verification, conversion, synthetic calibration.",
@@ -288,68 +303,64 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_render = sub.add_parser("render", help="render a distortion field as SVG")
-    p_render.add_argument("--model", required=True, help="model JSON file")
-    p_render.add_argument("--shape", choices=("circle", "grid"), default="circle")
-    p_render.add_argument("--out", required=True, help="output SVG path")
-    p_render.add_argument("--radius", type=float, default=1.0, help="circle radius")
-    p_render.add_argument("--extent", type=float, default=1.0, help="grid half extent")
-    p_render.add_argument(
-        "--count", type=int, default=None, help="circle point count / grid side count"
-    )
-    p_render.set_defaults(handler=_cmd_render)
-
-    p_verify = sub.add_parser("verify", help="verify symmetry / classify a space")
-    group = p_verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("--model", help="model JSON file")
-    group.add_argument("--space", help="space JSON file")
-    p_verify.add_argument("--json", action="store_true", help="emit JSON")
-    p_verify.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_convert = sub.add_parser("convert", help="convert between coefficient forms")
-    p_convert.add_argument("--in", required=True, help="input model JSON")
-    p_convert.add_argument("--to", required=True, choices=("real", "complex"))
-    p_convert.add_argument("--out", required=True, help="output model JSON")
-    p_convert.set_defaults(handler=_cmd_convert)
-
-    def add_fit_args(p):
+    if command is None:
+        for name, (text, _) in _COMMANDS.items():
+            sub.add_parser(name, help=text, add_help=False)
+        return parser
+    # Usage lines list every subcommand, as when all are registered.  The bare
+    # parser leaves metavar unset: it would rename "argument command:" errors.
+    sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    text, handler = _COMMANDS[command]
+    p = sub.add_parser(command, help=text)
+    p.set_defaults(handler=handler)
+    if command == "render":
+        p.add_argument("--model", required=True, help="model JSON file")
+        p.add_argument("--shape", choices=("circle", "grid"), default="circle")
+        p.add_argument("--out", required=True, help="output SVG path")
+        p.add_argument("--radius", type=float, default=1.0, help="circle radius")
+        p.add_argument("--extent", type=float, default=1.0, help="grid half extent")
+        p.add_argument(
+            "--count", type=int, default=None, help="circle point count / grid side count"
+        )
+    elif command == "verify":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--model", help="model JSON file")
+        group.add_argument("--space", help="space JSON file")
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
+    elif command == "convert":
+        p.add_argument("--in", required=True, help="input model JSON")
+        p.add_argument("--to", required=True, choices=("real", "complex"))
+        p.add_argument("--out", required=True, help="output model JSON")
+    elif command == "sphere":
+        p.add_argument("--samples", type=int, required=True)
+        p.add_argument("--out", required=True, help="output CSV path")
+    else:  # fit, bench and sweep run on a scene
         p.add_argument("--scene", required=True, help="scene JSON file")
         p.add_argument("--seed", type=int, default=None, help="override the scene seed")
         p.add_argument("--refine-poses", action="store_true", dest="refine_poses")
-
-    p_fit = sub.add_parser("fit", help="fit one family to a synthetic scene")
-    add_fit_args(p_fit)
-    p_fit.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
-    p_fit.add_argument("--family", required=True)
-    p_fit.add_argument("--out", default=None, help="report JSON path (default stdout)")
-    p_fit.set_defaults(handler=_cmd_fit)
-
-    p_bench = sub.add_parser("bench", help="compare families on a synthetic scene")
-    add_fit_args(p_bench)
-    p_bench.add_argument("--strict", action="store_true", help="exit 4 if any fit does not converge")
-    p_bench.add_argument("--families", required=True, help="comma separated family names")
-    p_bench.add_argument("--out", default=None, help="report JSON path")
-    p_bench.set_defaults(handler=_cmd_bench)
-
-    p_sweep = sub.add_parser("sweep", help="rms versus blend angle phi")
-    add_fit_args(p_sweep)
-    p_sweep.add_argument("--steps", type=int, required=True, help="phi grid size on [0, pi)")
-    p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_sphere = sub.add_parser("sphere", help="parameter-sphere embedding CSV")
-    p_sphere.add_argument("--samples", type=int, required=True)
-    p_sphere.add_argument("--out", required=True, help="output CSV path")
-    p_sphere.set_defaults(handler=_cmd_sphere)
-
+        if command == "fit":
+            p.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
+            p.add_argument("--family", required=True)
+            p.add_argument("--out", default=None, help="report JSON path (default stdout)")
+        elif command == "bench":
+            p.add_argument("--strict", action="store_true", help="exit 4 if any fit does not converge")
+            p.add_argument("--families", required=True, help="comma separated family names")
+            p.add_argument("--out", default=None, help="report JSON path")
+        else:
+            p.add_argument("--steps", type=int, required=True, help="phi grid size on [0, pi)")
+            p.add_argument("--out", required=True, help="output CSV path")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is None:
+        # Help and usage errors exit here; a list whose subcommand is not
+        # first (it follows an unknown option, say) returns that subcommand.
+        command = _build_parser().parse_known_args(argv)[0].command
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except _InputError as err:

@@ -91,7 +91,7 @@ def _axis_mod_pi(theta: float) -> float:
     t = math.fmod(theta, math.pi)
     if t < 0.0:
         t += math.pi
-    if t >= math.pi:
+    if t >= math.pi or t == 0.0:  # also -0.0, which fmod gives for -pi
         t = 0.0
     return t
 

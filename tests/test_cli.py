@@ -1,14 +1,20 @@
 """End-to-end CLI tests: outputs, determinism, exit codes."""
 
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lensdist
 from lensdist import calib
 from lensdist.cli import main
 from lensdist.families import decentering, rri
-from lensdist.poly import load_model, save_model
+from lensdist.poly import ComplexPoly, load_model, save_model
 
 
 REFINED = calib.FitOptions(refine_poses=True)
@@ -441,3 +447,158 @@ def test_sphere_deterministic(tmp_path):
     assert main(["sphere", "--samples", "6", "--out", str(out1)]) == 0
     assert main(["sphere", "--samples", "6", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_model_axis_of_minus_z2_prints_zero(tmp_path, capsys):
+    path = tmp_path / "neg_z2.json"
+    save_model(path, ComplexPoly({(2, 0): -1}))
+    assert main(["verify", "--model", str(path)]) == 0
+    assert "axis:        0.0\n" in capsys.readouterr().out
+
+
+# -- parser ----------------------------------------------------------------------
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The whole parser, every subcommand with all its arguments, and stub
+    handlers: the reference for help and usage bytes."""
+
+    def stub(args):
+        raise AssertionError("the reference parser runs no command")
+
+    parser = argparse.ArgumentParser(
+        prog="lensdist",
+        description="Polynomial lens distortion models: rendering, verification, conversion, synthetic calibration.",
+        epilog=(
+            "Model spaces are named by the catalog (rri3, decentering, thin_prism, "
+            "radial_quad, tangential_quad, conj_quad, weng, matlab, opencv_prism4), "
+            "by rriN (N <= 7), full_quad, full_cubic, full_quad_cubic, by '+' sums of those, "
+            "or by the nonlinear family sym_quad_cubic_rri3."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_render = sub.add_parser("render", help="render a distortion field as SVG")
+    p_render.add_argument("--model", required=True, help="model JSON file")
+    p_render.add_argument("--shape", choices=("circle", "grid"), default="circle")
+    p_render.add_argument("--out", required=True, help="output SVG path")
+    p_render.add_argument("--radius", type=float, default=1.0, help="circle radius")
+    p_render.add_argument("--extent", type=float, default=1.0, help="grid half extent")
+    p_render.add_argument(
+        "--count", type=int, default=None, help="circle point count / grid side count"
+    )
+    p_render.set_defaults(handler=stub)
+
+    p_verify = sub.add_parser("verify", help="verify symmetry / classify a space")
+    group = p_verify.add_mutually_exclusive_group(required=True)
+    group.add_argument("--model", help="model JSON file")
+    group.add_argument("--space", help="space JSON file")
+    p_verify.add_argument("--json", action="store_true", help="emit JSON")
+    p_verify.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
+    p_verify.set_defaults(handler=stub)
+
+    p_convert = sub.add_parser("convert", help="convert between coefficient forms")
+    p_convert.add_argument("--in", required=True, help="input model JSON")
+    p_convert.add_argument("--to", required=True, choices=("real", "complex"))
+    p_convert.add_argument("--out", required=True, help="output model JSON")
+    p_convert.set_defaults(handler=stub)
+
+    def add_fit_args(p):
+        p.add_argument("--scene", required=True, help="scene JSON file")
+        p.add_argument("--seed", type=int, default=None, help="override the scene seed")
+        p.add_argument("--refine-poses", action="store_true", dest="refine_poses")
+
+    p_fit = sub.add_parser("fit", help="fit one family to a synthetic scene")
+    add_fit_args(p_fit)
+    p_fit.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
+    p_fit.add_argument("--family", required=True)
+    p_fit.add_argument("--out", default=None, help="report JSON path (default stdout)")
+    p_fit.set_defaults(handler=stub)
+
+    p_bench = sub.add_parser("bench", help="compare families on a synthetic scene")
+    add_fit_args(p_bench)
+    p_bench.add_argument("--strict", action="store_true", help="exit 4 if any fit does not converge")
+    p_bench.add_argument("--families", required=True, help="comma separated family names")
+    p_bench.add_argument("--out", default=None, help="report JSON path")
+    p_bench.set_defaults(handler=stub)
+
+    p_sweep = sub.add_parser("sweep", help="rms versus blend angle phi")
+    add_fit_args(p_sweep)
+    p_sweep.add_argument("--steps", type=int, required=True, help="phi grid size on [0, pi)")
+    p_sweep.add_argument("--out", required=True, help="output CSV path")
+    p_sweep.set_defaults(handler=stub)
+
+    p_sphere = sub.add_parser("sphere", help="parameter-sphere embedding CSV")
+    p_sphere.add_argument("--samples", type=int, required=True)
+    p_sphere.add_argument("--out", required=True, help="output CSV path")
+    p_sphere.set_defaults(handler=stub)
+
+    return parser
+
+
+# Arguments each subcommand accepts; no file is read before they are rejected.
+_VALID_ARGS = {
+    "render": ["--model", "m.json", "--out", "o.svg"],
+    "verify": ["--model", "m.json"],
+    "convert": ["--in", "m.json", "--to", "real", "--out", "o.json"],
+    "fit": ["--scene", "s.json", "--family", "rri3"],
+    "bench": ["--scene", "s.json", "--families", "rri3"],
+    "sweep": ["--scene", "s.json", "--steps", "3", "--out", "o.csv"],
+    "sphere": ["--samples", "2", "--out", "o.csv"],
+}
+_HELP_AND_USAGE_ARGVS = [
+    [], ["-h"], ["-h", "bench"], ["bogus"], ["--bogus"], ["--", "sphere"],
+    ["sweep", "--strict"], ["verify", "--model", "a", "--space", "b"],
+] + [
+    argv
+    for cmd, valid in _VALID_ARGS.items()
+    for argv in (
+        [cmd, "-h"], [cmd], [cmd, "--bogus"], [cmd, "--out"], [cmd, *valid, "extra"],
+        # The subcommand is not first: parsed as if every subcommand were built.
+        ["--bogus", cmd], ["--bogus", cmd, "-h"], ["--bogus", cmd, *valid],
+    )
+]
+
+
+def _outcome(run, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_bytes_match_the_full_parser(argv, monkeypatch, capsys):
+    # stdout, stderr and exit code; the width moves the line breaks of usage.
+    for columns in ("60", "80", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = _outcome(_reference_parser().parse_args, argv, capsys)
+        assert _outcome(main, argv, capsys) == expected
+
+
+def test_main_builds_only_the_running_commands_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["sphere", "--samples", "2", "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(built) == 2  # the top level and sphere
+
+
+def test_entry_points_write_the_same_csv(tmp_path, monkeypatch):
+    def argv(name):
+        return ["sphere", "--samples", "4", "--out", str(tmp_path / name)]
+
+    assert main(argv("direct.csv")) == 0
+    monkeypatch.setattr(sys, "argv", ["lensdist", *argv("sys_argv.csv")])
+    assert main() == 0
+    src = str(Path(lensdist.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "lensdist", *argv("module.csv")], env=env, check=True)
+    expected = (tmp_path / "direct.csv").read_bytes()
+    assert (tmp_path / "sys_argv.csv").read_bytes() == expected
+    assert (tmp_path / "module.csv").read_bytes() == expected

@@ -34,6 +34,7 @@ from lensdist.poly import DEFAULT_TOL, ComplexPoly
 from lensdist.symmetry import (
     ISOTROPY_TOL,
     ClassReport,
+    _axis_mod_pi,
     _best_axis,
     _span_residuals,
     classify,
@@ -177,6 +178,20 @@ def test_axis_reported_in_principal_range():
         assert report.symmetric
         assert 0.0 <= report.axis < math.pi
         assert axis_distance(report.axis, theta) < 1e-8
+
+
+@pytest.mark.parametrize("theta", [-2 * math.pi, -math.pi, -0.0, 0.0, math.pi])
+def test_axis_of_a_multiple_of_pi_is_positive_zero(theta):
+    axis = _axis_mod_pi(theta)
+    assert axis == 0.0 and math.copysign(1.0, axis) == 1.0
+
+
+def test_axis_of_minus_z2_is_positive_zero():
+    # The candidate axis is -phase(-1) / 1 = -pi.
+    func = DistortionFunction(ComplexPoly({(2, 0): -1}))
+    assert math.copysign(1.0, reflection_symmetry(func).axis) == 1.0
+    details = classify(ModelSpace((func,), "neg_z2")).details
+    assert details == "structural_normal_form=False; common_axis=0.0"
 
 
 # -- pairwise conditions ---------------------------------------------------------
