@@ -67,7 +67,8 @@ __all__ = [
     "save_space",
 ]
 
-# Relative singular-value threshold for "linearly independent".
+# A basis is independent when the smallest over the largest singular value of
+# its power-of-two-scaled rows (``ModelSpace.unit``) exceeds this.
 INDEPENDENCE_RTOL = 1e-9
 
 SPACE_FORMAT = "lensdist-space"
@@ -293,14 +294,13 @@ def coefficient_matrix(
     return np.array(rows, dtype=complex).reshape(len(funcs), len(keys)).view(float)
 
 
-def _independent(matrix: np.ndarray) -> bool:
-    rows = matrix.shape[0]
-    if rows == 0:
-        return True
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size < rows or s[0] == 0.0:
-        return False
-    return s[rows - 1] / s[0] > INDEPENDENCE_RTOL
+def _row_span(rows: np.ndarray) -> np.ndarray | None:
+    """Orthonormal real rows spanning ``rows`` (its right singular vectors),
+    or None when ``rows`` are linearly dependent."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    if s.size < len(rows) or s[-1] / s[0] <= INDEPENDENCE_RTOL:
+        return None
+    return vt
 
 
 @dataclass(frozen=True)
@@ -308,14 +308,20 @@ class ModelSpace:
     """Real span of an ordered, linearly independent basis of displacements.
 
     ``keys`` is the sorted union of the basis monomials (``coefficient_keys``)
-    and ``matrix`` the read-only complex (dimension, len(keys)) coefficient
-    array over them, one row per basis function, both built once.
+    and ``matrix`` the complex (dimension, len(keys)) coefficient array over
+    them, one row per basis function.  ``unit`` is ``matrix`` with each row
+    scaled exactly by a power of two to a largest modulus in [1, 2), so
+    nothing read from it depends on basis scale, and ``span`` holds the
+    orthonormal right singular vectors of its real rows.  All are built
+    once; the arrays are read-only.
     """
 
     basis: tuple[DistortionFunction, ...]
     label: str
     keys: tuple[MonomialKey, ...] = field(init=False, repr=False, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    unit: np.ndarray = field(init=False, repr=False, compare=False)
+    span: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -326,11 +332,17 @@ class ModelSpace:
             raise ValueError("the zero function cannot be a basis element")
         keys = coefficient_keys(basis)
         rows = coefficient_matrix(basis, keys)
-        if not _independent(rows):
+        _, exponents = np.frexp(np.abs(rows.view(complex)).max(axis=1))
+        unit = np.ldexp(rows, 1 - exponents[:, None])
+        span = _row_span(unit)
+        if span is None:
             raise ValueError(f"basis of {self.label!r} is linearly dependent")
-        rows.flags.writeable = False
+        for array in (rows, unit, span):
+            array.flags.writeable = False
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "matrix", rows.view(complex))
+        object.__setattr__(self, "unit", unit.view(complex))
+        object.__setattr__(self, "span", span)
 
     @property
     def dimension(self) -> int:
@@ -394,19 +406,19 @@ def irreducible_space(spec: IrreducibleSpec, label: str | None = None) -> ModelS
 def space_sum(a: ModelSpace, b: ModelSpace, label: str | None = None) -> ModelSpace:
     """Span of the union, reduced to a maximal independent subset.
 
-    Earlier basis vectors win ties, so the result is deterministic and the
-    basis of ``a`` survives unchanged.
+    The basis of ``a`` survives unchanged; each function of ``b`` is kept, in
+    order, when its ``unit`` row is independent of the rows kept before it.
     """
     candidates = a.basis + b.basis
     keys = coefficient_keys(candidates)
     column = {key: j for j, key in enumerate(keys)}
     stacked = np.zeros((len(candidates), len(keys)), dtype=complex)
-    stacked[: a.dimension, [column[key] for key in a.keys]] = a.matrix
-    stacked[a.dimension :, [column[key] for key in b.keys]] = b.matrix
+    stacked[: a.dimension, [column[key] for key in a.keys]] = a.unit
+    stacked[a.dimension :, [column[key] for key in b.keys]] = b.unit
     rows = stacked.view(float)
-    kept: list[int] = []
-    for i in range(len(candidates)):
-        if _independent(rows[kept + [i]]):
+    kept = list(range(a.dimension))
+    for i in range(a.dimension, len(candidates)):
+        if _row_span(rows[kept + [i]]) is not None:
             kept.append(i)
     basis = tuple(candidates[i] for i in kept)
     return ModelSpace(basis, label if label is not None else f"{a.label}+{b.label}")

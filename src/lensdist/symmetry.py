@@ -186,19 +186,14 @@ def is_rotation_invariant(func: DistortionFunction, tol: float = DEFAULT_TOL) ->
     )
 
 
-def _span_residuals(basis_mat: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Distance of each row of ``vectors`` from the row span of ``basis_mat``."""
-    sol, *_ = np.linalg.lstsq(basis_mat.T, vectors.T, rcond=None)
-    return np.linalg.norm(basis_mat.T @ sol - vectors.T, axis=0)
+def _windings(space: ModelSpace) -> np.ndarray:
+    """The winding number k - l - 1 of each column of ``space.unit``."""
+    return np.array([k - l - 1 for k, l in space.keys])
 
 
-def _unit_rows(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
-    """``space.matrix`` with each row scaled by a power of two to a largest
-    modulus in [1, 2), exactly, so the span tests read no absolute scale;
-    and the winding number k - l - 1 of each column."""
-    _, exponents = np.frexp(np.abs(space.matrix).max(axis=1))
-    unit = np.ldexp(space.matrix.view(float), 1 - exponents[:, None]).view(complex)
-    return unit, np.array([k - l - 1 for k, l in space.keys])
+def _off_span(span: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``vectors`` from the span of the orthonormal rows ``span``."""
+    return np.linalg.norm(vectors - (vectors @ span.T) @ span, axis=1)
 
 
 def is_isotropic(space: ModelSpace) -> bool:
@@ -208,12 +203,11 @@ def is_isotropic(space: ModelSpace) -> bool:
     coefficient column of z^k zbar^l by i m, m = k - l - 1.  A span that G
     maps into itself is mapped into itself by exp(theta G), which is the
     rotation by theta, so membership of the generator image of every basis
-    function decides isotropy exactly.  On ``_unit_rows``, the test is
-    invariant to basis scale.
+    function decides isotropy exactly.  On ``space.unit``, projected onto
+    ``space.span``, the test is invariant to basis scale.
     """
-    unit, windings = _unit_rows(space)
-    images = unit * (1j * windings)
-    return bool(np.all(_span_residuals(unit.view(float), images.view(float)) <= ISOTROPY_TOL))
+    images = space.unit * (1j * _windings(space))
+    return bool(np.all(_off_span(space.span, images.view(float)) <= ISOTROPY_TOL))
 
 
 def structural_rsf(space: ModelSpace) -> bool:
@@ -227,9 +221,9 @@ def structural_rsf(space: ModelSpace) -> bool:
     the multiples of w rotated by phi.  A rotated symmetric function is
     symmetric about the rotated axis, and real winding-zero content is
     symmetric about every axis, so every member is symmetric.  The test reads
-    the +/-m columns of ``_unit_rows``, so it is invariant to basis scale.
+    the +/-m columns of ``space.unit``, so it is invariant to basis scale.
     """
-    unit, windings = _unit_rows(space)
+    unit, windings = space.unit, _windings(space)
     if np.any(np.abs(unit[:, windings == 0].imag) > ISOTROPY_TOL):
         return False
     swirling = set(np.abs(windings[(np.abs(unit) > ISOTROPY_TOL).any(axis=0) & (windings != 0)]))
@@ -239,12 +233,12 @@ def structural_rsf(space: ModelSpace) -> bool:
     plane = np.abs(windings) == swirling.pop()
     proj = np.ascontiguousarray(unit[:, plane])
     proj_mat = proj.view(float)
-    svals = np.linalg.svd(proj_mat, compute_uv=False)
+    _, svals, vt = np.linalg.svd(proj_mat, full_matrices=False)
     if int(np.sum(svals > svals[0] * 1e-9)) != 2:
         return False
     images = (proj * (1j * windings[plane])).view(float)
     scale = np.maximum(1.0, np.linalg.norm(images, axis=1))
-    if np.any(_span_residuals(proj_mat, images) > ISOTROPY_TOL * scale):
+    if np.any(_off_span(vt[:2], images) > ISOTROPY_TOL * scale):
         return False
     norms = np.linalg.norm(proj_mat, axis=1)
     idx = int(np.argmax(norms))
@@ -253,7 +247,7 @@ def structural_rsf(space: ModelSpace) -> bool:
 
 
 def _common_axis(unit: np.ndarray, keys) -> float | str | None:
-    """An axis that every row of ``_unit_rows`` is mirror symmetric about, else None.
+    """An axis that every row of ``space.unit`` is mirror symmetric about, else None.
 
     The functions symmetric about one axis form a real subspace, so when the
     basis lies in it the whole span does.
@@ -268,7 +262,7 @@ def classify(space: ModelSpace) -> ClassReport:
 
     rsf is true exactly when the basis has a common axis (``_common_axis``)
     or the space has the normal form of ``structural_rsf``.  ``details``
-    records both certificates.  Every flag reads ``_unit_rows``, so none
+    records both certificates.  Every flag reads ``space.unit``, so none
     depends on the scale of a basis function.
 
     The two are exhaustive.  Suppose every member of the span V is
@@ -285,13 +279,12 @@ def classify(space: ModelSpace) -> ClassReport:
     different |m| would make the axis turn at two rates as gamma turns
     once.  That is the normal form.
     """
-    unit, windings = _unit_rows(space)
     structural = structural_rsf(space)
-    common = _common_axis(unit, space.keys)
+    common = _common_axis(space.unit, space.keys)
     return ClassReport(
         space.dimension,
         is_isotropic(space),
-        not np.any(np.abs(unit[:, windings != 0]) > DEFAULT_TOL),
+        not np.any(np.abs(space.unit[:, _windings(space) != 0]) > DEFAULT_TOL),
         structural or common is not None,
         f"structural_normal_form={structural}; common_axis={common}",
     )

@@ -11,10 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from lensdist import calib, families
 from lensdist.families import (
     CATALOG_NAMES,
+    INDEPENDENCE_RTOL,
     DistortionFunction,
     IrreducibleSpec,
     ModelSpace,
-    _independent,
     coefficient_keys,
     coefficient_matrix,
     conjugate_quadratic,
@@ -332,6 +332,17 @@ def test_space_sum_dimensions():
     assert np.linalg.matrix_rank(combined, tol=1e-9) == 4
 
 
+def _independent(matrix):
+    """The raw-row independence test: the reference for space_sum's decisions."""
+    rows = matrix.shape[0]
+    if rows == 0:
+        return True
+    s = np.linalg.svd(matrix, compute_uv=False)
+    if s.size < rows or s[0] == 0.0:
+        return False
+    return s[rows - 1] / s[0] > INDEPENDENCE_RTOL
+
+
 def _space_sum_reference(a, b):
     """One coefficient matrix per candidate, over the kept set so far."""
     candidates = list(a.basis) + list(b.basis)
@@ -341,6 +352,12 @@ def _space_sum_reference(a, b):
         if _independent(coefficient_matrix(kept + [f], keys)):
             kept.append(f)
     return kept
+
+
+def _scaled(space, exponents):
+    """The space with basis function j times 2**exponents[j % len(exponents)]."""
+    return ModelSpace(tuple(f * 2.0 ** exponents[j % len(exponents)]
+                            for j, f in enumerate(space.basis)), space.label)
 
 
 def test_space_sum_keeps_the_per_candidate_decisions():
@@ -355,6 +372,43 @@ def test_space_sum_keeps_the_per_candidate_decisions():
         got = space_sum(a, b).basis
         want = _space_sum_reference(a, b)
         assert len(got) == len(want) and all(f is g for f, g in zip(got, want)), (a.label, b.label)
+        # Each basis function times a power of two, the powers mixed within a
+        # space: the unit rows do not change, so neither do the kept positions.
+        candidates = a.basis + b.basis
+        positions = [next(i for i, f in enumerate(candidates) if f is g) for g in want]
+        exponents = [-30, -1, 7, 20]
+        for shift in range(len(exponents)):
+            a2, b2 = (_scaled(s, exponents[shift:] + exponents[:shift]) for s in (a, b))
+            scaled = a2.basis + b2.basis
+            got = space_sum(a2, b2).basis
+            assert [next(i for i, f in enumerate(scaled) if f is g) for g in got] == positions, (
+                a.label, b.label, shift)
+
+
+def test_space_of_two_scales_of_one_monomial_is_independent():
+    # The rows (1, 0) and (0, 2^-30) of zbar^2 and 2^-30 i zbar^2 are orthogonal;
+    # judged on unscaled rows, their singular-value ratio 2^-30 read as dependent.
+    line = DistortionFunction(ComplexPoly({(0, 2): 1.0}))
+    turned = DistortionFunction(ComplexPoly({(0, 2): 2.0**-30 * 1j}))
+    assert ModelSpace((line, turned), "zbar2_pair").dimension == 2
+    total = space_sum(ModelSpace((line,), "a"), ModelSpace((turned,), "b"))
+    assert total.dimension == 2 and total.basis == (line, turned)
+
+
+def test_space_sum_factors_only_the_candidates_of_its_second_space(monkeypatch):
+    a, b = named_space("full_quad_cubic"), named_space("rri3")
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    # rri3's cubic z^2 zbar lies in full_cubic already.
+    assert calib.parse_family("full_quad_cubic+rri3").space.dimension == a.dimension + 2
+    # One factorization per candidate of b, and one for the sum's own ModelSpace.
+    assert len(calls) <= b.dimension + 1
 
 
 def _coefficient_matrix_reference(funcs, keys=None):
@@ -416,6 +470,19 @@ def test_space_matrix_is_the_coefficient_matrix_of_its_basis():
         assert space.matrix.shape == (space.dimension, len(space.keys))
         assert np.array_equal(space.matrix.view(float).view(np.uint64), want.view(np.uint64))
         assert not space.matrix.flags.writeable
+        # unit: each row times the power of two that brings its largest modulus into [1, 2).
+        _, exponents = np.frexp(np.abs(space.matrix).max(axis=1))
+        unit = np.ldexp(space.matrix.view(float), 1 - exponents[:, None])
+        assert space.unit.dtype == complex and space.unit.shape == space.matrix.shape
+        assert np.array_equal(space.unit.view(float).view(np.uint64), unit.view(np.uint64))
+        assert np.all((np.abs(space.unit).max(axis=1) >= 1) & (np.abs(space.unit).max(axis=1) < 2))
+        # span: orthonormal real rows with the row space of matrix.
+        assert space.span.shape == (space.dimension, 2 * len(space.keys))
+        assert np.allclose(space.span @ space.span.T, np.eye(space.dimension), rtol=0, atol=1e-12)
+        rows = space.unit.view(float)
+        off = rows - (rows @ space.span.T) @ space.span
+        assert np.all(np.linalg.norm(off, axis=1) <= 1e-12 * np.linalg.norm(rows, axis=1))
+        assert not space.unit.flags.writeable and not space.span.flags.writeable
 
 
 def test_named_space_catalog():
