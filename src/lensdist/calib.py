@@ -473,8 +473,6 @@ def parse_family(name: str):
     if not all(parts):
         raise ValueError(f"malformed family name {name!r}")
     space = reduce(space_sum, map(named_space, parts))
-    if space.label != name:
-        space = space.relabeled(name)
     return LinearFamily(space)
 
 

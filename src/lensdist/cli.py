@@ -10,8 +10,9 @@ Subcommands:
 * sweep   - rms versus the radial/tangential blend angle phi
 * sphere  - sphere embedding of the quadratic irreducible-model parameters
 
-Each call builds only the parser of the subcommand it runs; help and usage
-texts are those of the parser with every subcommand.
+A call that starts with a subcommand builds only that subcommand's parser.
+Any other call builds the whole parser once, so its help and usage texts are
+the whole parser's.
 All outputs are deterministic for fixed inputs and seeds (no timestamps).
 Exit codes: 0 success, 2 input error, 3 output I/O error, 4 numerical
 failure (fit non-convergence under ``fit --strict`` or ``bench --strict``).
@@ -291,7 +292,7 @@ _COMMANDS = {
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
     """The parser with ``command``'s subparser alone, or with every subcommand
-    bare (no arguments, no -h) for the top-level help and errors."""
+    when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="lensdist",
         description="Polynomial lens distortion models: rendering, verification, conversion, synthetic calibration.",
@@ -303,63 +304,56 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is None:
-        for name, (text, _) in _COMMANDS.items():
-            sub.add_parser(name, help=text, add_help=False)
-        return parser
-    # Usage lines list every subcommand, as when all are registered.  The bare
-    # parser leaves metavar unset: it would rename "argument command:" errors.
-    sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-    text, handler = _COMMANDS[command]
-    p = sub.add_parser(command, help=text)
-    p.set_defaults(handler=handler)
-    if command == "render":
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--shape", choices=("circle", "grid"), default="circle")
-        p.add_argument("--out", required=True, help="output SVG path")
-        p.add_argument("--radius", type=float, default=1.0, help="circle radius")
-        p.add_argument("--extent", type=float, default=1.0, help="grid half extent")
-        p.add_argument(
-            "--count", type=int, default=None, help="circle point count / grid side count"
-        )
-    elif command == "verify":
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--model", help="model JSON file")
-        group.add_argument("--space", help="space JSON file")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
-    elif command == "convert":
-        p.add_argument("--in", required=True, help="input model JSON")
-        p.add_argument("--to", required=True, choices=("real", "complex"))
-        p.add_argument("--out", required=True, help="output model JSON")
-    elif command == "sphere":
-        p.add_argument("--samples", type=int, required=True)
-        p.add_argument("--out", required=True, help="output CSV path")
-    else:  # fit, bench and sweep run on a scene
-        p.add_argument("--scene", required=True, help="scene JSON file")
-        p.add_argument("--seed", type=int, default=None, help="override the scene seed")
-        p.add_argument("--refine-poses", action="store_true", dest="refine_poses")
-        if command == "fit":
-            p.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
-            p.add_argument("--family", required=True)
-            p.add_argument("--out", default=None, help="report JSON path (default stdout)")
-        elif command == "bench":
-            p.add_argument("--strict", action="store_true", help="exit 4 if any fit does not converge")
-            p.add_argument("--families", required=True, help="comma separated family names")
-            p.add_argument("--out", default=None, help="report JSON path")
-        else:
-            p.add_argument("--steps", type=int, required=True, help="phi grid size on [0, pi)")
+    if command is not None:
+        # Usage lines list every subcommand, as when all are registered.
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in _COMMANDS if command is None else (command,):
+        text, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        if name == "render":
+            p.add_argument("--model", required=True, help="model JSON file")
+            p.add_argument("--shape", choices=("circle", "grid"), default="circle")
+            p.add_argument("--out", required=True, help="output SVG path")
+            p.add_argument("--radius", type=float, default=1.0, help="circle radius")
+            p.add_argument("--extent", type=float, default=1.0, help="grid half extent")
+            p.add_argument(
+                "--count", type=int, default=None, help="circle point count / grid side count"
+            )
+        elif name == "verify":
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--model", help="model JSON file")
+            group.add_argument("--space", help="space JSON file")
+            p.add_argument("--json", action="store_true", help="emit JSON")
+            p.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
+        elif name == "convert":
+            p.add_argument("--in", required=True, help="input model JSON")
+            p.add_argument("--to", required=True, choices=("real", "complex"))
+            p.add_argument("--out", required=True, help="output model JSON")
+        elif name == "sphere":
+            p.add_argument("--samples", type=int, required=True)
             p.add_argument("--out", required=True, help="output CSV path")
+        else:  # fit, bench and sweep run on a scene
+            p.add_argument("--scene", required=True, help="scene JSON file")
+            p.add_argument("--seed", type=int, default=None, help="override the scene seed")
+            p.add_argument("--refine-poses", action="store_true", dest="refine_poses")
+            if name == "fit":
+                p.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
+                p.add_argument("--family", required=True)
+                p.add_argument("--out", default=None, help="report JSON path (default stdout)")
+            elif name == "bench":
+                p.add_argument("--strict", action="store_true", help="exit 4 if any fit does not converge")
+                p.add_argument("--families", required=True, help="comma separated family names")
+                p.add_argument("--out", default=None, help="report JSON path")
+            else:
+                p.add_argument("--steps", type=int, required=True, help="phi grid size on [0, pi)")
+                p.add_argument("--out", required=True, help="output CSV path")
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is None:
-        # Help and usage errors exit here; a list whose subcommand is not
-        # first (it follows an unknown option, say) returns that subcommand.
-        command = _build_parser().parse_known_args(argv)[0].command
     args = _build_parser(command).parse_args(argv)
     try:
         return args.handler(args)

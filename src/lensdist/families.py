@@ -364,9 +364,6 @@ class ModelSpace:
                 total[key] = total.get(key, 0j) + gamma * scale
         return DistortionFunction.from_poly(ComplexPoly(total))
 
-    def relabeled(self, label: str) -> "ModelSpace":
-        return ModelSpace(self.basis, label)
-
 
 @dataclass(frozen=True)
 class IrreducibleSpec:
@@ -450,18 +447,10 @@ def full_poly_space(degrees: Iterable[int], label: str | None = None) -> ModelSp
     return ModelSpace(tuple(basis), name)
 
 
-def _decentering_space() -> ModelSpace:
-    return ModelSpace((decentering(1, 0), decentering(0, 1)), "decentering")
-
-
-def _thin_prism_space() -> ModelSpace:
-    return ModelSpace((thin_prism(1, 0), thin_prism(0, 1)), "thin_prism")
-
-
 _CATALOG = {
     "rri3": lambda: rri_space(3),
-    "decentering": _decentering_space,
-    "thin_prism": _thin_prism_space,
+    "decentering": lambda: ModelSpace((decentering(1, 0), decentering(0, 1)), "decentering"),
+    "thin_prism": lambda: ModelSpace((thin_prism(1, 0), thin_prism(0, 1)), "thin_prism"),
     "radial_quad": lambda: ModelSpace(
         (radial_homogeneous(2, (1, 0)), radial_homogeneous(2, (0, 1))), "radial_quad"
     ),
@@ -472,8 +461,9 @@ _CATALOG = {
     "conj_quad": lambda: ModelSpace(
         (conjugate_quadratic(1, 0), conjugate_quadratic(0, 1)), "conj_quad"
     ),
-    "weng": lambda: space_sum(_decentering_space(), _thin_prism_space(), label="weng"),
-    "matlab": lambda: space_sum(_decentering_space(), rri_space(3), label="matlab"),
+    # The sums reuse the memoized parts, so they share their basis functions.
+    "weng": lambda: space_sum(named_space("decentering"), named_space("thin_prism"), label="weng"),
+    "matlab": lambda: space_sum(named_space("decentering"), named_space("rri3"), label="matlab"),
     "opencv_prism4": lambda: ModelSpace(
         (
             opencv_thin_prism(1, 0, 0, 0),

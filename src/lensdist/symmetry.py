@@ -30,8 +30,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .families import DistortionFunction, ModelSpace
-from .poly import DEFAULT_TOL, ComplexPoly
+from .families import INDEPENDENCE_RTOL, DistortionFunction, ModelSpace
+from .poly import DEFAULT_TOL
 
 __all__ = [
     "SymmetryReport",
@@ -109,9 +109,10 @@ def _best_axis(terms) -> tuple[float | str, float]:
     """The axis that best fits a list of ((k, l), gamma) terms, and its residual.
 
     Candidate axes come from the term with the smallest nonzero |winding|:
-    its coefficient alone forces theta = (-arg gamma + j pi) / m, giving at
-    most 2|m| distinct candidates modulo pi.  Every candidate is then scored
-    against all terms.  The axis is "any" when no term winds.
+    its coefficient alone forces theta = (-arg gamma + j pi) / m, and j and
+    j + |m| give the same axis modulo pi, so j < |m| gives the |m| distinct
+    candidates.  Every candidate is then scored against all terms.  The axis
+    is "any" when no term winds.
     """
     swirling = [(kl, c) for kl, c in terms if kl[0] - kl[1] - 1 != 0]
     if not swirling:
@@ -123,15 +124,7 @@ def _best_axis(terms) -> tuple[float | str, float]:
     )
     m0 = k0 - l0 - 1
     base = -phase(c0) / m0
-    candidates: list[float] = []
-    for j in range(2 * abs(m0)):
-        cand = _axis_mod_pi(base + j * math.pi / m0)
-        if all(
-            min(abs(cand - seen), math.pi - abs(cand - seen)) > 1e-12
-            for seen in candidates
-        ):
-            candidates.append(cand)
-    candidates.sort()
+    candidates = sorted(_axis_mod_pi(base + j * math.pi / m0) for j in range(abs(m0)))
 
     best_axis = candidates[0]
     best_residual = math.inf
@@ -234,7 +227,7 @@ def structural_rsf(space: ModelSpace) -> bool:
     proj = np.ascontiguousarray(unit[:, plane])
     proj_mat = proj.view(float)
     _, svals, vt = np.linalg.svd(proj_mat, full_matrices=False)
-    if int(np.sum(svals > svals[0] * 1e-9)) != 2:
+    if int(np.sum(svals > svals[0] * INDEPENDENCE_RTOL)) != 2:
         return False
     images = (proj * (1j * windings[plane])).view(float)
     scale = np.maximum(1.0, np.linalg.norm(images, axis=1))
@@ -242,12 +235,11 @@ def structural_rsf(space: ModelSpace) -> bool:
         return False
     norms = np.linalg.norm(proj_mat, axis=1)
     idx = int(np.argmax(norms))
-    w = ComplexPoly(dict(zip(space.keys, (unit[idx] * plane / norms[idx]).tolist())))
-    return reflection_symmetry(DistortionFunction.from_poly(w)).symmetric
+    return _common_axis(unit[idx : idx + 1] * plane / norms[idx], space.keys) is not None
 
 
 def _common_axis(unit: np.ndarray, keys) -> float | str | None:
-    """An axis that every row of ``space.unit`` is mirror symmetric about, else None.
+    """An axis that every coefficient row of ``unit`` is mirror symmetric about, else None.
 
     The functions symmetric about one axis form a real subspace, so when the
     basis lies in it the whole span does.

@@ -589,6 +589,22 @@ def test_main_builds_only_the_running_commands_parser(tmp_path, monkeypatch):
     assert len(built) == 2  # the top level and sphere
 
 
+def test_call_without_leading_subcommand_builds_the_whole_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "sphere", "--samples", "2", "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert len(built) == 8  # the top level and all 7 subcommands, once
+
+
 def test_entry_points_write_the_same_csv(tmp_path, monkeypatch):
     def argv(name):
         return ["sphere", "--samples", "4", "--out", str(tmp_path / name)]

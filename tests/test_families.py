@@ -461,7 +461,6 @@ def test_space_matrix_is_the_coefficient_matrix_of_its_basis():
         minus = ComplexPoly({(1, m): -1.25 + 0.0j})
         spaces += [irreducible_space(IrreducibleSpec(m, plus, minus)),
                    irreducible_space(IrreducibleSpec(m, plus, ComplexPoly({})))]
-    spaces += [space.relabeled("relabeled") for space in spaces[::7]]
     spaces += [space_from_json(json.loads(json.dumps(space_to_json(s)))) for s in spaces[::5]]
     for space in spaces:
         assert space.keys == coefficient_keys(space.basis)
@@ -508,6 +507,16 @@ def test_named_space_catalog():
     assert named_space("full_cubic").label == "full_cubic"
     with pytest.raises(ValueError):
         named_space("nope")
+
+
+def test_catalog_sums_reuse_the_named_parts():
+    # weng and matlab are sums of the memoized spaces, not of fresh copies.
+    weng, matlab = named_space("weng"), named_space("matlab")
+    decentering_basis = named_space("decentering").basis
+    assert all(a is b for a, b in zip(weng.basis[:2], decentering_basis, strict=True))
+    assert all(a is b for a, b in zip(weng.basis[2:], named_space("thin_prism").basis, strict=True))
+    assert all(a is b for a, b in zip(matlab.basis[:2], decentering_basis, strict=True))
+    assert all(a is b for a, b in zip(matlab.basis[2:], named_space("rri3").basis, strict=True))
 
 
 def test_named_space_rri_range(monkeypatch):

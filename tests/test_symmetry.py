@@ -35,6 +35,7 @@ from lensdist.symmetry import (
     ISOTROPY_TOL,
     ClassReport,
     _axis_mod_pi,
+    _axis_residual,
     _best_axis,
     classify,
     in_radial_tangential_span,
@@ -672,6 +673,22 @@ def test_classify_solves_no_least_squares(monkeypatch):
     assert calls == []
 
 
+def test_classify_builds_no_polynomial(monkeypatch):
+    names = {*CATALOG_NAMES, *(n for n in calib.TABLE_FAMILIES if calib.parse_family(n).linear)}
+    spaces = [calib.parse_family(name).space for name in sorted(names)]
+    built = []
+    init = ComplexPoly.__post_init__
+
+    def counting_init(self):
+        built.append(dict(self.terms))
+        init(self)
+
+    monkeypatch.setattr(ComplexPoly, "__post_init__", counting_init)
+    for space in spaces:
+        classify(space)
+    assert built == []
+
+
 @pytest.mark.parametrize("scale", [1.0, -1.0, 1e-6, 1e-9, 1e-10, 2.0**-40, 2.0**20, 1e6])
 def test_span_of_z2_classifies_alike_at_every_scale(scale):
     report = classify(ModelSpace((func({(2, 0): scale}),), "span_z2"))
@@ -688,6 +705,64 @@ def test_classify_flags_do_not_depend_on_basis_scale(space, data):
     scales = data.draw(st.lists(scale, min_size=space.dimension, max_size=space.dimension))
     scaled = ModelSpace(tuple(f * s for f, s in zip(space.basis, scales)), space.label)
     assert _flags(classify(scaled)) == _flags(classify(space))
+
+
+def _reference_best_axis(terms):
+    """``_best_axis`` as it scored 2|m0| candidates, de-duplicated within 1e-12."""
+    swirling = [(kl, c) for kl, c in terms if kl[0] - kl[1] - 1 != 0]
+    if not swirling:
+        return "any", max((abs(c.imag) for _, c in terms), default=0.0)
+    (k0, l0), c0 = min(
+        swirling, key=lambda item: (abs(item[0][0] - item[0][1] - 1), -abs(item[1]))
+    )
+    m0 = k0 - l0 - 1
+    base = -cmath.phase(c0) / m0
+    candidates = []
+    for j in range(2 * abs(m0)):
+        cand = _axis_mod_pi(base + j * math.pi / m0)
+        if all(
+            min(abs(cand - seen), math.pi - abs(cand - seen)) > 1e-12
+            for seen in candidates
+        ):
+            candidates.append(cand)
+    candidates.sort()
+    best_axis, best_residual = candidates[0], math.inf
+    for cand in candidates:
+        res = _axis_residual(terms, cand)
+        if res < best_residual:
+            best_axis, best_residual = cand, res
+    return best_axis, best_residual
+
+
+_COEFFICIENTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def axis_terms(draw):
+    """Term lists over monomials of degree <= 16, so |winding| <= 17; keys may
+    repeat, as in the rows of a basis.  Half are symmetric about a drawn axis
+    alpha: real coefficients times exp(-i m alpha)."""
+    keys = draw(st.lists(st.sampled_from(_keys_up_to(16)), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        return [(kl, draw(_COEFFICIENTS)) for kl in keys]
+    alpha = draw(st.floats(-2 * math.pi, 2 * math.pi))
+    reals = st.floats(-1e3, 1e3, allow_subnormal=False)
+    return [(kl, draw(reals) * cmath.exp(-1j * (kl[0] - kl[1] - 1) * alpha)) for kl in keys]
+
+
+def _axis_outcome(best_axis, terms):
+    """The axis and residual as float.hex, or the type of the error raised
+    (cmath.phase raises OverflowError where its angle underflows)."""
+    try:
+        return tuple(v if isinstance(v, str) else float.hex(v) for v in best_axis(terms))
+    except ArithmeticError as err:
+        return type(err)
+
+
+@ORACLE_SETTINGS
+@given(terms=axis_terms())
+def test_best_axis_matches_the_deduplicated_reference_bit_for_bit(terms):
+    assert _axis_outcome(_best_axis, terms) == _axis_outcome(_reference_best_axis, terms)
 
 
 # -- radial / tangential decomposition ------------------------------------------------
