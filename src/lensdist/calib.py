@@ -12,17 +12,17 @@ with seeded Gaussian pixel noise; the same seed always reproduces the same
 observations bit for bit.
 
 ``fit`` estimates family coefficients (optionally refining poses) by
-minimizing the summed squared reprojection residuals.  Every family is a
-coefficient matrix over its monomials z^k zbar^l, so with frozen poses the
-residuals are affine in the model's coefficients: rhs + M w, M the scene's
-monomial design (``_FrozenDesign``).  Linear fits and the shared-axis scan
-solve on one QR of M (Bjorck, 1996) with a truncated SVD of the reduced
-problem.  The rest is one Levenberg-Marquardt run with an analytic Jacobian
-(initial lambda 1e-3, times 10 on reject, divided by 10 on accept, stop at
-relative cost decrease below 1e-12 or 200 iterations), on M with frozen poses
-or on ``_Reprojection`` with refined ones (one state maps all views at once and
-computes each view's R once), from zero coefficients or, for the shared-axis
-family, from the best of its scanned axes (``SharedAxisFamily``).
+minimizing the summed squared reprojection residuals.  A fit reads a family
+only as rows over its monomials z^k zbar^l (``keys``): its coefficients
+``weights(x)`` and their derivatives ``coefficients(x)``, times one monomial
+table per point set on ``poly._ladder``.  So with frozen poses the residuals
+are rhs + M w, M the scene's monomial design (``_FrozenDesign``).  Linear fits
+and the shared-axis scan solve on one QR of M (Bjorck, 1996) with a truncated
+SVD of the reduced problem.  The rest is one Levenberg-Marquardt run with an
+analytic Jacobian (initial lambda 1e-3, times 10 on reject, divided by 10 on
+accept, stop at relative cost decrease below 1e-12 or 200 iterations), on M
+with frozen poses or on ``_Reprojection`` with refined ones, from zero
+coefficients or from the best scanned axis of ``SharedAxisFamily``.
 Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
 rank-deficient solves: the frozen solves and the report.
 Non-convergence is reported through ``converged=False``, never silently.
@@ -49,13 +49,14 @@ from .families import (
     DistortionFunction,
     ModelSpace,
     coefficient_keys,
+    coefficient_matrix,
     named_space,
     rri,
     space_sum,
     symmetric_cubic,
     symmetric_quadratic,
 )
-from .poly import ComplexPoly, model_from_json, model_to_json
+from .poly import ComplexPoly, _ladder, _power_steps, model_from_json, model_to_json
 
 __all__ = [
     "Intrinsics",
@@ -91,7 +92,6 @@ SCENE_VERSION = 1
 
 # Relative singular-value cutoff for rank-deficient least squares.
 _SVD_RCOND = 1e-10
-_BAD_RESIDUAL = 1e6
 # Levenberg-Marquardt budget and damping schedule.
 _MAX_ITER = 200
 _LAMBDA0 = 1e-3
@@ -279,11 +279,10 @@ def _to_camera(points: np.ndarray, poses: np.ndarray) -> tuple[np.ndarray, np.nd
     return points @ np.swapaxes(rot, -1, -2) + poses[:, None, 3:], rot
 
 
-def _pixels(intrinsics: Intrinsics, func: DistortionFunction, xn, yn) -> np.ndarray:
-    """(..., 2) pixels u = fx Fx(xn, yn) + cx, v = fy Fy(xn, yn) + cy."""
-    dx, dy = func.displacement(xn, yn)
-    u = intrinsics.fx * (xn + dx) + intrinsics.cx
-    v = intrinsics.fy * (yn + dy) + intrinsics.cy
+def _pixels(intrinsics: Intrinsics, xn, yn, d) -> np.ndarray:
+    """(..., 2) pixels u = fx (xn + Re d) + cx, v = fy (yn + Im d) + cy of the displacements d."""
+    u = intrinsics.fx * (xn + d.real) + intrinsics.cx
+    v = intrinsics.fy * (yn + d.imag) + intrinsics.cy
     return np.stack([u, v], axis=-1)
 
 
@@ -295,7 +294,8 @@ def project_points(
     (cam,), _ = _to_camera(pts, _pack_poses([pose]).reshape(1, 6))
     if np.any(cam[:, 2] <= 0):
         raise ValueError("point behind camera (nonpositive depth)")
-    return _pixels(intrinsics, func, cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2])
+    xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
+    return _pixels(intrinsics, xn, yn, func.poly.evaluate(xn + 1j * yn))
 
 
 def project(intrinsics: Intrinsics, pose: Pose, func: DistortionFunction, point3):
@@ -308,7 +308,7 @@ def synthesize(scene: Scene) -> Observations:
     """Noisy observations of the scene; identical seeds give identical output."""
     cam = scene.camera_points
     xn, yn = cam[..., 0] / cam[..., 2], cam[..., 1] / cam[..., 2]
-    views = _pixels(scene.intrinsics, scene.truth, xn, yn)
+    views = _pixels(scene.intrinsics, xn, yn, scene.truth.poly.evaluate(xn + 1j * yn))
     rng = np.random.default_rng(scene.seed)
     noise = rng.normal(0.0, 1.0, size=views.shape) * scene.noise_sigma
     return Observations(views + noise)
@@ -361,6 +361,10 @@ class LinearFamily:
     def build(self, coeffs) -> DistortionFunction:
         return self.space.member(coeffs)
 
+    def weights(self, coeffs) -> np.ndarray:
+        """The member's complex coefficients over ``keys``."""
+        return np.asarray(coeffs, dtype=float) @ self.space.matrix
+
     def coefficients(self, coeffs) -> np.ndarray:
         """The model's derivative in each weight over ``keys``: the basis coefficients."""
         return self.space.matrix
@@ -378,11 +382,7 @@ _SYMMETRIC_BASE = ModelSpace(
     + (rri([0.0, 1.0]), rri([0.0, 0.0, 1.0])),
     "sym_quad_cubic_rri3 at axis 0",
 )
-# The base by winding m = k - l - 1: _BASE_SPLIT[i, j, q] is the coefficient of
-# monomial q in base function j if q winds _BASE_WINDINGS[i] times (7 windings).
 _KEY_WINDINGS = np.array([k - l - 1 for k, l in _SYMMETRIC_BASE.keys])
-_BASE_WINDINGS = np.array(sorted(set(_KEY_WINDINGS.tolist())))
-_BASE_SPLIT = _SYMMETRIC_BASE.matrix * (_BASE_WINDINGS[:, None, None] == _KEY_WINDINGS)
 
 
 class SharedAxisFamily:
@@ -401,10 +401,10 @@ class SharedAxisFamily:
     (theta, a, b, c, d, ..., a3).  Fits report the canonical form with theta
     in [0, pi).
 
-    Its ``keys`` are the 9 base monomials; by the phase law, its coefficient
-    matrix at an axis turns the base's winding parts S_m (``_BASE_SPLIT``) by
-    phases: amplitude rows sum_m exp(-i theta m) S_m, axis row
-    sum_m -i m exp(-i theta m) (a . S_m) for amplitudes a.
+    Its ``keys`` are the 9 base monomials.  By the phase law its amplitude
+    rows at theta are the base rows with each monomial's column times
+    exp(-i theta m), m its winding number; ``weights`` are the amplitudes
+    times those rows, and the axis row is -i m times the weights.
 
     At a fixed theta the family is a linear space, so a fit starts from the
     best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), their amplitudes
@@ -423,11 +423,18 @@ class SharedAxisFamily:
     def build(self, coeffs) -> DistortionFunction:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
+    def _rows(self, theta) -> np.ndarray:
+        """The amplitude rows (..., 9, 9) at the axes theta (...)."""
+        turns = np.exp(-1j * np.multiply.outer(theta, _KEY_WINDINGS))
+        return _SYMMETRIC_BASE.matrix * turns[..., None, :]
+
+    def weights(self, coeffs) -> np.ndarray:
+        """The member's complex coefficients over ``keys``."""
+        return np.asarray(coeffs[1:], dtype=float) @ self._rows(float(coeffs[0]))
+
     def coefficients(self, coeffs) -> np.ndarray:
         """The model's derivatives in the axis, then in each amplitude, over ``keys``."""
-        phases = np.exp(-1j * float(coeffs[0]) * _BASE_WINDINGS)
-        amplitudes, turn = np.tensordot([phases, -1j * _BASE_WINDINGS * phases], _BASE_SPLIT, 1)
-        return np.vstack([np.asarray(coeffs[1:], dtype=float) @ turn, amplitudes])
+        return np.vstack([-1j * _KEY_WINDINGS * self.weights(coeffs), self._rows(float(coeffs[0]))])
 
     def canonical(self, coeffs) -> np.ndarray:
         """The equivalent coefficient vector with theta in [0, pi)."""
@@ -443,9 +450,7 @@ class SharedAxisFamily:
     def scan(self, design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The scanned axes, and the solved amplitudes and cost at each."""
         thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
-        # The amplitude rows of ``coefficients`` at each axis.
-        coeffs = np.tensordot(np.exp(-1j * np.outer(thetas, _BASE_WINDINGS)), _BASE_SPLIT, 1)
-        amplitudes, residuals, _ = design.solve(coeffs)
+        amplitudes, residuals, _ = design.solve(self._rows(thetas))
         return thetas, amplitudes, np.einsum("ij,ij->i", residuals, residuals)
 
     def start(self, design) -> np.ndarray:
@@ -512,9 +517,9 @@ def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _monomials(z: np.ndarray, keys) -> np.ndarray:
-    """The monomials z^k zbar^l (K, N) at the points z, one row per key, from
-    one table of powers."""
-    powers = {e: z**e for e in {e for key in keys for e in key}}
+    """The monomials z^k conj(z^l) (K, N) at the points z, one row per key,
+    from one table of powers on ``poly._ladder``."""
+    powers = _ladder(z, _power_steps(max(max(key) for key in keys)))
     return np.array([powers[k] * np.conj(powers[l]) for k, l in keys])
 
 
@@ -531,15 +536,14 @@ class _FrozenDesign:
 
     rhs is the measured minus the undistorted pixels and M the monomial
     design: ``_jacobian_rows`` of the monomials over ``keys`` and i times
-    them.  w and W hold the real and imaginary parts of ``family.build(x)``'s
-    coefficients and of ``family.coefficients(x)`` over the keys.
+    them.  w and W hold the real and imaginary parts of ``family.weights(x)``
+    and ``family.coefficients(x)``, so no residual builds the model.
     """
 
     def __init__(self, scene: Scene, obs: Observations, keys):
-        self.keys = keys
         cam = scene.camera_points.reshape(-1, 3)
         xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
-        zero = _pixels(scene.intrinsics, DistortionFunction.zero(), xn, yn)
+        zero = _pixels(scene.intrinsics, xn, yn, 0j)
         self.rhs = (obs.pixels.reshape(-1, 2) - zero).ravel()
         monomials = _monomials(xn + 1j * yn, keys)
         self.matrix = _jacobian_rows(scene.intrinsics, np.concatenate([monomials, 1j * monomials]))
@@ -557,9 +561,8 @@ class _FrozenDesign:
         return amplitudes, self.rhs - (designs @ amplitudes[..., None])[..., 0] @ self.q.T, factor
 
     def __call__(self, family, x: np.ndarray) -> np.ndarray:
-        terms = family.build(x).poly.terms
-        c = np.array([terms.get(key, 0j) for key in self.keys])
-        return self.rhs + self.matrix @ np.concatenate([c.real, c.imag])
+        w = family.weights(x)
+        return self.rhs + self.matrix @ np.concatenate([w.real, w.imag])
 
     def jacobian(self, family, x: np.ndarray) -> np.ndarray:
         c = family.coefficients(x)
@@ -650,11 +653,12 @@ class _Reprojection:
 
     Parameters are the family coefficients, then each view's (axis_angle,
     translation).  Residuals are measured minus projected pixels, ordered
-    (view, point, u/v).  A state holds all views at once, with their R.  The
-    last one is kept: the Jacobian, asked for only at the start and at accepted
-    steps (in front of the camera), reuses it.  Its coefficient columns are
-    ``family.coefficients`` times the monomials at the state's points.
-    Frozen poses are the affine ``_FrozenDesign`` instead.
+    (view, point, u/v), infinite behind the camera.  A state holds all views
+    at once, their R and one monomial table, whose product with ``weights``
+    is the displacements.  The last one is kept: the Jacobian, asked for only
+    at the start and at accepted steps, reuses it for ``coefficients`` times
+    the table and one polynomial of the weights.  Frozen poses are the affine
+    ``_FrozenDesign`` instead.
     """
 
     def __init__(self, scene: Scene, obs: Observations, family):
@@ -668,29 +672,30 @@ class _Reprojection:
         if self._last is not None and np.array_equal(self._last[0], x):
             return self._last[1]
         p = self.family.n_params
-        func = self.family.build(x[:p])
         cam, rot = _to_camera(self.points, x[p:].reshape(-1, 6))
         state = None
         if np.all(cam[..., 2] > 0):
             xn, yn = cam[..., 0] / cam[..., 2], cam[..., 1] / cam[..., 2]
-            r = (self.meas - _pixels(self.intrinsics, func, xn, yn)).ravel()
-            state = (func, rot, cam, xn + 1j * yn, r)
+            z = xn + 1j * yn
+            table = _monomials(z.ravel(), self.family.keys)
+            w = self.family.weights(x[:p])
+            r = (self.meas - _pixels(self.intrinsics, xn, yn, (w @ table).reshape(z.shape))).ravel()
+            state = (w, table, rot, cam, z, r)
         self._last = (x.copy(), state)
         return state
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         state = self._state(x)
-        return np.full(self.meas.size, _BAD_RESIDUAL) if state is None else state[-1]
+        return np.full(self.meas.size, math.inf) if state is None else state[-1]
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        func, rot, cam, z, _ = self._state(x)
+        w, table, rot, cam, z, _ = self._state(x)
         p, (n_views, n, _) = self.family.n_params, cam.shape
         jac = np.zeros((self.meas.size, x.size))
-        columns = self.family.coefficients(x[:p]) @ _monomials(z.ravel(), self.family.keys)
-        jac[:, :p] = _jacobian_rows(self.intrinsics, columns)
+        jac[:, :p] = _jacobian_rows(self.intrinsics, self.family.coefficients(x[:p]) @ table)
         # A step dz of the normalized point moves the distorted point
         # by dz + f_z dz + f_zbar conj(dz).
-        f_z, f_zc = (f[:, None] for f in func.poly.wirtinger(z))
+        f_z, f_zc = (f[:, None] for f in ComplexPoly(dict(zip(self.family.keys, w))).wirtinger(z))
         poses = x[p:].reshape(n_views, 6)
         # Camera-frame point velocities (view, parameter, point, xyz): G_i R X
         # per rotation parameter, the unit vector e_i per translation parameter.
@@ -755,13 +760,12 @@ def compare(
     families = [_as_family(entry) for entry in families]
     _check_geometry(scene, obs)
     bases = [f.space.basis for f in families if f.linear and not (options and options.refine_poses)]
-    column = {key: j for j, key in enumerate(coefficient_keys(f for b in bases for f in b))}
-    design = _FrozenDesign(scene, obs, tuple(column)) if bases else None
+    keys = coefficient_keys(f for b in bases for f in b)
+    design = _FrozenDesign(scene, obs, keys) if bases else None
     rows = []
     for family in families:
         if family.linear and design is not None:
-            basis = np.zeros((family.n_params, len(design.keys)), dtype=complex)
-            basis[:, [column[key] for key in family.keys]] = family.coefficients(None)
+            basis = coefficient_matrix(family.space.basis, keys).view(complex)
             rms, converged = _rms(design.solve(basis)[1]), True
         else:
             report = fit(scene, obs, family, options)

@@ -187,8 +187,8 @@ def _ladder(z, steps) -> list:
     return pw
 
 
-def _power_tables(z: complex, steps) -> tuple[list[complex], list[complex]]:
-    """Lists of z**e and zbar**e for e = 0 .. len(steps), bit for bit.
+def _power_tables(z, steps) -> tuple[list, list]:
+    """Lists of z**e and zbar**e for e = 0 .. len(steps), bit for bit at a complex z.
 
     CPython's complex ** int starts from 1 + 0j and multiplies in z^h for
     each set bit h of e, low bit first, squaring as it goes: ``_ladder``
@@ -318,13 +318,13 @@ class ComplexPoly:
         sum from 0 * z, in term order, of gamma_kl k z**(k-1) zbar**l (f_z)
         or gamma_kl l z**k zbar**(l-1) (f_zbar).  A Python complex reads the
         power tables of ``evaluate``, bit for bit, and raises OverflowError
-        where those powers do.  Other scalars and arrays take each distinct
-        z**e and zbar**e once, so an array point's value does not depend on
-        its batch.  Python scalars stay Python numbers; arrays give arrays,
-        also for the zero polynomial.
+        where those powers do; an array takes the same ladders, which differ
+        from the z**k form by rounding only.  Other scalars take each z**e and
+        zbar**e once.  A point's value does not depend on its batch.  Python
+        scalars stay Python numbers; arrays give arrays, also for the zero poly.
         """
         plan = self._plan
-        if type(z) is complex:
+        if type(z) is complex or isinstance(z, np.ndarray):
             return _derivatives(plan, z, *_power_tables(z, self._steps))
         zc = z.conjugate()
         reads = plan.d_z + plan.d_zbar

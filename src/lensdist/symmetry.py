@@ -24,7 +24,7 @@ Axis angles are reported in [0, pi); axes are lines, defined modulo pi.
 from __future__ import annotations
 
 import math
-from cmath import exp as cexp, phase
+from cmath import exp as cexp
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -123,7 +123,7 @@ def _best_axis(terms) -> tuple[float | str, float]:
         swirling, key=lambda item: (abs(item[0][0] - item[0][1] - 1), -abs(item[1]))
     )
     m0 = k0 - l0 - 1
-    base = -phase(c0) / m0
+    base = -math.atan2(c0.imag, c0.real) / m0
     candidates = sorted(_axis_mod_pi(base + j * math.pi / m0) for j in range(abs(m0)))
 
     best_axis = candidates[0]
@@ -167,7 +167,7 @@ def pairwise_conditions(func: DistortionFunction, tol: float = DEFAULT_TOL) -> b
     for ((k1, l1), c1), ((k2, l2), c2) in combinations(items, 2):
         m1 = k1 - l1 - 1
         m2 = k2 - l2 - 1
-        if abs(math.sin(m2 * phase(c1) - m1 * phase(c2))) >= tol:
+        if abs(math.sin(m2 * math.atan2(c1.imag, c1.real) - m1 * math.atan2(c2.imag, c2.real))) >= tol:
             return False
     return True
 

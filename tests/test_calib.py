@@ -470,7 +470,8 @@ def test_batched_pose_math_is_the_one_vector_math_bit_for_bit():
 
 def _per_view_jacobian(problem, x) -> np.ndarray:
     """The refined-pose Jacobian built one view at a time from the one-vector
-    rotation math: the oracle of ``_Reprojection.jacobian``."""
+    rotation math, its Wirtinger derivatives from the polynomial of the
+    family's weights: the oracle of ``_Reprojection.jacobian``."""
     family, intr, pts = problem.family, problem.intrinsics, problem.points
     p, n = family.n_params, len(pts)
     poses = x[p:].reshape(-1, 6)
@@ -479,7 +480,7 @@ def _per_view_jacobian(problem, x) -> np.ndarray:
     jac = np.zeros((2 * len(cam), x.size))
     columns = family.coefficients(x[:p]) @ calib._monomials(z, family.keys)
     jac[:, :p] = calib._jacobian_rows(intr, columns)
-    f_z, f_zc = family.build(x[:p]).poly.wirtinger(z)
+    f_z, f_zc = ComplexPoly(dict(zip(family.keys, family.weights(x[:p])))).wirtinger(z)
     for v, pose in enumerate(poses):
         rows, cols = slice(v * n, (v + 1) * n), slice(p + 6 * v, p + 6 * v + 6)
         vel = np.empty((6, n, 3))
@@ -528,6 +529,39 @@ def test_a_refined_fit_takes_one_rodrigues_pass_per_state(noisy_setup, monkeypat
     assert len(states) > 1
     assert len(calls) == len(states)
     assert all(np.shape(w) == (len(scene.poses), 3) for w in calls)
+
+
+@pytest.mark.parametrize(
+    "name, refine_poses",
+    [("sym_quad_cubic_rri3", False), ("sym_quad_cubic_rri3", True), ("decentering+rri3", True)],
+)
+def test_a_fit_builds_one_polynomial_per_refined_jacobian(noisy_setup, monkeypatch, name, refine_poses):
+    # Residuals are the family's weights times a monomial table; only a refined
+    # Jacobian makes the weights a ComplexPoly, for its Wirtinger derivatives.
+    scene, obs = noisy_setup
+    built = []
+    init = ComplexPoly.__post_init__
+    monkeypatch.setattr(ComplexPoly, "__post_init__", lambda self: built.append(self) or init(self))
+    report = calib.fit(scene, obs, name, FitOptions(refine_poses=refine_poses))
+    # One Jacobian per iteration, and the report's.
+    assert len(built) == (report.iterations + 1 if refine_poses else 0)
+
+
+def test_a_refined_fit_rejects_a_trial_behind_the_camera(monkeypatch):
+    # The zero start costs more than 864 residuals of 1e6 px would, so only an
+    # infinite residual makes the LM reject a trial that puts a point behind
+    # the camera.
+    scene = default_scene(rri([1e5]) + decentering(1e5 / 3, -2e4), 0.2, 1)
+    residuals = []
+    call = calib._Reprojection.__call__
+    monkeypatch.setattr(
+        calib._Reprojection, "__call__", lambda self, x: residuals.append(call(self, x)) or residuals[-1]
+    )
+    report = calib.fit(scene, synthesize(scene), "rri1", FitOptions(refine_poses=True))
+    assert any(np.all(np.isinf(r)) for r in residuals)
+    # The report is the best state evaluated, in front of the camera.
+    assert math.isfinite(report.rms_px)
+    assert report.rms_px == min(calib._rms(r) for r in residuals)
 
 
 @pytest.mark.parametrize(
@@ -1066,7 +1100,7 @@ def test_sweep_rejects_a_non_finite_phi_before_building(noisy_setup, monkeypatch
 
 
 def test_a_frozen_sweep_builds_no_space_per_phi(noisy_setup, monkeypatch):
-    # Only _FrozenDesign's zero model is a ComplexPoly, whatever the step count.
+    # Not one ComplexPoly, whatever the step count.
     scene, obs = noisy_setup
     built = Counter()
     for cls, method in ((ComplexPoly, "__post_init__"), (ModelSpace, "__post_init__"),
@@ -1081,7 +1115,7 @@ def test_a_frozen_sweep_builds_no_space_per_phi(noisy_setup, monkeypatch):
         calib.sweep_axis_ratio(scene, obs, [k * math.pi / steps for k in range(steps)])
         return dict(built)
 
-    assert builds(32) == builds(1) == {"ComplexPoly": 1}
+    assert builds(32) == builds(1) == {}
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)

@@ -142,6 +142,14 @@ def test_verify_opencv_prism_not_symmetric(tmp_path, capsys):
     assert report["axis"] is None
 
 
+def test_verify_model_whose_angle_underflows(tmp_path, capsys):
+    path = tmp_path / "tiny_angle.json"
+    save_model(path, ComplexPoly({(2, 0): 2 + 5e-324j}))
+    assert main(["verify", "--model", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["symmetric"] is True and report["axis"] == 0.0
+
+
 def test_verify_empty_model_axis_any(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text('{"format": "lensdist-model", "version": 1, "complex": []}')

@@ -474,9 +474,10 @@ def test_scalar_overflow_raises_as_the_power_form():
 
 
 @pytest.mark.parametrize("size", [1, 37, 432, 4097, 16383])
-def test_array_wirtinger_is_bitwise_the_power_form(size):
-    # Below 16,384 points numpy never elides the reference's temporaries, so
-    # sharing one power per exponent must not change a bit.
+def test_array_wirtinger_agrees_with_the_power_form(size):
+    # An array takes its powers on the ladder, as evaluate does, so the bound of
+    # test_eval_agrees_with_the_power_form holds with each gamma_kl weighted by
+    # k (f_z) or l (f_zbar), and both forms are non-finite at the same points.
     rng = np.random.default_rng(size)
     f = random_poly(rng, max_degree=MAX_DEGREE, max_terms=40)
     z = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
@@ -484,10 +485,17 @@ def test_array_wirtinger_is_bitwise_the_power_form(size):
         # Overflowing, non-finite and signed-zero points ride along.
         z[: len(_SPECIAL_PARTS)] = [complex(a, -a) for a in _SPECIAL_PARTS]
         z[-1] = 1e30 + 1e30j
-    assert _outcome(f.wirtinger, z) == _outcome(_wirtinger_reference, f, z)
-    assert _outcome(f.wirtinger, z.reshape(1, -1)) == _outcome(
-        _wirtinger_reference, f, z.reshape(1, -1)
-    )
+    with np.errstate(all="ignore"):
+        got, want, row = f.wirtinger(z), _wirtinger_reference(f, z), f.wirtinger(z.reshape(1, -1))
+        reach = np.maximum(1.0, abs(z)) ** 16
+    for i, (d, ref, d_row) in enumerate(zip(got, want, row, strict=True)):
+        assert d.shape == d_row.shape[1:] == z.shape
+        assert d_row.reshape(-1).view(np.uint64).tobytes() == d.view(np.uint64).tobytes()
+        assert np.array_equal(np.isfinite(d), np.isfinite(ref))
+        weight = sum(abs(c) * key[i] for key, c in f.terms.items())
+        bound = (32 * math.sqrt(5) + 2 * len(f.terms)) * 2.0**-53 * weight * reach
+        finite = np.isfinite(ref)
+        assert np.all(abs(d[finite] - ref[finite]) <= bound[finite])
 
 
 # -- monomial vector and its rotation matrix ----------------------------------

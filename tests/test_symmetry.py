@@ -194,6 +194,13 @@ def test_axis_of_minus_z2_is_positive_zero():
     assert details == "structural_normal_form=False; common_axis=0.0"
 
 
+def test_a_coefficient_whose_angle_underflows_has_axis_zero():
+    # arg(2 + 5e-324 i) underflows to 0.0, where cmath.phase raises OverflowError.
+    report = reflection_symmetry(func({(2, 0): 2 + 5e-324j}))
+    assert report.symmetric and report.axis == 0.0
+    assert pairwise_conditions(func({(2, 0): 2 + 5e-324j, (0, 2): 1.0}))
+
+
 # -- pairwise conditions ---------------------------------------------------------
 
 
