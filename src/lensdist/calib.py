@@ -382,7 +382,6 @@ _SYMMETRIC_BASE = ModelSpace(
     + (rri([0.0, 1.0]), rri([0.0, 0.0, 1.0])),
     "sym_quad_cubic_rri3 at axis 0",
 )
-_KEY_WINDINGS = np.array([k - l - 1 for k, l in _SYMMETRIC_BASE.keys])
 
 
 class SharedAxisFamily:
@@ -419,13 +418,14 @@ class SharedAxisFamily:
     rri = False
     rsf = True
     keys = _SYMMETRIC_BASE.keys
+    windings = _SYMMETRIC_BASE.windings
 
     def build(self, coeffs) -> DistortionFunction:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
     def _rows(self, theta) -> np.ndarray:
         """The amplitude rows (..., 9, 9) at the axes theta (...)."""
-        turns = np.exp(-1j * np.multiply.outer(theta, _KEY_WINDINGS))
+        turns = np.exp(-1j * np.multiply.outer(theta, self.windings))
         return _SYMMETRIC_BASE.matrix * turns[..., None, :]
 
     def weights(self, coeffs) -> np.ndarray:
@@ -434,7 +434,7 @@ class SharedAxisFamily:
 
     def coefficients(self, coeffs) -> np.ndarray:
         """The model's derivatives in the axis, then in each amplitude, over ``keys``."""
-        return np.vstack([-1j * _KEY_WINDINGS * self.weights(coeffs), self._rows(float(coeffs[0]))])
+        return np.vstack([-1j * self.windings * self.weights(coeffs), self._rows(float(coeffs[0]))])
 
     def canonical(self, coeffs) -> np.ndarray:
         """The equivalent coefficient vector with theta in [0, pi)."""

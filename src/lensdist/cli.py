@@ -165,10 +165,6 @@ def _cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _fit_options(args) -> calib.FitOptions:
-    return calib.FitOptions(refine_poses=getattr(args, "refine_poses", False))
-
-
 def _load_scene(args) -> calib.Scene:
     """The --scene file, with its noise seed replaced by --seed if given."""
     scene = _load_checked(calib.load_scene, "scene", args.scene)
@@ -187,7 +183,7 @@ def _cmd_fit(args) -> int:
     except ValueError as err:
         raise _InputError(str(err)) from err
     obs = calib.synthesize(scene)
-    report = calib.fit(scene, obs, family, _fit_options(args))
+    report = calib.fit(scene, obs, family, calib.FitOptions(args.refine_poses))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
@@ -209,7 +205,7 @@ def _cmd_bench(args) -> int:
     except ValueError as err:
         raise _InputError(str(err)) from err
     obs = calib.synthesize(scene)
-    rows = calib.compare(scene, obs, families, _fit_options(args))
+    rows = calib.compare(scene, obs, families, calib.FitOptions(args.refine_poses))
     payload = {"rows": [row.to_json_dict() for row in rows]}
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
@@ -233,7 +229,7 @@ def _cmd_sweep(args) -> int:
     scene = _load_scene(args)
     obs = calib.synthesize(scene)
     phis = [k * math.pi / args.steps for k in range(args.steps)]
-    results = calib.sweep_axis_ratio(scene, obs, phis, _fit_options(args))
+    results = calib.sweep_axis_ratio(scene, obs, phis, calib.FitOptions(args.refine_poses))
     lines = ["phi,rms"]
     lines += [f"{phi:.17g},{rms:.17g}" for phi, rms in results]
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -325,7 +321,7 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
             group.add_argument("--model", help="model JSON file")
             group.add_argument("--space", help="space JSON file")
             p.add_argument("--json", action="store_true", help="emit JSON")
-            p.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
+            p.add_argument("--tol", type=float, help="relative mirror tolerance for --model (1e-10)")
         elif name == "convert":
             p.add_argument("--in", required=True, help="input model JSON")
             p.add_argument("--to", required=True, choices=("real", "complex"))

@@ -294,10 +294,18 @@ def coefficient_matrix(
     return np.array(rows, dtype=complex).reshape(len(funcs), len(keys)).view(float)
 
 
+def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the complex ``matrix`` scaled exactly by a power of two to a
+    largest modulus in [1, 2) (zero rows stay zero), and the powers undoing it."""
+    _, exponents = np.frexp(np.abs(matrix).max(axis=1, initial=0.0))
+    unit = np.ldexp(matrix.view(float), 1 - exponents[:, None]).view(complex)
+    return unit, np.ldexp(1.0, exponents - 1)
+
+
 def _row_span(rows: np.ndarray) -> np.ndarray | None:
-    """Orthonormal real rows spanning ``rows`` (its right singular vectors),
-    or None when ``rows`` are linearly dependent."""
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    """Orthonormal real rows spanning the complex ``rows`` read as real ones (their
+    right singular vectors), or None when ``rows`` are linearly dependent."""
+    _, s, vt = np.linalg.svd(rows.view(float), full_matrices=False)
     if s.size < len(rows) or s[-1] / s[0] <= INDEPENDENCE_RTOL:
         return None
     return vt
@@ -309,8 +317,8 @@ class ModelSpace:
 
     ``keys`` is the sorted union of the basis monomials (``coefficient_keys``)
     and ``matrix`` the complex (dimension, len(keys)) coefficient array over
-    them, one row per basis function.  ``unit`` is ``matrix`` with each row
-    scaled exactly by a power of two to a largest modulus in [1, 2), so
+    them, one row per basis function, and ``windings`` the winding number
+    k - l - 1 of each key.  ``unit`` is ``matrix`` scaled by ``_unit_rows``, so
     nothing read from it depends on basis scale, and ``span`` holds the
     orthonormal right singular vectors of its real rows.  All are built
     once; the arrays are read-only.
@@ -320,6 +328,7 @@ class ModelSpace:
     label: str
     keys: tuple[MonomialKey, ...] = field(init=False, repr=False, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    windings: np.ndarray = field(init=False, repr=False, compare=False)
     unit: np.ndarray = field(init=False, repr=False, compare=False)
     span: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -331,17 +340,18 @@ class ModelSpace:
         if any(f.is_zero() for f in basis):
             raise ValueError("the zero function cannot be a basis element")
         keys = coefficient_keys(basis)
-        rows = coefficient_matrix(basis, keys)
-        _, exponents = np.frexp(np.abs(rows.view(complex)).max(axis=1))
-        unit = np.ldexp(rows, 1 - exponents[:, None])
+        matrix = coefficient_matrix(basis, keys).view(complex)
+        windings = np.array([k - l - 1 for k, l in keys])
+        unit, _ = _unit_rows(matrix)
         span = _row_span(unit)
         if span is None:
             raise ValueError(f"basis of {self.label!r} is linearly dependent")
-        for array in (rows, unit, span):
+        for array in (matrix, windings, unit, span):
             array.flags.writeable = False
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "matrix", rows.view(complex))
-        object.__setattr__(self, "unit", unit.view(complex))
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "windings", windings)
+        object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "span", span)
 
     @property
@@ -388,15 +398,14 @@ class IrreducibleSpec:
             raise ValueError("plus and minus parts cannot both be zero")
 
 
-def irreducible_space(spec: IrreducibleSpec, label: str | None = None) -> ModelSpace:
+def irreducible_space(spec: IrreducibleSpec) -> ModelSpace:
     """The 2-dim real space {gamma f + conj(gamma) g}, basis at gamma = 1 and i."""
     f, g = spec.plus, spec.minus
     b1 = f + g
     b2 = (1j * f) + (-1j * g)
-    if label is None:
-        label = f"irreducible(m={spec.m})"
     return ModelSpace(
-        (DistortionFunction.from_poly(b1), DistortionFunction.from_poly(b2)), label
+        (DistortionFunction.from_poly(b1), DistortionFunction.from_poly(b2)),
+        f"irreducible(m={spec.m})",
     )
 
 
@@ -412,10 +421,9 @@ def space_sum(a: ModelSpace, b: ModelSpace, label: str | None = None) -> ModelSp
     stacked = np.zeros((len(candidates), len(keys)), dtype=complex)
     stacked[: a.dimension, [column[key] for key in a.keys]] = a.unit
     stacked[a.dimension :, [column[key] for key in b.keys]] = b.unit
-    rows = stacked.view(float)
     kept = list(range(a.dimension))
     for i in range(a.dimension, len(candidates)):
-        if _row_span(rows[kept + [i]]) is not None:
+        if _row_span(stacked[kept + [i]]) is not None:
             kept.append(i)
     basis = tuple(candidates[i] for i in kept)
     return ModelSpace(basis, label if label is not None else f"{a.label}+{b.label}")

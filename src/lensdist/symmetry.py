@@ -1,12 +1,12 @@
 """Algebraic verifiers for the geometric properties of distortion models.
 
-Checks provided here, all working directly on complex coefficients:
+Checks provided here, on complex coefficients scaled as ``ModelSpace.unit``:
 
 * ``reflection_symmetry`` decides whether a single displacement is mirror
   symmetric about some axis through the origin and recovers the axis.  The
   definitional test is that gamma_kl * exp(i m theta) is real for every
   stored monomial, where m = k - l - 1 is the winding number; equivalently
-  gamma_kl = conj(gamma_kl) * exp(-2 i m theta).
+  gamma_kl = conj(gamma_kl) * exp(-2 i m theta), within a relative tol.
 * ``pairwise_conditions`` checks the necessary two-term phase relations
   Im[gamma^m' conj(gamma')^m] = 0.  They are not sufficient: z^3 + i z zbar^2
   passes them but is not symmetric about any axis.
@@ -18,7 +18,7 @@ Checks provided here, all working directly on complex coefficients:
   certificates does: all basis functions share one mirror axis, or the space
   has the structural normal form of ``structural_rsf``.
 
-Axis angles are reported in [0, pi); axes are lines, defined modulo pi.
+No verdict depends on scale, and axis angles lie in [0, pi): axes are lines.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .families import INDEPENDENCE_RTOL, DistortionFunction, ModelSpace
+from .families import INDEPENDENCE_RTOL, DistortionFunction, ModelSpace, _unit_rows
 from .poly import DEFAULT_TOL
 
 __all__ = [
@@ -99,14 +99,13 @@ def _axis_mod_pi(theta: float) -> float:
 def _axis_residual(terms, theta: float) -> float:
     # Symmetric about theta iff gamma * exp(i m theta) is real for all terms.
     worst = 0.0
-    for (k, l), c in terms:
-        m = k - l - 1
+    for m, c in terms:
         worst = max(worst, abs((c * cexp(1j * m * theta)).imag))
     return worst
 
 
 def _best_axis(terms) -> tuple[float | str, float]:
-    """The axis that best fits a list of ((k, l), gamma) terms, and its residual.
+    """The axis that best fits a list of (winding m, gamma) terms, and its residual.
 
     Candidate axes come from the term with the smallest nonzero |winding|:
     its coefficient alone forces theta = (-arg gamma + j pi) / m, and j and
@@ -114,15 +113,12 @@ def _best_axis(terms) -> tuple[float | str, float]:
     candidates.  Every candidate is then scored against all terms.  The axis
     is "any" when no term winds.
     """
-    swirling = [(kl, c) for kl, c in terms if kl[0] - kl[1] - 1 != 0]
+    swirling = [(m, c) for m, c in terms if m != 0]
     if not swirling:
         return "any", max((abs(c.imag) for _, c in terms), default=0.0)
 
     # Smallest |m| first; among those, the largest coefficient for a stable arg.
-    (k0, l0), c0 = min(
-        swirling, key=lambda item: (abs(item[0][0] - item[0][1] - 1), -abs(item[1]))
-    )
-    m0 = k0 - l0 - 1
+    m0, c0 = min(swirling, key=lambda item: (abs(item[0]), -abs(item[1])))
     base = -math.atan2(c0.imag, c0.real) / m0
     candidates = sorted(_axis_mod_pi(base + j * math.pi / m0) for j in range(abs(m0)))
 
@@ -136,21 +132,28 @@ def _best_axis(terms) -> tuple[float | str, float]:
     return best_axis, best_residual
 
 
+def _unit_terms(func: DistortionFunction) -> tuple[list, float]:
+    """The ((k, l), gamma) terms of func on its span's unit row, and the power undoing it."""
+    unit, scale = _unit_rows(np.array([list(func.poly.terms.values())], dtype=complex))
+    return list(zip(func.poly.terms, unit[0].tolist())), float(scale[0])
+
+
 def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Decide mirror symmetry of a displacement and recover the axis.
 
-    The best candidate axis of the stored terms (see ``_best_axis``) is
-    reported when its residual is below tol.
+    The best axis of the unit terms, as ``classify`` reads span{func}, is
+    reported when its residual is below tol; the residual is in func's units.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    axis, residual = _best_axis(list(func.poly.terms.items()))
+    terms, scale = _unit_terms(func)
+    axis, residual = _best_axis([(k - l - 1, c) for (k, l), c in terms])
     symmetric = residual < tol
     return SymmetryReport(
         symmetric,
         axis if symmetric else None,
         symmetric or pairwise_conditions(func, tol),
-        residual,
+        residual * scale,
     )
 
 
@@ -163,7 +166,7 @@ def pairwise_conditions(func: DistortionFunction, tol: float = DEFAULT_TOL) -> b
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    items = list(func.poly.terms.items())
+    items, _ = _unit_terms(func)
     for ((k1, l1), c1), ((k2, l2), c2) in combinations(items, 2):
         m1 = k1 - l1 - 1
         m2 = k2 - l2 - 1
@@ -173,15 +176,8 @@ def pairwise_conditions(func: DistortionFunction, tol: float = DEFAULT_TOL) -> b
 
 
 def is_rotation_invariant(func: DistortionFunction, tol: float = DEFAULT_TOL) -> bool:
-    """True when every coefficient above tol sits on a winding-zero monomial."""
-    return all(
-        abs(c) <= tol or kl[0] - kl[1] - 1 == 0 for kl, c in func.poly.terms.items()
-    )
-
-
-def _windings(space: ModelSpace) -> np.ndarray:
-    """The winding number k - l - 1 of each column of ``space.unit``."""
-    return np.array([k - l - 1 for k, l in space.keys])
+    """True when every unit-row coefficient above tol sits on a winding-zero monomial."""
+    return all(abs(c) <= tol or k - l - 1 == 0 for (k, l), c in _unit_terms(func)[0])
 
 
 def _off_span(span: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -199,7 +195,7 @@ def is_isotropic(space: ModelSpace) -> bool:
     function decides isotropy exactly.  On ``space.unit``, projected onto
     ``space.span``, the test is invariant to basis scale.
     """
-    images = space.unit * (1j * _windings(space))
+    images = space.unit * (1j * space.windings)
     return bool(np.all(_off_span(space.span, images.view(float)) <= ISOTROPY_TOL))
 
 
@@ -216,7 +212,7 @@ def structural_rsf(space: ModelSpace) -> bool:
     symmetric about every axis, so every member is symmetric.  The test reads
     the +/-m columns of ``space.unit``, so it is invariant to basis scale.
     """
-    unit, windings = space.unit, _windings(space)
+    unit, windings = space.unit, space.windings
     if np.any(np.abs(unit[:, windings == 0].imag) > ISOTROPY_TOL):
         return False
     swirling = set(np.abs(windings[(np.abs(unit) > ISOTROPY_TOL).any(axis=0) & (windings != 0)]))
@@ -235,16 +231,16 @@ def structural_rsf(space: ModelSpace) -> bool:
         return False
     norms = np.linalg.norm(proj_mat, axis=1)
     idx = int(np.argmax(norms))
-    return _common_axis(unit[idx : idx + 1] * plane / norms[idx], space.keys) is not None
+    return _common_axis(unit[idx : idx + 1] * plane / norms[idx], windings) is not None
 
 
-def _common_axis(unit: np.ndarray, keys) -> float | str | None:
+def _common_axis(unit: np.ndarray, windings: np.ndarray) -> float | str | None:
     """An axis that every coefficient row of ``unit`` is mirror symmetric about, else None.
 
     The functions symmetric about one axis form a real subspace, so when the
     basis lies in it the whole span does.
     """
-    terms = [(kl, c) for row in unit.tolist() for kl, c in zip(keys, row) if c]
+    terms = [(m, c) for row in unit.tolist() for m, c in zip(windings.tolist(), row) if c]
     axis, residual = _best_axis(terms)
     return axis if residual < DEFAULT_TOL else None
 
@@ -272,11 +268,11 @@ def classify(space: ModelSpace) -> ClassReport:
     once.  That is the normal form.
     """
     structural = structural_rsf(space)
-    common = _common_axis(space.unit, space.keys)
+    common = _common_axis(space.unit, space.windings)
     return ClassReport(
         space.dimension,
         is_isotropic(space),
-        not np.any(np.abs(space.unit[:, _windings(space) != 0]) > DEFAULT_TOL),
+        not np.any(np.abs(space.unit[:, space.windings != 0]) > DEFAULT_TOL),
         structural or common is not None,
         f"structural_normal_form={structural}; common_axis={common}",
     )
@@ -297,10 +293,10 @@ def radial_tangential_at(func: DistortionFunction, p) -> tuple[float, float]:
 def in_radial_tangential_span(func: DistortionFunction, tol: float = DEFAULT_TOL) -> bool:
     """True when the function lies in the span of radial and tangential fields.
 
-    Those are exactly the multiples of z, so the test is that every monomial
-    with k = 0 (the pure zbar^n terms) has magnitude below tol.
+    Those are exactly the multiples of z, so the test is that every unit
+    term with k = 0 (the pure zbar^n terms) has magnitude below tol.
     """
-    return all(abs(c) <= tol for (k, l), c in func.poly.terms.items() if k == 0)
+    return all(abs(c) <= tol for (k, l), c in _unit_terms(func)[0] if k == 0)
 
 
 def sphere_point(mu: complex, nu: complex) -> tuple[float, float, float]:

@@ -502,7 +502,7 @@ def _reference_parser() -> argparse.ArgumentParser:
     group.add_argument("--model", help="model JSON file")
     group.add_argument("--space", help="space JSON file")
     p_verify.add_argument("--json", action="store_true", help="emit JSON")
-    p_verify.add_argument("--tol", type=float, help="mirror tolerance for --model (1e-10)")
+    p_verify.add_argument("--tol", type=float, help="relative mirror tolerance for --model (1e-10)")
     p_verify.set_defaults(handler=stub)
 
     p_convert = sub.add_parser("convert", help="convert between coefficient forms")

@@ -482,6 +482,9 @@ def test_space_matrix_is_the_coefficient_matrix_of_its_basis():
         off = rows - (rows @ space.span.T) @ space.span
         assert np.all(np.linalg.norm(off, axis=1) <= 1e-12 * np.linalg.norm(rows, axis=1))
         assert not space.unit.flags.writeable and not space.span.flags.writeable
+        # windings: k - l - 1 of each key, read-only.
+        assert space.windings.tolist() == [k - l - 1 for k, l in space.keys]
+        assert not space.windings.flags.writeable
 
 
 def test_named_space_catalog():

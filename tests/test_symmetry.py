@@ -594,7 +594,8 @@ def _reference_structural_rsf(space):
 
 def _reference_classify(space):
     structural = _reference_structural_rsf(space)
-    axis, residual = _best_axis([t for f in space.basis for t in f.poly.terms.items()])
+    terms = [(k - l - 1, c) for f in space.basis for (k, l), c in f.poly.terms.items()]
+    axis, residual = _best_axis(terms)
     common = axis if residual < DEFAULT_TOL else None
     return ClassReport(
         space.dimension,
@@ -716,13 +717,10 @@ def test_classify_flags_do_not_depend_on_basis_scale(space, data):
 
 def _reference_best_axis(terms):
     """``_best_axis`` as it scored 2|m0| candidates, de-duplicated within 1e-12."""
-    swirling = [(kl, c) for kl, c in terms if kl[0] - kl[1] - 1 != 0]
+    swirling = [(m, c) for m, c in terms if m != 0]
     if not swirling:
         return "any", max((abs(c.imag) for _, c in terms), default=0.0)
-    (k0, l0), c0 = min(
-        swirling, key=lambda item: (abs(item[0][0] - item[0][1] - 1), -abs(item[1]))
-    )
-    m0 = k0 - l0 - 1
+    m0, c0 = min(swirling, key=lambda item: (abs(item[0]), -abs(item[1])))
     base = -cmath.phase(c0) / m0
     candidates = []
     for j in range(2 * abs(m0)):
@@ -746,15 +744,16 @@ _COEFFICIENTS = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_inf
 
 @st.composite
 def axis_terms(draw):
-    """Term lists over monomials of degree <= 16, so |winding| <= 17; keys may
-    repeat, as in the rows of a basis.  Half are symmetric about a drawn axis
-    alpha: real coefficients times exp(-i m alpha)."""
+    """(winding m, gamma) term lists over monomials of degree <= 16, so
+    |m| <= 17; windings may repeat, as in the rows of a basis.  Half are
+    symmetric about a drawn axis alpha: real coefficients times exp(-i m alpha)."""
     keys = draw(st.lists(st.sampled_from(_keys_up_to(16)), min_size=1, max_size=6))
+    windings = [k - l - 1 for k, l in keys]
     if draw(st.booleans()):
-        return [(kl, draw(_COEFFICIENTS)) for kl in keys]
+        return [(m, draw(_COEFFICIENTS)) for m in windings]
     alpha = draw(st.floats(-2 * math.pi, 2 * math.pi))
     reals = st.floats(-1e3, 1e3, allow_subnormal=False)
-    return [(kl, draw(reals) * cmath.exp(-1j * (kl[0] - kl[1] - 1) * alpha)) for kl in keys]
+    return [(m, draw(reals) * cmath.exp(-1j * m * alpha)) for m in windings]
 
 
 def _axis_outcome(best_axis, terms):
@@ -770,6 +769,151 @@ def _axis_outcome(best_axis, terms):
 @given(terms=axis_terms())
 def test_best_axis_matches_the_deduplicated_reference_bit_for_bit(terms):
     assert _axis_outcome(_best_axis, terms) == _axis_outcome(_reference_best_axis, terms)
+
+
+# -- single-function verdicts on the unit row of their span ----------------------------
+
+
+def _line(f) -> ModelSpace:
+    return ModelSpace((f,), "line")
+
+
+def test_scaled_symmetric_quadratic_is_symmetric_like_its_span():
+    f = symmetric_quadratic(0.7, 1.0, 2.0, 3.0)
+    big = 2**20 * f
+    report = reflection_symmetry(big)
+    assert classify(_line(big)).rsf
+    assert report.symmetric and axis_distance(report.axis, 0.7) < 1e-12
+    assert report.residual == 2**20 * reflection_symmetry(f).residual
+
+
+def test_small_counterexample_is_not_symmetric():
+    g = 1e-11 * func(COUNTEREXAMPLE)
+    report = reflection_symmetry(g)
+    assert not classify(_line(g)).rsf
+    assert (report.symmetric, report.axis, report.pairwise_ok) == (False, None, True)
+    assert report.residual == 1e-11
+
+
+def test_small_z2_is_not_rotation_invariant():
+    h = func({(2, 0): 1e-11})
+    assert not classify(_line(h)).rotation_invariant
+    assert not is_rotation_invariant(h)
+
+
+def test_small_zbar2_is_not_in_the_radial_tangential_span():
+    assert not in_radial_tangential_span(func({(0, 2): 1e-11}))
+    assert in_radial_tangential_span(func({(1, 1): 1e-11, (2, 0): 1e-11j}))
+
+
+_NONZERO_REALS = st.floats(-1e3, 1e3).filter(lambda x: abs(x) >= 1e-3)
+
+
+@st.composite
+def verdict_functions(draw):
+    """Nonzero functions of one to four monomials of degree <= 7: sparse ones
+    with phases j pi / 4 and moduli 10^u, u in [-3, 3]; ones built symmetric
+    about a drawn axis alpha (real coefficients times exp(-i m alpha)); and
+    ones with arbitrary complex coefficients."""
+    keys = draw(st.lists(st.sampled_from(_keys_up_to(7)), min_size=1, max_size=4, unique=True))
+    kind = draw(st.sampled_from(("sparse", "symmetric", "complex")))
+    if kind == "sparse":
+        modulus, phase = st.floats(-3.0, 3.0), st.integers(0, 7)
+        coeffs = [cmath.rect(10.0 ** draw(modulus), draw(phase) * math.pi / 4) for _ in keys]
+    elif kind == "symmetric":
+        coeffs = _symmetric_coefficients(keys, draw(st.floats(0.0, math.pi)), draw)
+    else:
+        coeffs = [complex(draw(_NONZERO_REALS), draw(st.floats(-1e3, 1e3))) for _ in keys]
+    return func(dict(zip(keys, coeffs)))
+
+
+def _symmetric_coefficients(keys, alpha, draw):
+    """Real coefficients times exp(-i m alpha): symmetric about alpha."""
+    return [draw(_NONZERO_REALS) * cmath.exp(-1j * (k - l - 1) * alpha) for k, l in keys]
+
+
+def _axis_period(f) -> float:
+    """pi / g, g the gcd of the nonzero |windings| of f: the axes of a symmetric f
+    form one orbit of that period."""
+    return math.pi / math.gcd(*{abs(k - l - 1) for k, l in f.poly.terms if k - l - 1})
+
+
+def _orbit_distance(a, b, period) -> float:
+    d = (a - b) % period
+    return min(d, period - d)
+
+
+def _verdicts(f):
+    report = reflection_symmetry(f)
+    return (report.symmetric, report.axis == "any", report.pairwise_ok,
+            is_rotation_invariant(f), in_radial_tangential_span(f))
+
+
+_POWERS_OF_TWO = st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-60, 39))
+
+
+@ORACLE_SETTINGS
+@given(f=verdict_functions(), s=_POWERS_OF_TWO)
+def test_single_function_verdicts_are_those_of_its_span(f, s):
+    f = s * f
+    report, cls = reflection_symmetry(f), classify(_line(f))
+    assert report.symmetric == cls.rsf
+    assert cls.details.endswith(f"; common_axis={report.axis}")
+    assert is_rotation_invariant(f) == cls.rotation_invariant
+
+
+@ORACLE_SETTINGS
+@given(f=verdict_functions(), s=_POWERS_OF_TWO)
+def test_the_residual_keeps_the_bits_of_the_raw_coefficients(f, s):
+    # The unit row is the raw row times a power of two, so the residual read
+    # back in the function's own units is the one the raw terms give.
+    f = s * f
+    _, raw = _best_axis([(k - l - 1, c) for (k, l), c in f.poly.terms.items()])
+    assert float.hex(reflection_symmetry(f).residual) == float.hex(raw)
+
+
+@ORACLE_SETTINGS
+@given(f=verdict_functions(), k=st.integers(-40, 20), sign=st.sampled_from([1.0, -1.0]))
+def test_verdicts_do_not_depend_on_scale(f, k, sign):
+    # Scaling by 2^k leaves the unit row as it is, so the axis keeps its bits
+    # and the residual scales exactly.  A sign flip moves the residual by
+    # rounding only: the candidate axes then come from atan2 of -gamma.
+    s = math.ldexp(sign, k)
+    assert _verdicts(s * f) == _verdicts(f)
+    signed, scaled = reflection_symmetry(sign * f), reflection_symmetry(s * f)
+    assert scaled.residual == abs(s) * signed.residual
+    assert scaled.axis == signed.axis
+    unscaled = reflection_symmetry(f)
+    largest = max(map(abs, f.poly.terms.values()))
+    assert abs(signed.residual - unscaled.residual) <= 2**-40 * largest
+    if unscaled.symmetric and unscaled.axis != "any":
+        assert _orbit_distance(signed.axis, unscaled.axis, _axis_period(f)) <= 1e-12
+
+
+@ORACLE_SETTINGS
+@given(f=verdict_functions(), theta=st.floats(-math.pi, math.pi))
+def test_the_axis_of_a_rotated_function_turns_back_by_the_angle(f, theta):
+    # rotated(theta) turns the field by -theta, so its axis is the axis of f
+    # minus theta, modulo pi / g.
+    report, turned = reflection_symmetry(f), reflection_symmetry(f.rotated(theta))
+    assert _verdicts(f.rotated(theta)) == _verdicts(f)
+    if report.symmetric and report.axis != "any":
+        assert _orbit_distance(turned.axis, report.axis - theta, _axis_period(f)) <= 1e-12
+    else:
+        assert turned.axis == report.axis
+
+
+@ORACLE_SETTINGS
+@given(keys=st.lists(st.sampled_from(_keys_up_to(7)), min_size=1, max_size=4, unique=True),
+       alpha=st.floats(-2 * math.pi, 2 * math.pi), data=st.data())
+def test_a_function_built_symmetric_about_alpha_has_an_axis_in_its_orbit(keys, alpha, data):
+    f = func(dict(zip(keys, _symmetric_coefficients(keys, alpha, data.draw))))
+    report = reflection_symmetry(f)
+    assert report.symmetric and classify(_line(f)).rsf
+    if any(k - l - 1 for k, l in keys):
+        assert _orbit_distance(report.axis, alpha, _axis_period(f)) <= 1e-12
+    else:
+        assert report.axis == "any"
 
 
 # -- radial / tangential decomposition ------------------------------------------------
