@@ -24,9 +24,9 @@ accept, stop at relative cost decrease below 1e-12 or 200 iterations), on M
 with frozen poses or on ``_Reprojection`` with refined ones, from zero
 coefficients or from the best scanned axis of ``SharedAxisFamily``.
 Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
-rank-deficient solves: the frozen solves and the report.
+rank-deficient solves: the frozen solves and the standard errors, where each
+view's refined pose columns are first eliminated (Triggs et al., 2000).
 Non-convergence is reported through ``converged=False``, never silently.
-Standard errors come from the Jacobian's truncated SVD, marginal over refined poses.
 With frozen poses, ``compare`` solves its linear families on one ``_FrozenDesign`` over
 their monomials' union, ``sweep_axis_ratio`` every phi on one over its five monomials.
 
@@ -516,6 +516,18 @@ def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     return (v @ weights[..., None])[..., 0], v * inv[..., None, :]
 
 
+def _pose_eliminated(jac: np.ndarray, p: int) -> np.ndarray:
+    """The p coefficient columns of a refined-pose J, each view's rows projected off the span
+    of its own pose block (truncated as in _solve_truncated): the pinv of their Gram matrix is
+    pinv(J^T J)'s coefficient block (Triggs, McLauchlan, Hartley and Fitzgibbon, 2000, §6)."""
+    n_views = (jac.shape[1] - p) // 6
+    coef = jac[:, :p].reshape(n_views, -1, p)
+    blocks = jac[:, p:].reshape(n_views, -1, n_views, 6)[range(n_views), :, range(n_views)]
+    u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+    u *= (s > _SVD_RCOND * s[..., :1])[..., None, :]
+    return (coef - u @ (np.swapaxes(u, -1, -2) @ coef)).reshape(-1, p)
+
+
 def _monomials(z: np.ndarray, keys) -> np.ndarray:
     """The monomials z^k conj(z^l) (K, N) at the points z, one row per key,
     from one table of powers on ``poly._ladder``."""
@@ -611,7 +623,8 @@ def _rms(residuals: np.ndarray) -> float:
 def _report_from_residuals(
     residuals: np.ndarray,
     obs: Observations,
-    coeffs: np.ndarray,
+    x: np.ndarray,
+    p: int,
     iterations: int,
     converged: bool,
     factor: np.ndarray,
@@ -619,12 +632,12 @@ def _report_from_residuals(
     m = residuals.size
     per_view = residuals.reshape(obs.n_views, obs.n_points, 2)
     per_view_rms = tuple(float(math.sqrt(np.mean(v**2))) for v in per_view)
-    # sigma^2 F F^T is J's covariance: its coefficient block is marginal over poses.
-    sigma2 = float(residuals @ residuals) / max(m - factor.shape[0], 1)
-    std = tuple(float(v) for v in np.sqrt(sigma2 * np.sum(factor[: coeffs.size] ** 2, axis=1)))
+    # sigma^2 F F^T is the covariance of x[:p], marginal over any refined poses in x[p:].
+    sigma2 = float(residuals @ residuals) / max(m - x.size, 1)
+    std = tuple(float(v) for v in np.sqrt(sigma2 * np.sum(factor**2, axis=1)))
     return FitReport(
         rms_px=_rms(residuals),
-        coefficients=tuple(float(c) for c in coeffs),
+        coefficients=tuple(float(c) for c in x[:p]),
         iterations=iterations,
         converged=converged,
         per_view_rms=per_view_rms,
@@ -738,14 +751,15 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
         design = _FrozenDesign(scene, obs, family.keys)
         if family.linear:
             coeffs, residuals, factor = design.solve(family.coefficients(None))
-            return _report_from_residuals(residuals, obs, coeffs, 1, True, factor)
+            return _report_from_residuals(residuals, obs, coeffs, p, 1, True, factor)
         x0 = family.start(design)
         fun, jacobian = partial(design, family), partial(design.jacobian, family)
     x, r, iterations, converged = _levenberg_marquardt(fun, x0, jacobian)
     x = np.concatenate([family.canonical(x[:p]), x[p:]])
-    # R of J = QR has J's singular values and right singular vectors.
-    _, factor = _solve_truncated(np.linalg.qr(jacobian(x), mode="r"), np.zeros(x.size))
-    return _report_from_residuals(r, obs, x[:p], iterations, converged, factor)
+    # Frozen: R of J = QR has J's singular values and vectors. Refined: poses eliminated per view.
+    jac = _pose_eliminated(jacobian(x), p) if refine_poses else np.linalg.qr(jacobian(x), mode="r")
+    _, factor = _solve_truncated(jac, np.zeros(len(jac)))
+    return _report_from_residuals(r, obs, x, p, iterations, converged, factor)
 
 
 def compare(

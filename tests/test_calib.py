@@ -629,6 +629,78 @@ def test_refine_poses_std_errors_of_ill_conditioned_fits(noisy_setup, name):
     assert np.allclose(report.std_errors, np.sqrt(np.diag(cov)[:p]), rtol=1e-5, atol=0.0)
 
 
+def _dense_refined_report(scene, obs, family) -> calib.FitReport:
+    """The refined fit reported from the truncated SVD of R in the dense QR of all
+    p + 6 V Jacobian columns: the oracle for the report's per-view pose elimination."""
+    p = family.n_params
+    problem = calib._Reprojection(scene, obs, family)
+    start = np.zeros(p) if family.linear else family.start(calib._FrozenDesign(scene, obs, family.keys))
+    x0 = np.concatenate([start, calib._pack_poses(scene.poses)])
+    x, r, iterations, converged = calib._levenberg_marquardt(problem, x0, problem.jacobian)
+    x = np.concatenate([family.canonical(x[:p]), x[p:]])
+    _, factor = calib._solve_truncated(np.linalg.qr(problem.jacobian(x), mode="r"), np.zeros(x.size))
+    sigma2 = float(r @ r) / (r.size - x.size)
+    return calib.FitReport(
+        rms_px=math.sqrt(float(r @ r) / r.size),
+        coefficients=tuple(float(c) for c in x[:p]),
+        iterations=iterations,
+        converged=converged,
+        per_view_rms=tuple(math.sqrt(np.mean(v**2)) for v in r.reshape(obs.n_views, -1, 2)),
+        std_errors=tuple(np.sqrt(sigma2 * np.sum(factor[:p] ** 2, axis=1))),
+    )
+
+
+@pytest.mark.parametrize("name", calib.TABLE_FAMILIES)
+def test_refine_poses_std_errors_equal_the_dense_factor(noisy_setup, name):
+    # Eliminating each view's pose block leaves the coefficient block of the
+    # dense pinv(J^T J); rri4 and rri5 (cond(J) about 1e5 and 2e6) keep fewer
+    # digits.  Every other field is the same run of the same LM.
+    family = parse_family(name)
+    report = calib.fit(*noisy_setup, family, FitOptions(refine_poses=True))
+    dense = _dense_refined_report(*noisy_setup, family)
+    assert replace(report, std_errors=()) == replace(dense, std_errors=())
+    rtol = 1e-9 if name in ("rri4", "rri5") else 1e-12
+    assert np.allclose(report.std_errors, dense.std_errors, rtol=rtol, atol=0.0)
+
+
+# The truths of the noise-model test, each in the family fitted to it: the
+# README truth, and a shared-axis member with its axis well inside (0, pi).
+NOISE_TRUTHS = {
+    "decentering+rri3": TRUE_COEFFS,
+    "sym_quad_cubic_rri3": np.array([0.6, 0.01, -0.008, 0.012, 0.08, 0.01, -0.006, 0.008, -0.02, 0.005]),
+}
+NOISE_SEEDS = 128
+
+
+@pytest.mark.parametrize("name", NOISE_TRUTHS)
+def test_refine_poses_std_errors_match_the_noise(name):
+    # Refit NOISE_SEEDS seeded scenes at sigma = 0.2.  Each bound is 4 standard
+    # deviations of sampling theory, fixed before the runs: the sample spread s of
+    # N Gaussian estimates has sd(s) / sigma_c = 1 / sqrt(2 (N - 1)), their mean has
+    # sd sigma_c / sqrt(N), and the estimated sigma over m - n degrees of freedom has
+    # sd sigma / sqrt(2 (m - n)) per scene.
+    family = parse_family(name)
+    truth = NOISE_TRUTHS[name]
+    reports = []
+    for seed in range(NOISE_SEEDS):
+        scene = default_scene(truth=family.build(truth), noise_sigma=0.2, seed=seed)
+        reports.append(calib.fit(scene, synthesize(scene), family, FitOptions(refine_poses=True)))
+    coeffs = np.array([r.coefficients for r in reports])
+    std_errors = np.array([r.std_errors for r in reports])
+    reported = np.sqrt(np.mean(std_errors**2, axis=0))
+    ratio = np.std(coeffs, axis=0, ddof=1) / reported
+    assert np.all(np.abs(ratio - 1.0) <= 4.0 / math.sqrt(2 * (NOISE_SEEDS - 1))), ratio
+    assert np.all(np.abs(coeffs.mean(axis=0) - truth) <= 4.0 * reported / math.sqrt(NOISE_SEEDS))
+    # The sigma that the standard errors imply: over sqrt(diag(pinv(J^T J))) of J at the
+    # truth, which every scene shares; each fit's own J differs by a zero-mean first-order term.
+    problem = calib._Reprojection(scene, synthesize(scene), family)
+    jac = problem.jacobian(np.concatenate([truth, calib._pack_poses(scene.poses)]))
+    (m, n), p = jac.shape, truth.size
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    sigma = np.mean(std_errors / np.sqrt(np.sum((vt[:, :p] / s[:, None]) ** 2, axis=0)))
+    assert abs(sigma / 0.2 - 1.0) <= 4.0 / math.sqrt(2 * (m - n) * NOISE_SEEDS), sigma
+
+
 # -- family parsing -----------------------------------------------------------------
 
 
@@ -977,6 +1049,47 @@ def test_roll_changes_the_fit_of_an_anisotropic_family(noisy_setup):
     before = calib.fit(scene, obs, space)
     after = calib.fit(*_rolled(scene, obs, ROLL), space)
     assert abs(after.rms_px / before.rms_px - 1.0) > 0.05
+
+
+# -- mirror ---------------------------------------------------------------------------
+
+
+def _mirrored(scene, obs):
+    """The scene and observations under the mirror (x, y) -> (x, -y), which maps
+    z to conj(z): each pose (rx, ry, rz, tx, ty, tz) becomes (-rx, ry, -rz, tx, -ty, tz),
+    the target's rows are reversed, each v becomes 2 cy - v and the truth is conjugated."""
+    flip = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+    poses = tuple(Pose(*np.split(flip * np.r_[p.axis_angle, p.translation], 2)) for p in scene.poses)
+    pixels = obs.pixels.reshape(len(poses), scene.rows, scene.cols, 2)[:, ::-1]
+    pixels = pixels * [1.0, -1.0] + [0.0, 2.0 * scene.intrinsics.cy]
+    truth = ComplexPoly({key: c.conjugate() for key, c in scene.truth.poly.terms.items()})
+    mirrored = replace(scene, poses=poses, truth=DistortionFunction(truth))
+    return mirrored, Observations(pixels.reshape(obs.pixels.shape))
+
+
+def test_synthesis_commutes_with_the_mirror(noisy_setup):
+    scene = replace(noisy_setup[0], noise_sigma=0.0)
+    mirrored, pixels = _mirrored(scene, synthesize(scene))
+    assert np.allclose(synthesize(mirrored).pixels, pixels.pixels, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["decentering+rri3", "sym_quad_cubic_rri3"])
+def test_refined_fit_commutes_with_the_mirror(noisy_setup, name):
+    # The mirrored fit's weights are the conjugated weights, and its standard
+    # errors the same: decentering's p2 and the shared axis's (a, b, c) only
+    # change sign.  The 1e-11 is the LM stop's slack (a relative cost decrease
+    # below 1e-12); the standard errors move by that slack in the Jacobian, so
+    # 1e-10 relative, and the axis by it over its smallest amplitude, so 1e-9.
+    family = parse_family(name)
+    options = FitOptions(refine_poses=True)
+    before = calib.fit(*noisy_setup, family, options)
+    after = calib.fit(*_mirrored(*noisy_setup), family, options)
+    assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
+    want = np.conj(family.weights(np.array(before.coefficients)))
+    assert np.max(np.abs(family.weights(np.array(after.coefficients)) - want)) <= 1e-11
+    assert np.allclose(after.std_errors, before.std_errors, rtol=1e-10, atol=0.0)
+    if not family.linear:  # the axis theta turns to -theta, canonically pi - theta
+        assert abs(after.coefficients[0] - (math.pi - before.coefficients[0])) <= 1e-9
 
 
 # -- compare and sweep ----------------------------------------------------------------
