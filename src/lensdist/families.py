@@ -31,6 +31,7 @@ import numpy as np
 
 from ._io import check_header, load_json, save_json
 from .poly import (
+    DEFAULT_TOL,
     MAX_DEGREE,
     ComplexPoly,
     MonomialKey,
@@ -134,7 +135,7 @@ class DistortionFunction:
 
     __rmul__ = __mul__
 
-    def isclose(self, other: "DistortionFunction", tol: float = 1e-10) -> bool:
+    def isclose(self, other: "DistortionFunction", tol: float = DEFAULT_TOL) -> bool:
         return self.poly.isclose(other.poly, tol)
 
 

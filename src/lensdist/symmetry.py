@@ -1,24 +1,26 @@
 """Algebraic verifiers for the geometric properties of distortion models.
 
-Checks provided here, on complex coefficients scaled as ``ModelSpace.unit``:
+Every verdict reads complex coefficients scaled as ``ModelSpace.unit`` and
+passes when its residual, measured per coefficient of a unit row or of a
+distance from a row span, is at most tol (``DEFAULT_TOL`` for a space); rank
+decisions use ``INDEPENDENCE_RTOL``.  So no verdict depends on scale, and a
+function gets the verdicts of its one-row span, which is isotropic exactly
+when it is rotation invariant.  Axes are lines: angles lie in [0, pi).
 
 * ``reflection_symmetry`` decides whether a single displacement is mirror
-  symmetric about some axis through the origin and recovers the axis.  The
-  definitional test is that gamma_kl * exp(i m theta) is real for every
-  stored monomial, where m = k - l - 1 is the winding number; equivalently
-  gamma_kl = conj(gamma_kl) * exp(-2 i m theta), within a relative tol.
+  symmetric about some axis through the origin and recovers the axis:
+  gamma_kl * exp(i m theta) must be real for every stored monomial, where
+  m = k - l - 1 is the winding number.
 * ``pairwise_conditions`` checks the necessary two-term phase relations
   Im[gamma^m' conj(gamma')^m] = 0.  They are not sufficient: z^3 + i z zbar^2
   passes them but is not symmetric about any axis.
-* ``is_isotropic`` decides whether a linear space is closed under rotations
-  by the infinitesimal generator test: the coefficient matrix with each
-  column multiplied by i m must stay in the row span.
+* ``is_isotropic`` decides whether a linear space is closed under rotations:
+  each |m| block of its rows, turned by i sign(m) or not, must stay in the
+  row span.
 * ``classify`` aggregates the predicates for a space.  The "every member is
   reflection-symmetric" flag (rsf) holds exactly when one of two exact
   certificates does: all basis functions share one mirror axis, or the space
   has the structural normal form of ``structural_rsf``.
-
-No verdict depends on scale, and axis angles lie in [0, pi): axes are lines.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ __all__ = [
     "in_radial_tangential_span",
     "sphere_point",
 ]
-
-ISOTROPY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,8 @@ def _best_axis(terms) -> tuple[float | str, float]:
 
     # Smallest |m| first; among those, the largest coefficient for a stable arg.
     m0, c0 = min(swirling, key=lambda item: (abs(item[0]), -abs(item[1])))
+    if (c0.real, c0.imag) < (0.0, 0.0):  # relabels j, so that -f gets the candidates of f
+        c0 = -c0
     base = -math.atan2(c0.imag, c0.real) / m0
     candidates = sorted(_axis_mod_pi(base + j * math.pi / m0) for j in range(abs(m0)))
 
@@ -132,8 +134,10 @@ def _best_axis(terms) -> tuple[float | str, float]:
     return best_axis, best_residual
 
 
-def _unit_terms(func: DistortionFunction) -> tuple[list, float]:
+def _unit_terms(func: DistortionFunction, tol: float) -> tuple[list, float]:
     """The ((k, l), gamma) terms of func on its span's unit row, and the power undoing it."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     unit, scale = _unit_rows(np.array([list(func.poly.terms.values())], dtype=complex))
     return list(zip(func.poly.terms, unit[0].tolist())), float(scale[0])
 
@@ -142,13 +146,11 @@ def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> S
     """Decide mirror symmetry of a displacement and recover the axis.
 
     The best axis of the unit terms, as ``classify`` reads span{func}, is
-    reported when its residual is below tol; the residual is in func's units.
+    reported when its residual is at most tol; the residual is in func's units.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
-    terms, scale = _unit_terms(func)
+    terms, scale = _unit_terms(func, tol)
     axis, residual = _best_axis([(k - l - 1, c) for (k, l), c in terms])
-    symmetric = residual < tol
+    symmetric = residual <= tol
     return SymmetryReport(
         symmetric,
         axis if symmetric else None,
@@ -160,43 +162,45 @@ def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> S
 def pairwise_conditions(func: DistortionFunction, tol: float = DEFAULT_TOL) -> bool:
     """Necessary two-term conditions Im[gamma^m' conj(gamma')^m] = 0.
 
-    Evaluated in phase form, |sin(m' arg gamma - m arg gamma')| < tol, which
+    Evaluated in phase form, |sin(m' arg gamma - m arg gamma')| <= tol, which
     is the same inequality scaled by the coefficient magnitudes and immune to
     overflow from the integer powers.  Necessary but not sufficient.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
-    items, _ = _unit_terms(func)
+    items, _ = _unit_terms(func, tol)
     for ((k1, l1), c1), ((k2, l2), c2) in combinations(items, 2):
         m1 = k1 - l1 - 1
         m2 = k2 - l2 - 1
-        if abs(math.sin(m2 * math.atan2(c1.imag, c1.real) - m1 * math.atan2(c2.imag, c2.real))) >= tol:
+        if abs(math.sin(m2 * math.atan2(c1.imag, c1.real) - m1 * math.atan2(c2.imag, c2.real))) > tol:
             return False
     return True
 
 
 def is_rotation_invariant(func: DistortionFunction, tol: float = DEFAULT_TOL) -> bool:
     """True when every unit-row coefficient above tol sits on a winding-zero monomial."""
-    return all(abs(c) <= tol or k - l - 1 == 0 for (k, l), c in _unit_terms(func)[0])
+    return all(abs(c) <= tol or k - l - 1 == 0 for (k, l), c in _unit_terms(func, tol)[0])
 
 
-def _off_span(span: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Distance of each row of ``vectors`` from the span of the orthonormal rows ``span``."""
-    return np.linalg.norm(vectors - (vectors @ span.T) @ span, axis=1)
+def _rotation_closed(rows: np.ndarray, windings: np.ndarray, span: np.ndarray) -> bool:
+    """True when the real span of the complex ``rows`` (orthonormal real rows
+    ``span``) is closed under rotations, within DEFAULT_TOL per coefficient.
+
+    The rotation generator G multiplies the column of winding m by i m: it is
+    |m| times the quarter turn i sign(m) on each block of columns of one |m|,
+    and the projections onto the blocks, the spectral projectors of G^2, are
+    polynomials in G.  So the span is closed under G, and under the rotations
+    exp(theta G), exactly when it holds each block of its rows, turned or not.
+    """
+    sizes = np.abs(windings)
+    # The |m| present, by bincount: np.unique would import numpy.ma on first use (~6 ms).
+    blocks = rows * (sizes == np.flatnonzero(np.bincount(sizes))[:, None])[:, None, :]
+    vectors = np.concatenate([blocks, blocks * (1j * np.sign(windings))]).view(float)
+    off = (vectors - (vectors @ span.T) @ span).view(complex)
+    return bool(np.all(np.abs(off) <= DEFAULT_TOL))
 
 
 def is_isotropic(space: ModelSpace) -> bool:
-    """True when the real span is closed under every coordinate rotation.
-
-    The rotation derivative at angle zero, the generator G, multiplies the
-    coefficient column of z^k zbar^l by i m, m = k - l - 1.  A span that G
-    maps into itself is mapped into itself by exp(theta G), which is the
-    rotation by theta, so membership of the generator image of every basis
-    function decides isotropy exactly.  On ``space.unit``, projected onto
-    ``space.span``, the test is invariant to basis scale.
-    """
-    images = space.unit * (1j * space.windings)
-    return bool(np.all(_off_span(space.span, images.view(float)) <= ISOTROPY_TOL))
+    """True when the real span is closed under every coordinate rotation."""
+    return _rotation_closed(space.unit, space.windings, space.span)
 
 
 def structural_rsf(space: ModelSpace) -> bool:
@@ -213,25 +217,20 @@ def structural_rsf(space: ModelSpace) -> bool:
     the +/-m columns of ``space.unit``, so it is invariant to basis scale.
     """
     unit, windings = space.unit, space.windings
-    if np.any(np.abs(unit[:, windings == 0].imag) > ISOTROPY_TOL):
+    if np.any(np.abs(unit[:, windings == 0].imag) > DEFAULT_TOL):
         return False
-    swirling = set(np.abs(windings[(np.abs(unit) > ISOTROPY_TOL).any(axis=0) & (windings != 0)]))
+    swirling = set(np.abs(windings[(np.abs(unit) > DEFAULT_TOL).any(axis=0) & (windings != 0)]))
     if len(swirling) != 1:  # all content winds 0, or two |m| turn at two rates
         return not swirling
 
     plane = np.abs(windings) == swirling.pop()
     proj = np.ascontiguousarray(unit[:, plane])
-    proj_mat = proj.view(float)
-    _, svals, vt = np.linalg.svd(proj_mat, full_matrices=False)
+    _, svals, vt = np.linalg.svd(proj.view(float), full_matrices=False)
     if int(np.sum(svals > svals[0] * INDEPENDENCE_RTOL)) != 2:
         return False
-    images = (proj * (1j * windings[plane])).view(float)
-    scale = np.maximum(1.0, np.linalg.norm(images, axis=1))
-    if np.any(_off_span(vt[:2], images) > ISOTROPY_TOL * scale):
-        return False
-    norms = np.linalg.norm(proj_mat, axis=1)
-    idx = int(np.argmax(norms))
-    return _common_axis(unit[idx : idx + 1] * plane / norms[idx], windings) is not None
+    # Each nonzero element of the plane is a multiple of w rotated, so vt[0] may stand for w.
+    return (_rotation_closed(proj, windings[plane], vt[:2])
+            and _common_axis(vt[:1].view(complex), windings[plane]) is not None)
 
 
 def _common_axis(unit: np.ndarray, windings: np.ndarray) -> float | str | None:
@@ -242,7 +241,7 @@ def _common_axis(unit: np.ndarray, windings: np.ndarray) -> float | str | None:
     """
     terms = [(m, c) for row in unit.tolist() for m, c in zip(windings.tolist(), row) if c]
     axis, residual = _best_axis(terms)
-    return axis if residual < DEFAULT_TOL else None
+    return axis if residual <= DEFAULT_TOL else None
 
 
 def classify(space: ModelSpace) -> ClassReport:
@@ -294,9 +293,9 @@ def in_radial_tangential_span(func: DistortionFunction, tol: float = DEFAULT_TOL
     """True when the function lies in the span of radial and tangential fields.
 
     Those are exactly the multiples of z, so the test is that every unit
-    term with k = 0 (the pure zbar^n terms) has magnitude below tol.
+    term with k = 0 (the pure zbar^n terms) has magnitude at most tol.
     """
-    return all(abs(c) <= tol for (k, l), c in _unit_terms(func)[0] if k == 0)
+    return all(abs(c) <= tol for (k, l), c in _unit_terms(func, tol)[0] if k == 0)
 
 
 def sphere_point(mu: complex, nu: complex) -> tuple[float, float, float]:

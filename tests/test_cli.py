@@ -104,7 +104,7 @@ def test_verify_model_json(capsys, model_file):
     assert isinstance(report["axis"], float)
 
 
-@pytest.mark.parametrize("tol", ["0", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_verify_nonpositive_tol_exit_2(model_file, tol):
     assert main(["verify", "--model", model_file, "--tol", tol]) == 2
 

@@ -32,7 +32,6 @@ from lensdist.families import (
 )
 from lensdist.poly import DEFAULT_TOL, ComplexPoly
 from lensdist.symmetry import (
-    ISOTROPY_TOL,
     ClassReport,
     _axis_mod_pi,
     _axis_residual,
@@ -536,13 +535,23 @@ def test_isotropy_matches_finite_angle_oracle(space):
 # -- the per-basis classification: the reference for the matrix path -----------------
 
 
-def _generator(poly):
-    """Derivative of poly.rotated(theta) at theta = 0: gamma_kl times i (k - l - 1)."""
-    return ComplexPoly({(k, l): 1j * (k - l - 1) * c for (k, l), c in poly.terms.items()})
+def _block(poly, size):
+    """The terms of poly of winding +size or -size."""
+    return ComplexPoly({kl: c for kl, c in poly.terms.items() if abs(kl[0] - kl[1] - 1) == size})
 
 
-def _winding_part(poly, m):
-    return ComplexPoly({kl: c for kl, c in poly.terms.items() if kl[0] - kl[1] - 1 == m})
+def _closure_images(polys):
+    """Each |m| block of each poly, and each block of nonzero winding turned by
+    i sign(m): the rotation generator is |m| times that quarter turn on it."""
+    images = []
+    for poly in polys:
+        for size in {abs(k - l - 1) for k, l in poly.terms}:
+            block = _block(poly, size)
+            images.append(block)
+            if size:
+                images.append(ComplexPoly({(k, l): (1j if k - l - 1 > 0 else -1j) * c
+                                           for (k, l), c in block.terms.items()}))
+    return images
 
 
 def _vectorize(polys, keys):
@@ -550,16 +559,18 @@ def _vectorize(polys, keys):
 
 
 def _span_residuals(basis_mat, vectors):
-    """Distance of each row of ``vectors`` from the row span of ``basis_mat``, by lstsq."""
+    """The largest complex coefficient of each row of ``vectors`` minus its lstsq
+    fit by the rows of ``basis_mat``: its distance from their span, per coefficient."""
     sol, *_ = np.linalg.lstsq(basis_mat.T, vectors.T, rcond=None)
-    return np.linalg.norm(basis_mat.T @ sol - vectors.T, axis=0)
+    off = np.ascontiguousarray(vectors - (basis_mat.T @ sol).T)
+    return np.abs(off.view(complex)).max(axis=1)
 
 
 def _reference_isotropic(space):
     keys = coefficient_keys(space.basis)
     basis_mat = coefficient_matrix(space.basis, keys)
-    images = _vectorize([_generator(f.poly) for f in space.basis], keys)
-    return bool(np.all(_span_residuals(basis_mat, images) <= ISOTROPY_TOL))
+    images = _vectorize(_closure_images([f.poly for f in space.basis]), keys)
+    return bool(np.all(_span_residuals(basis_mat, images) <= DEFAULT_TOL))
 
 
 def _reference_structural_rsf(space):
@@ -567,9 +578,9 @@ def _reference_structural_rsf(space):
     for f in space.basis:
         for (k, l), c in f.poly.terms.items():
             m = k - l - 1
-            if m == 0 and abs(c.imag) > ISOTROPY_TOL:
+            if m == 0 and abs(c.imag) > DEFAULT_TOL:
                 return False
-            if m != 0 and abs(c) > ISOTROPY_TOL:
+            if m != 0 and abs(c) > DEFAULT_TOL:
                 windings.add(abs(m))
     if not windings:
         return True
@@ -577,14 +588,13 @@ def _reference_structural_rsf(space):
         return False
     (m,) = windings
     keys = [kl for kl in coefficient_keys(space.basis) if abs(kl[0] - kl[1] - 1) == m]
-    projections = [_winding_part(f.poly, m) + _winding_part(f.poly, -m) for f in space.basis]
+    projections = [_block(f.poly, m) for f in space.basis]
     proj_mat = _vectorize(projections, keys)
     svals = np.linalg.svd(proj_mat, compute_uv=False)
     if int(np.sum(svals > svals[0] * 1e-9)) != 2:
         return False
-    images = _vectorize([_generator(p) for p in projections], keys)
-    scale = np.maximum(1.0, np.linalg.norm(images, axis=1))
-    if np.any(_span_residuals(proj_mat, images) > ISOTROPY_TOL * scale):
+    images = _vectorize(_closure_images(projections), keys)
+    if np.any(_span_residuals(proj_mat, images) > DEFAULT_TOL):
         return False
     norms = np.linalg.norm(proj_mat, axis=1)
     idx = int(np.argmax(norms))
@@ -596,7 +606,7 @@ def _reference_classify(space):
     structural = _reference_structural_rsf(space)
     terms = [(k - l - 1, c) for f in space.basis for (k, l), c in f.poly.terms.items()]
     axis, residual = _best_axis(terms)
-    common = axis if residual < DEFAULT_TOL else None
+    common = axis if residual <= DEFAULT_TOL else None
     return ClassReport(
         space.dimension,
         _reference_isotropic(space),
@@ -716,11 +726,14 @@ def test_classify_flags_do_not_depend_on_basis_scale(space, data):
 
 
 def _reference_best_axis(terms):
-    """``_best_axis`` as it scored 2|m0| candidates, de-duplicated within 1e-12."""
+    """``_best_axis`` as it scored 2|m0| candidates, de-duplicated within 1e-12,
+    from gamma taken into the right half-plane."""
     swirling = [(m, c) for m, c in terms if m != 0]
     if not swirling:
         return "any", max((abs(c.imag) for _, c in terms), default=0.0)
     m0, c0 = min(swirling, key=lambda item: (abs(item[0]), -abs(item[1])))
+    if c0.real < 0 or (c0.real == 0 and c0.imag < 0):
+        c0 = -c0
     base = -cmath.phase(c0) / m0
     candidates = []
     for j in range(2 * abs(m0)):
@@ -801,35 +814,60 @@ def test_small_z2_is_not_rotation_invariant():
     assert not is_rotation_invariant(h)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, 0.0, math.inf])
+@pytest.mark.parametrize(
+    "verdict",
+    [reflection_symmetry, pairwise_conditions, is_rotation_invariant, in_radial_tangential_span],
+)
+def test_every_single_function_verdict_rejects_a_tol_that_is_not_finite_and_positive(verdict, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        verdict(func(COUNTEREXAMPLE), tol)
+
+
 def test_small_zbar2_is_not_in_the_radial_tangential_span():
     assert not in_radial_tangential_span(func({(0, 2): 1e-11}))
     assert in_radial_tangential_span(func({(1, 1): 1e-11, (2, 0): 1e-11j}))
 
 
 _NONZERO_REALS = st.floats(-1e3, 1e3).filter(lambda x: abs(x) >= 1e-3)
+_UNIT_REALS = st.builds(lambda x, sign: sign * x, st.floats(1.0, 2.0, exclude_max=True),
+                        st.sampled_from([1.0, -1.0]))
+_INVARIANT_KEYS = [(k, k - 1) for k in range(2, 5)]
 
 
 @st.composite
 def verdict_functions(draw):
     """Nonzero functions of one to four monomials of degree <= 7: sparse ones
     with phases j pi / 4 and moduli 10^u, u in [-3, 3]; ones built symmetric
-    about a drawn axis alpha (real coefficients times exp(-i m alpha)); and
-    ones with arbitrary complex coefficients."""
+    about a drawn axis alpha (real coefficients times exp(-i m alpha)); ones
+    with arbitrary complex coefficients; and band ones, a symmetric or
+    rotation-invariant base with moduli in [1, 2), which is its own unit row,
+    plus one or two terms of degree <= 16 and modulus 10^u, u in [-11, -8],
+    about DEFAULT_TOL."""
     keys = draw(st.lists(st.sampled_from(_keys_up_to(7)), min_size=1, max_size=4, unique=True))
-    kind = draw(st.sampled_from(("sparse", "symmetric", "complex")))
+    kind = draw(st.sampled_from(("sparse", "symmetric", "complex", "band")))
     if kind == "sparse":
         modulus, phase = st.floats(-3.0, 3.0), st.integers(0, 7)
         coeffs = [cmath.rect(10.0 ** draw(modulus), draw(phase) * math.pi / 4) for _ in keys]
     elif kind == "symmetric":
         coeffs = _symmetric_coefficients(keys, draw(st.floats(0.0, math.pi)), draw)
-    else:
+    elif kind == "complex":
         coeffs = [complex(draw(_NONZERO_REALS), draw(st.floats(-1e3, 1e3))) for _ in keys]
+    else:
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.sampled_from(_INVARIANT_KEYS), min_size=1, unique=True))
+        coeffs = _symmetric_coefficients(keys, draw(st.floats(0.0, math.pi)), draw, _UNIT_REALS)
+        terms = dict(zip(keys, coeffs))
+        for key in draw(st.lists(st.sampled_from(_keys_up_to(16)), min_size=1, max_size=2)):
+            bump = cmath.rect(10.0 ** draw(st.floats(-11.0, -8.0)), draw(st.floats(0.0, 2 * math.pi)))
+            terms[key] = terms.get(key, 0j) + bump
+        return func(terms)
     return func(dict(zip(keys, coeffs)))
 
 
-def _symmetric_coefficients(keys, alpha, draw):
+def _symmetric_coefficients(keys, alpha, draw, reals=_NONZERO_REALS):
     """Real coefficients times exp(-i m alpha): symmetric about alpha."""
-    return [draw(_NONZERO_REALS) * cmath.exp(-1j * (k - l - 1) * alpha) for k, l in keys]
+    return [draw(reals) * cmath.exp(-1j * (k - l - 1) * alpha) for k, l in keys]
 
 
 def _axis_period(f) -> float:
@@ -852,14 +890,41 @@ def _verdicts(f):
 _POWERS_OF_TWO = st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-60, 39))
 
 
-@ORACLE_SETTINGS
-@given(f=verdict_functions(), s=_POWERS_OF_TWO)
-def test_single_function_verdicts_are_those_of_its_span(f, s):
-    f = s * f
+def _line_flags(f):
+    """The flags of span{f}, once each has been checked against the verdict
+    on f that must equal it; a line is isotropic when it is invariant."""
     report, cls = reflection_symmetry(f), classify(_line(f))
     assert report.symmetric == cls.rsf
     assert cls.details.endswith(f"; common_axis={report.axis}")
     assert is_rotation_invariant(f) == cls.rotation_invariant
+    assert cls.isotropic == cls.rotation_invariant
+    return cls.isotropic, cls.rsf
+
+
+@ORACLE_SETTINGS
+@given(f=verdict_functions(), s=_POWERS_OF_TWO)
+def test_single_function_verdicts_are_those_of_its_span(f, s):
+    _line_flags(s * f)
+
+
+# Lines with terms about DEFAULT_TOL, with their (isotropic, rsf) flags: an
+# imaginary part or winding terms of 5e-10, above it; a z^16 term of 1e-10,
+# at it, whose generator image 1.5e-9 is not; an imaginary part of 1e-10.
+BAND_CASES = {
+    "z^2 zbar (1 + 5e-10 i)": ({(2, 1): 1 + 5e-10j}, (True, False)),
+    "z^2 zbar + 5e-10 (z^3 + i z zbar^2)": ({(2, 1): 1, (3, 0): 5e-10, (1, 2): 5e-10j}, (False, False)),
+    "z^2 zbar + 1e-10 z^16": ({(2, 1): 1, (16, 0): 1e-10}, (True, True)),
+    "z^2 zbar + 5e-10 z^3": ({(2, 1): 1, (3, 0): 5e-10}, (False, True)),
+    "z^2 zbar (1 + 1e-10 i)": ({(2, 1): 1 + 1e-10j}, (True, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAND_CASES))
+def test_a_line_in_the_tolerance_band_has_flags_that_agree_at_every_scale(name):
+    terms, flags = BAND_CASES[name]
+    for k in range(-40, 21):
+        for sign in (1.0, -1.0):
+            assert _line_flags(math.ldexp(sign, k) * func(terms)) == flags, (k, sign)
 
 
 @ORACLE_SETTINGS
@@ -875,19 +940,14 @@ def test_the_residual_keeps_the_bits_of_the_raw_coefficients(f, s):
 @ORACLE_SETTINGS
 @given(f=verdict_functions(), k=st.integers(-40, 20), sign=st.sampled_from([1.0, -1.0]))
 def test_verdicts_do_not_depend_on_scale(f, k, sign):
-    # Scaling by 2^k leaves the unit row as it is, so the axis keeps its bits
-    # and the residual scales exactly.  A sign flip moves the residual by
-    # rounding only: the candidate axes then come from atan2 of -gamma.
+    # Scaling by +/-2^k leaves the unit row as it is up to sign, and the
+    # candidate axes come from gamma taken into the right half-plane, so the
+    # axis keeps its bits and the residual scales exactly.
     s = math.ldexp(sign, k)
     assert _verdicts(s * f) == _verdicts(f)
-    signed, scaled = reflection_symmetry(sign * f), reflection_symmetry(s * f)
-    assert scaled.residual == abs(s) * signed.residual
-    assert scaled.axis == signed.axis
-    unscaled = reflection_symmetry(f)
-    largest = max(map(abs, f.poly.terms.values()))
-    assert abs(signed.residual - unscaled.residual) <= 2**-40 * largest
-    if unscaled.symmetric and unscaled.axis != "any":
-        assert _orbit_distance(signed.axis, unscaled.axis, _axis_period(f)) <= 1e-12
+    scaled, unscaled = reflection_symmetry(s * f), reflection_symmetry(f)
+    assert float.hex(scaled.residual) == float.hex(abs(s) * unscaled.residual)
+    assert repr(scaled.axis) == repr(unscaled.axis)
 
 
 @ORACLE_SETTINGS
