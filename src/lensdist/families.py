@@ -6,14 +6,16 @@ Linear models are represented as a ``ModelSpace``: an ordered, linearly
 independent list of basis displacement functions whose real span is the
 model.
 
-The quadratic catalog and its identities:
+The quadratic catalog in complex coefficients, and its identities:
 
-* decentering(s1, s2) has real block [[3 s1, 2 s2, s1], [s2, 2 s1, 3 s2]] and
-  equals mixed_quadratic(3, 1, s1, -s2).
-* thin_prism(u1, u2) has block [[u1, 0, u1], [u2, 0, u2]], displacement always
+* decentering(s1, s2) is conj(s) z^2 + 2 s z zbar with s = s1 + i s2 (real
+  block [[3 s1, 2 s2, s1], [s2, 2 s1, 3 s2]]) and equals
+  mixed_quadratic(3, 1, s1, -s2).
+* thin_prism(u1, u2) is u z zbar with u = u1 + i u2, a displacement always
   parallel to (u1, u2), and equals mixed_quadratic(1, 1, u1, -u2).
-* mixed_quadratic(p, q, t1, t2) blends an axis-aligned radial and tangential
-  quadratic: p [[t1, -t2, 0], [0, t1, -t2]] + q [[0, t2, t1], [-t2, -t1, 0]].
+* mixed_quadratic(p, q, t1, t2) is (p - q)/2 t z^2 + (p + q)/2 conj(t) z zbar
+  with t = t1 + i t2: p times the radial quadratic z Re(t z) plus q times the
+  tangential one -i z Im(t z).
 * conjugate_quadratic(t1, t2) is (t1 + i t2) zbar^2.
 
 ``symmetric_quadratic`` / ``symmetric_cubic`` build the mirror-symmetric
@@ -171,50 +173,36 @@ def radial_homogeneous(degree: int, weights: Sequence[float]) -> DistortionFunct
 
 
 def tangential_homogeneous(degree: int, weights: Sequence[float]) -> DistortionFunction:
-    """Degree-n tangential displacement (-y, x) * (w . monomials of degree n-1)."""
-    w = np.asarray(weights, dtype=float)
-    if degree < 2:
-        raise ValueError(f"homogeneous degree must be >= 2, got {degree}")
-    if w.shape != (degree,):
-        raise ValueError(f"need {degree} weights for degree {degree}, got {w.shape}")
-    block = np.zeros((2, degree + 1))
-    block[0, 1:] = -w
-    block[1, :degree] = w
-    return DistortionFunction.from_real(RealPolyModel({degree: block}))
+    """Degree-n tangential displacement (-y, x) * (w . monomials of degree n-1):
+    i times the radial one."""
+    return 1j * radial_homogeneous(degree, weights)
 
 
 def decentering(s1: float, s2: float) -> DistortionFunction:
     """Classical decentering distortion for misaligned lens-surface axes.
 
-    dx = s1 (3x^2 + y^2) + 2 s2 x y, dy = 2 s1 x y + s2 (x^2 + 3y^2).
+    dx = s1 (3x^2 + y^2) + 2 s2 x y, dy = 2 s1 x y + s2 (x^2 + 3y^2), that is
+    conj(s) z^2 + 2 s z zbar with s = s1 + i s2.
     """
-    s1, s2 = float(s1), float(s2)
-    block = np.array([[3 * s1, 2 * s2, s1], [s2, 2 * s1, 3 * s2]])
-    return DistortionFunction.from_real(RealPolyModel({2: block}))
+    s = complex(float(s1), float(s2))
+    return DistortionFunction.from_poly(ComplexPoly({(2, 0): s.conjugate(), (1, 1): 2 * s}))
 
 
 def thin_prism(u1: float, u2: float) -> DistortionFunction:
-    """Thin prism distortion: displacement (u1, u2) * (x^2 + y^2)."""
-    u1, u2 = float(u1), float(u2)
-    block = np.array([[u1, 0.0, u1], [u2, 0.0, u2]])
-    return DistortionFunction.from_real(RealPolyModel({2: block}))
+    """Thin prism distortion: displacement (u1, u2) * (x^2 + y^2), that is u z zbar
+    with u = u1 + i u2."""
+    return DistortionFunction.from_poly(ComplexPoly({(1, 1): complex(float(u1), float(u2))}))
 
 
 def mixed_quadratic(p: float, q: float, t1: float, t2: float) -> DistortionFunction:
-    """Axis-sharing blend of radial (weight p) and tangential (weight q) quadratics."""
-    p, q, t1, t2 = float(p), float(q), float(t1), float(t2)
+    """Axis-sharing blend of radial (weight p) and tangential (weight q) quadratics:
+    (p - q)/2 t z^2 + (p + q)/2 conj(t) z zbar with t = t1 + i t2."""
+    p, q, t = float(p), float(q), complex(float(t1), float(t2))
     if p == 0.0 and q == 0.0:
         raise ValueError("(p, q) must not both be zero")
-    # Entrywise-factored form of p [[t1,-t2,0],[0,t1,-t2]] + q [[0,t2,t1],[-t2,-t1,0]],
-    # so each entry rounds once and the decentering / thin prism identities
-    # (p:q) = (3:1) and (1:1) hold bit for bit.
-    block = np.array(
-        [
-            [p * t1, (q - p) * t2, q * t1],
-            [-q * t2, (p - q) * t1, -p * t2],
-        ]
+    return DistortionFunction.from_poly(
+        ComplexPoly({(2, 0): (p - q) / 2 * t, (1, 1): (p + q) / 2 * t.conjugate()})
     )
-    return DistortionFunction.from_real(RealPolyModel({2: block}))
 
 
 def conjugate_quadratic(t1: float, t2: float) -> DistortionFunction:

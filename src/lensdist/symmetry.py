@@ -104,21 +104,22 @@ def _axis_residual(terms, theta: float) -> float:
     return worst
 
 
-def _best_axis(terms) -> tuple[float | str, float]:
+def _best_axis(terms, tol: float = DEFAULT_TOL) -> tuple[float | str, float]:
     """The axis that best fits a list of (winding m, gamma) terms, and its residual.
 
-    Candidate axes come from the term with the smallest nonzero |winding|:
-    its coefficient alone forces theta = (-arg gamma + j pi) / m, and j and
-    j + |m| give the same axis modulo pi, so j < |m| gives the |m| distinct
-    candidates.  Every candidate is then scored against all terms.  The axis
-    is "any" when no term winds.
+    Candidate axes come from the term of smallest nonzero |winding| above tol
+    (of all terms when none is above it): its coefficient alone forces
+    theta = (-arg gamma + j pi) / m, and j and j + |m| give the same axis
+    modulo pi, so j < |m| gives the |m| distinct candidates.  Every candidate
+    is then scored against all terms.  The axis is "any" when no term winds.
     """
     swirling = [(m, c) for m, c in terms if m != 0]
     if not swirling:
         return "any", max((abs(c.imag) for _, c in terms), default=0.0)
 
     # Smallest |m| first; among those, the largest coefficient for a stable arg.
-    m0, c0 = min(swirling, key=lambda item: (abs(item[0]), -abs(item[1])))
+    m0, c0 = min([(m, c) for m, c in swirling if abs(c) > tol] or swirling,
+                 key=lambda item: (abs(item[0]), -abs(item[1])))
     if (c0.real, c0.imag) < (0.0, 0.0):  # relabels j, so that -f gets the candidates of f
         c0 = -c0
     base = -math.atan2(c0.imag, c0.real) / m0
@@ -149,7 +150,7 @@ def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> S
     reported when its residual is at most tol; the residual is in func's units.
     """
     terms, scale = _unit_terms(func, tol)
-    axis, residual = _best_axis([(k - l - 1, c) for (k, l), c in terms])
+    axis, residual = _best_axis([(k - l - 1, c) for (k, l), c in terms], tol)
     symmetric = residual <= tol
     return SymmetryReport(
         symmetric,

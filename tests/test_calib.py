@@ -1073,23 +1073,55 @@ def test_synthesis_commutes_with_the_mirror(noisy_setup):
     assert np.allclose(synthesize(mirrored).pixels, pixels.pixels, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["decentering+rri3", "sym_quad_cubic_rri3"])
-def test_refined_fit_commutes_with_the_mirror(noisy_setup, name):
+MIRROR_FITS = [
+    *(pytest.param(name, False, id=f"frozen-{name}")
+      for name in ("decentering+rri3", "weng+rri3", "full_quad_cubic+rri3", "sym_quad_cubic_rri3")),
+    *(pytest.param(name, True, id=f"refined-{name}")
+      for name in ("decentering+rri3", "sym_quad_cubic_rri3")),
+]
+
+
+@pytest.mark.parametrize("name, refine", MIRROR_FITS)
+def test_fit_commutes_with_the_mirror(noisy_setup, name, refine):
     # The mirrored fit's weights are the conjugated weights, and its standard
     # errors the same: decentering's p2 and the shared axis's (a, b, c) only
-    # change sign.  The 1e-11 is the LM stop's slack (a relative cost decrease
-    # below 1e-12); the standard errors move by that slack in the Jacobian, so
-    # 1e-10 relative, and the axis by it over its smallest amplitude, so 1e-9.
+    # change sign.  A frozen fit moves only by rounding: measured 7.1e-16
+    # relative on the rms, 2.0e-14 on the weights, 1.4e-14 relative on the
+    # standard errors and 6.7e-16 on the axis, so 1e-12 keeps a margin of 50
+    # or more.  Refined, the 1e-11 is the LM stop's slack (a relative cost
+    # decrease below 1e-12); the standard errors move by that slack in the
+    # Jacobian, so 1e-10 relative, and the axis by it over its smallest
+    # amplitude, so 1e-9.
+    weights_tol, errors_rtol, axis_tol = (1e-11, 1e-10, 1e-9) if refine else (1e-12, 1e-12, 1e-12)
     family = parse_family(name)
-    options = FitOptions(refine_poses=True)
+    options = FitOptions(refine_poses=refine)
     before = calib.fit(*noisy_setup, family, options)
     after = calib.fit(*_mirrored(*noisy_setup), family, options)
     assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
     want = np.conj(family.weights(np.array(before.coefficients)))
-    assert np.max(np.abs(family.weights(np.array(after.coefficients)) - want)) <= 1e-11
-    assert np.allclose(after.std_errors, before.std_errors, rtol=1e-10, atol=0.0)
+    assert np.max(np.abs(family.weights(np.array(after.coefficients)) - want)) <= weights_tol
+    assert np.allclose(after.std_errors, before.std_errors, rtol=errors_rtol, atol=0.0)
     if not family.linear:  # the axis theta turns to -theta, canonically pi - theta
-        assert abs(after.coefficients[0] - (math.pi - before.coefficients[0])) <= 1e-9
+        assert abs(after.coefficients[0] - (math.pi - before.coefficients[0])) <= axis_tol
+
+
+def test_compare_and_sweep_rows_commute_with_the_mirror(noisy_setup):
+    # Every TABLE_FAMILIES family and every sweep space is closed under the
+    # mirror, so the frozen rows keep their flags and their rms; the rms moves
+    # by rounding only: measured 2.8e-15 relative for compare and 3.8e-15 for
+    # the 12-step sweep, so 1e-13 keeps a margin of 25 or more.
+    mirrored = _mirrored(*noisy_setup)
+    before = calib.compare(*noisy_setup, calib.TABLE_FAMILIES)
+    after = calib.compare(*mirrored, calib.TABLE_FAMILIES)
+    assert [replace(row, rms_px=0.0) for row in after] == [replace(row, rms_px=0.0) for row in before]
+    for b, a in zip(before, after):
+        assert abs(a.rms_px - b.rms_px) <= 1e-13 * b.rms_px, b.label
+    phis = [k * math.pi / 12 for k in range(12)]
+    before = calib.sweep_axis_ratio(*noisy_setup, phis)
+    after = calib.sweep_axis_ratio(*mirrored, phis)
+    assert [phi for phi, _ in after] == phis
+    for (_, b), (_, a) in zip(before, after):
+        assert abs(a - b) <= 1e-13 * b
 
 
 # -- compare and sweep ----------------------------------------------------------------
@@ -1135,9 +1167,8 @@ SWEEP_GRIDS = ([k * math.pi / 12 for k in range(12)], [k * math.pi / 32 for k in
 
 def test_sweep_space_is_the_space_sum():
     # The sweep's matrix at phi is mixed_quadratic's pair plus rri3 over the
-    # five _SWEEP_KEYS at every phi.  mixed_quadratic goes through the real
-    # block form, which rounds once more (and leaves up to 2.8e-17 on zbar^2),
-    # so they agree within 2^-53, one ulp of a coefficient in [0.5, 1).
+    # five _SWEEP_KEYS at every phi, bit for bit: both round (c -/+ s)/2 once
+    # and multiply it exactly by t = 1 and i.
     # Every space is full rank (ModelSpace checks), isotropic and rsf: this
     # grid stands in for the rank check the sweep does not make per phi.
     rng = np.random.default_rng(63)
@@ -1148,8 +1179,7 @@ def test_sweep_space_is_the_space_sum():
         p, q = math.cos(phi), math.sin(phi)
         want = (mixed_quadratic(p, q, 1, 0), mixed_quadratic(p, q, 0, 1)) + rri_space(3).basis
         keys = coefficient_keys(space.basis + want)
-        diff = coefficient_matrix(space.basis, keys) - coefficient_matrix(want, keys)
-        assert np.max(np.abs(diff)) <= 2.0**-53
+        assert np.array_equal(coefficient_matrix(space.basis, keys), coefficient_matrix(want, keys))
         cls = classify(space)
         assert cls.isotropic and cls.rsf
 
@@ -1446,8 +1476,8 @@ def test_scene_json_rejects_booleans_for_numbers():
     data = scene_to_json(default_scene(truth=TRUTH))
     paths = _number_paths(data)
     # version, target (3), 8 poses (6 each), intrinsics (4), the truth's
-    # version and 6 terms (k, l, re, im), sigma and seed.
-    assert len(paths) == 1 + 3 + 48 + 4 + 1 + 24 + 2
+    # version and 5 terms (k, l, re, im), sigma and seed.
+    assert len(paths) == 1 + 3 + 48 + 4 + 1 + 20 + 2
     for path in paths:
         for value in (True, False):
             bad = json.loads(json.dumps(data))

@@ -166,6 +166,38 @@ def test_decentering_thin_prism_identifications():
         )
 
 
+def _mirrored(f):
+    """f under the mirror (x, y) -> (x, -y): every coefficient conjugated."""
+    return DistortionFunction(ComplexPoly({key: c.conjugate() for key, c in f.poly.terms.items()}))
+
+
+def test_quadratic_constructors_are_their_paper_coefficients():
+    # Each classical constructor stores exactly its z^2 and z zbar coefficients,
+    # commutes with the mirror, and derives its classical real block, all
+    # bit for bit; the tangential field is i times the radial one.  The draws
+    # span the benchmark's decentering range and unit-scale values.
+    rng = np.random.default_rng(28)
+    for scale in (0.03, 1.0):
+        for _ in range(500):
+            s1, s2, u1, u2, t1, t2, p, q = map(float, rng.uniform(-scale, scale, size=8))
+            s, u, t = complex(s1, s2), complex(u1, u2), complex(t1, t2)
+            dec, prism, mixed = decentering(s1, s2), thin_prism(u1, u2), mixed_quadratic(p, q, t1, t2)
+            assert dict(dec.poly.terms) == {(2, 0): s.conjugate(), (1, 1): 2 * s}
+            assert dict(prism.poly.terms) == {(1, 1): u}
+            assert dict(mixed.poly.terms) == {
+                (2, 0): (p - q) / 2 * t, (1, 1): (p + q) / 2 * t.conjugate()}
+            assert dec == mixed_quadratic(3, 1, s1, -s2)
+            assert prism == mixed_quadratic(1, 1, u1, -u2)
+            assert _mirrored(dec) == decentering(s1, -s2)
+            assert _mirrored(prism) == thin_prism(u1, -u2)
+            assert _mirrored(mixed) == mixed_quadratic(p, q, t1, -t2)
+            assert np.array_equal(dec.real_form.blocks[2], [[3 * s1, 2 * s2, s1], [s2, 2 * s1, 3 * s2]])
+            assert np.array_equal(prism.real_form.blocks[2], [[u1, 0, u1], [u2, 0, u2]])
+    for n in range(2, 8):
+        w = rng.normal(size=n)
+        assert tangential_homogeneous(n, w) == 1j * radial_homogeneous(n, w)
+
+
 def test_conjugate_quadratic():
     assert np.array_equal(block2(conjugate_quadratic(1, 0)), [[1, 0, -1], [0, -2, 0]])
     assert conjugate_quadratic(0, 0).is_zero()

@@ -727,11 +727,13 @@ def test_classify_flags_do_not_depend_on_basis_scale(space, data):
 
 def _reference_best_axis(terms):
     """``_best_axis`` as it scored 2|m0| candidates, de-duplicated within 1e-12,
-    from gamma taken into the right half-plane."""
+    from gamma taken into the right half-plane, m0 the smallest |winding| above
+    DEFAULT_TOL (of all windings when none is above it)."""
     swirling = [(m, c) for m, c in terms if m != 0]
     if not swirling:
         return "any", max((abs(c.imag) for _, c in terms), default=0.0)
-    m0, c0 = min(swirling, key=lambda item: (abs(item[0]), -abs(item[1])))
+    above = [(m, c) for m, c in swirling if abs(c) > DEFAULT_TOL]
+    m0, c0 = min(above or swirling, key=lambda item: (abs(item[0]), -abs(item[1])))
     if c0.real < 0 or (c0.real == 0 and c0.imag < 0):
         c0 = -c0
     base = -cmath.phase(c0) / m0
@@ -909,8 +911,10 @@ def test_single_function_verdicts_are_those_of_its_span(f, s):
 
 # Lines with terms about DEFAULT_TOL, with their (isotropic, rsf) flags: an
 # imaginary part or winding terms of 5e-10, above it; a z^16 term of 1e-10,
-# at it, whose generator image 1.5e-9 is not; an imaginary part of 1e-10.
+# at it, whose generator image 1.5e-9 is not; an imaginary part of 1e-10; a
+# winding term of 5e-11, below it, that must not choose the candidate axes.
 BAND_CASES = {
+    "z^4 + 5e-11 i z zbar": ({(4, 0): 1, (1, 1): 5e-11j}, (False, True)),
     "z^2 zbar (1 + 5e-10 i)": ({(2, 1): 1 + 5e-10j}, (True, False)),
     "z^2 zbar + 5e-10 (z^3 + i z zbar^2)": ({(2, 1): 1, (3, 0): 5e-10, (1, 2): 5e-10j}, (False, False)),
     "z^2 zbar + 1e-10 z^16": ({(2, 1): 1, (16, 0): 1e-10}, (True, True)),
@@ -931,9 +935,12 @@ def test_a_line_in_the_tolerance_band_has_flags_that_agree_at_every_scale(name):
 @given(f=verdict_functions(), s=_POWERS_OF_TWO)
 def test_the_residual_keeps_the_bits_of_the_raw_coefficients(f, s):
     # The unit row is the raw row times a power of two, so the residual read
-    # back in the function's own units is the one the raw terms give.
+    # back in the function's own units is the one the raw terms give when
+    # their candidate threshold is the unit row's tol in those units.
     f = s * f
-    _, raw = _best_axis([(k - l - 1, c) for (k, l), c in f.poly.terms.items()])
+    _, exponent = math.frexp(max(map(abs, f.poly.terms.values())))
+    raw_terms = [(k - l - 1, c) for (k, l), c in f.poly.terms.items()]
+    _, raw = _best_axis(raw_terms, math.ldexp(DEFAULT_TOL, exponent - 1))
     assert float.hex(reflection_symmetry(f).residual) == float.hex(raw)
 
 
