@@ -46,7 +46,6 @@ import numpy as np
 
 from ._io import check_header, load_json, read_csv, save_json, write_csv
 from .families import (
-    DistortionFunction,
     ModelSpace,
     coefficient_keys,
     coefficient_matrix,
@@ -175,7 +174,7 @@ class Scene:
     spacing: float
     poses: tuple[Pose, ...]
     intrinsics: Intrinsics
-    truth: DistortionFunction
+    truth: ComplexPoly
     noise_sigma: float
     seed: int
 
@@ -287,7 +286,7 @@ def _pixels(intrinsics: Intrinsics, xn, yn, d) -> np.ndarray:
 
 
 def project_points(
-    intrinsics: Intrinsics, pose: Pose, func: DistortionFunction, points3
+    intrinsics: Intrinsics, pose: Pose, func: ComplexPoly, points3
 ) -> np.ndarray:
     """Pixel projections of an (N, 3) array of target points."""
     pts = np.asarray(points3, dtype=float).reshape(-1, 3)
@@ -295,10 +294,10 @@ def project_points(
     if np.any(cam[:, 2] <= 0):
         raise ValueError("point behind camera (nonpositive depth)")
     xn, yn = cam[:, 0] / cam[:, 2], cam[:, 1] / cam[:, 2]
-    return _pixels(intrinsics, xn, yn, func.poly.evaluate(xn + 1j * yn))
+    return _pixels(intrinsics, xn, yn, func.evaluate(xn + 1j * yn))
 
 
-def project(intrinsics: Intrinsics, pose: Pose, func: DistortionFunction, point3):
+def project(intrinsics: Intrinsics, pose: Pose, func: ComplexPoly, point3):
     """Pixel projection of a single 3D point."""
     uv = project_points(intrinsics, pose, func, np.asarray(point3, float).reshape(1, 3))
     return float(uv[0, 0]), float(uv[0, 1])
@@ -308,14 +307,14 @@ def synthesize(scene: Scene) -> Observations:
     """Noisy observations of the scene; identical seeds give identical output."""
     cam = scene.camera_points
     xn, yn = cam[..., 0] / cam[..., 2], cam[..., 1] / cam[..., 2]
-    views = _pixels(scene.intrinsics, xn, yn, scene.truth.poly.evaluate(xn + 1j * yn))
+    views = _pixels(scene.intrinsics, xn, yn, scene.truth.evaluate(xn + 1j * yn))
     rng = np.random.default_rng(scene.seed)
     noise = rng.normal(0.0, 1.0, size=views.shape) * scene.noise_sigma
     return Observations(views + noise)
 
 
 def default_scene(
-    truth: DistortionFunction | None = None,
+    truth: ComplexPoly | None = None,
     noise_sigma: float = 0.2,
     seed: int = 0,
 ) -> Scene:
@@ -336,7 +335,7 @@ def default_scene(
         spacing=0.08,
         poses=poses,
         intrinsics=Intrinsics(800.0, 800.0, 640.0, 360.0),
-        truth=truth if truth is not None else DistortionFunction.zero(),
+        truth=truth if truth is not None else ComplexPoly.zero(),
         noise_sigma=noise_sigma,
         seed=seed,
     )
@@ -358,7 +357,7 @@ class LinearFamily:
         self.n_params = space.dimension
         self.keys = space.keys
 
-    def build(self, coeffs) -> DistortionFunction:
+    def build(self, coeffs) -> ComplexPoly:
         return self.space.member(coeffs)
 
     def weights(self, coeffs) -> np.ndarray:
@@ -420,7 +419,7 @@ class SharedAxisFamily:
     keys = _SYMMETRIC_BASE.keys
     windings = _SYMMETRIC_BASE.windings
 
-    def build(self, coeffs) -> DistortionFunction:
+    def build(self, coeffs) -> ComplexPoly:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
     def _rows(self, theta) -> np.ndarray:
@@ -816,7 +815,7 @@ def _sweep_matrix(phi: float) -> np.ndarray:
 
 
 def _mixed_rri_space(phi: float) -> ModelSpace:
-    basis = (DistortionFunction(ComplexPoly(dict(zip(_SWEEP_KEYS, row)))) for row in _sweep_matrix(phi))
+    basis = (ComplexPoly(dict(zip(_SWEEP_KEYS, row))) for row in _sweep_matrix(phi))
     return ModelSpace(tuple(basis), f"mixed_quadratic(phi={phi:.12g})+rri3")
 
 
@@ -856,7 +855,7 @@ def scene_to_json(scene: Scene) -> dict:
             for p in scene.poses
         ],
         "intrinsics": asdict(scene.intrinsics),
-        "truth": model_to_json(scene.truth.poly, form="complex"),
+        "truth": model_to_json(scene.truth, form="complex"),
         "sigma": scene.noise_sigma,
         "seed": scene.seed,
     }
@@ -878,7 +877,7 @@ def scene_from_json(data) -> Scene:
             intrinsics=Intrinsics(
                 float(intr["fx"]), float(intr["fy"]), float(intr["cx"]), float(intr["cy"])
             ),
-            truth=DistortionFunction.from_poly(model_from_json(data["truth"])),
+            truth=model_from_json(data["truth"]),
             noise_sigma=float(data["sigma"]),
             seed=data["seed"],
         )

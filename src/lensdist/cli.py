@@ -27,7 +27,7 @@ import sys
 from dataclasses import replace
 
 from . import calib, warp
-from .families import DistortionFunction, load_space
+from .families import load_space
 from .poly import DEFAULT_TOL, load_model, save_model
 from .symmetry import classify, reflection_symmetry, sphere_point
 
@@ -110,7 +110,7 @@ def _svg_field(samples, size: int = 640, margin: int = 30) -> str:
 
 
 def _cmd_render(args) -> int:
-    func = DistortionFunction.from_poly(_load_checked(load_model, "model", args.model))
+    func = _load_checked(load_model, "model", args.model)
     try:
         if args.shape == "circle":
             count = args.count if args.count is not None else 64
@@ -127,7 +127,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.model:
-        func = DistortionFunction.from_poly(_load_checked(load_model, "model", args.model))
+        func = _load_checked(load_model, "model", args.model)
         tol = DEFAULT_TOL if args.tol is None else args.tol
         try:
             report = reflection_symmetry(func, tol=tol)

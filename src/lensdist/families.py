@@ -1,7 +1,7 @@
 """Constructors for the named distortion model families.
 
-Each constructor returns a concrete ``DistortionFunction``: a displacement
-stored as one ``ComplexPoly``, with the real block form derived on access.
+Each constructor returns a concrete displacement: one ``ComplexPoly``, whose
+real block form ``real_form`` is derived on access.
 Linear models are represented as a ``ModelSpace``: an ordered, linearly
 independent list of basis displacement functions whose real span is the
 model.
@@ -26,14 +26,13 @@ space, so they return functions, not spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._io import check_header, load_json, save_json
 from .poly import (
-    DEFAULT_TOL,
     MAX_DEGREE,
     ComplexPoly,
     MonomialKey,
@@ -78,67 +77,9 @@ SPACE_FORMAT = "lensdist-space"
 SPACE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class DistortionFunction:
-    """A concrete displacement, stored as its complex coefficients only.
-
-    ``real_form`` is the equivalent per-degree real block form, derived from
-    ``poly`` on first access and cached.
-    """
-
-    poly: ComplexPoly
-
-    @cached_property
-    def real_form(self) -> RealPolyModel:
-        return self.poly.to_real()
-
-    @classmethod
-    def from_poly(cls, poly: ComplexPoly) -> "DistortionFunction":
-        return cls(poly)
-
-    @classmethod
-    def from_real(cls, model: RealPolyModel) -> "DistortionFunction":
-        return cls(model.to_complex())
-
-    @classmethod
-    def zero(cls) -> "DistortionFunction":
-        return cls.from_poly(ComplexPoly.zero())
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
-    def displacement(self, x, y):
-        """Displacement (dx, dy) at (x, y); accepts scalars or arrays."""
-        w = self.poly.evaluate(np.asarray(x, float) + 1j * np.asarray(y, float))
-        return w.real, w.imag
-
-    def rotated(self, theta: float) -> "DistortionFunction":
-        return DistortionFunction.from_poly(self.poly.rotated(theta))
-
-    def __add__(self, other: "DistortionFunction") -> "DistortionFunction":
-        if not isinstance(other, DistortionFunction):
-            return NotImplemented
-        return DistortionFunction.from_poly(self.poly + other.poly)
-
-    def __sub__(self, other: "DistortionFunction") -> "DistortionFunction":
-        if not isinstance(other, DistortionFunction):
-            return NotImplemented
-        return DistortionFunction.from_poly(self.poly - other.poly)
-
-    def __neg__(self) -> "DistortionFunction":
-        return DistortionFunction.from_poly(-self.poly)
-
-    def __mul__(self, scalar) -> "DistortionFunction":
-        return DistortionFunction.from_poly(self.poly * scalar)
-
-    __rmul__ = __mul__
-
-    def isclose(self, other: "DistortionFunction", tol: float = DEFAULT_TOL) -> bool:
-        return self.poly.isclose(other.poly, tol)
+# The former name of a displacement, kept for the acceptance tests and the
+# perfbench workloads, which still spell it.
+DistortionFunction = ComplexPoly
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +87,7 @@ class DistortionFunction:
 # --------------------------------------------------------------------------
 
 
-def rri(alphas: Sequence[float]) -> DistortionFunction:
+def rri(alphas: Sequence[float]) -> ComplexPoly:
     """Radial rotationally invariant model (x, y) * sum_j alpha_j r^(2j).
 
     Coefficient j (1-based) multiplies the invariant monomial z^(j+1) zbar^j.
@@ -154,12 +95,10 @@ def rri(alphas: Sequence[float]) -> DistortionFunction:
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("rri needs at least one coefficient")
-    return DistortionFunction.from_poly(
-        ComplexPoly({(j + 1, j): a for j, a in enumerate(alphas, start=1)})
-    )
+    return ComplexPoly({(j + 1, j): a for j, a in enumerate(alphas, start=1)})
 
 
-def radial_homogeneous(degree: int, weights: Sequence[float]) -> DistortionFunction:
+def radial_homogeneous(degree: int, weights: Sequence[float]) -> ComplexPoly:
     """Degree-n radial displacement (x, y) * (w . monomials of degree n-1)."""
     w = np.asarray(weights, dtype=float)
     if degree < 2:
@@ -169,49 +108,47 @@ def radial_homogeneous(degree: int, weights: Sequence[float]) -> DistortionFunct
     block = np.zeros((2, degree + 1))
     block[0, :degree] = w
     block[1, 1:] = w
-    return DistortionFunction.from_real(RealPolyModel({degree: block}))
+    return RealPolyModel({degree: block}).to_complex()
 
 
-def tangential_homogeneous(degree: int, weights: Sequence[float]) -> DistortionFunction:
+def tangential_homogeneous(degree: int, weights: Sequence[float]) -> ComplexPoly:
     """Degree-n tangential displacement (-y, x) * (w . monomials of degree n-1):
     i times the radial one."""
     return 1j * radial_homogeneous(degree, weights)
 
 
-def decentering(s1: float, s2: float) -> DistortionFunction:
+def decentering(s1: float, s2: float) -> ComplexPoly:
     """Classical decentering distortion for misaligned lens-surface axes.
 
     dx = s1 (3x^2 + y^2) + 2 s2 x y, dy = 2 s1 x y + s2 (x^2 + 3y^2), that is
     conj(s) z^2 + 2 s z zbar with s = s1 + i s2.
     """
     s = complex(float(s1), float(s2))
-    return DistortionFunction.from_poly(ComplexPoly({(2, 0): s.conjugate(), (1, 1): 2 * s}))
+    return ComplexPoly({(2, 0): s.conjugate(), (1, 1): 2 * s})
 
 
-def thin_prism(u1: float, u2: float) -> DistortionFunction:
+def thin_prism(u1: float, u2: float) -> ComplexPoly:
     """Thin prism distortion: displacement (u1, u2) * (x^2 + y^2), that is u z zbar
     with u = u1 + i u2."""
-    return DistortionFunction.from_poly(ComplexPoly({(1, 1): complex(float(u1), float(u2))}))
+    return ComplexPoly({(1, 1): complex(float(u1), float(u2))})
 
 
-def mixed_quadratic(p: float, q: float, t1: float, t2: float) -> DistortionFunction:
+def mixed_quadratic(p: float, q: float, t1: float, t2: float) -> ComplexPoly:
     """Axis-sharing blend of radial (weight p) and tangential (weight q) quadratics:
     (p - q)/2 t z^2 + (p + q)/2 conj(t) z zbar with t = t1 + i t2."""
     p, q, t = float(p), float(q), complex(float(t1), float(t2))
     if p == 0.0 and q == 0.0:
         raise ValueError("(p, q) must not both be zero")
-    return DistortionFunction.from_poly(
-        ComplexPoly({(2, 0): (p - q) / 2 * t, (1, 1): (p + q) / 2 * t.conjugate()})
-    )
+    return ComplexPoly({(2, 0): (p - q) / 2 * t, (1, 1): (p + q) / 2 * t.conjugate()})
 
 
-def conjugate_quadratic(t1: float, t2: float) -> DistortionFunction:
+def conjugate_quadratic(t1: float, t2: float) -> ComplexPoly:
     """The conjugate-square displacement (t1 + i t2) zbar^2."""
     t1, t2 = float(t1), float(t2)
-    return DistortionFunction.from_poly(ComplexPoly({(0, 2): complex(t1, t2)}))
+    return ComplexPoly({(0, 2): complex(t1, t2)})
 
 
-def symmetric_quadratic(axis: float, a: float, b: float, c: float) -> DistortionFunction:
+def symmetric_quadratic(axis: float, a: float, b: float, c: float) -> ComplexPoly:
     """Quadratic displacement reflection-symmetric about the given axis angle.
 
     At axis 0 the three amplitude terms are a [[1,0,0],[0,1,0]] (radial),
@@ -225,10 +162,10 @@ def symmetric_quadratic(axis: float, a: float, b: float, c: float) -> Distortion
             (0, 2): float(c),
         }
     )
-    return DistortionFunction.from_poly(base.rotated(-float(axis)))
+    return base.rotated(-float(axis))
 
 
-def symmetric_cubic(axis: float, d: float, e: float, f: float, g: float) -> DistortionFunction:
+def symmetric_cubic(axis: float, d: float, e: float, f: float, g: float) -> ComplexPoly:
     """Cubic displacement reflection-symmetric about the given axis angle.
 
     The d term is the invariant radial cubic rri([d]); e is radial, f is
@@ -242,18 +179,16 @@ def symmetric_cubic(axis: float, d: float, e: float, f: float, g: float) -> Dist
             (0, 3): float(g),
         }
     )
-    return DistortionFunction.from_poly(base.rotated(-float(axis)))
+    return base.rotated(-float(axis))
 
 
-def opencv_thin_prism(s1: float, s2: float, s3: float, s4: float) -> DistortionFunction:
+def opencv_thin_prism(s1: float, s2: float, s3: float, s4: float) -> ComplexPoly:
     """OpenCV's quartic thin-prism term: dx = s1 r^2 + s2 r^4, dy = s3 r^2 + s4 r^4."""
-    return DistortionFunction.from_poly(
-        ComplexPoly(
-            {
-                (1, 1): complex(float(s1), float(s3)),
-                (2, 2): complex(float(s2), float(s4)),
-            }
-        )
+    return ComplexPoly(
+        {
+            (1, 1): complex(float(s1), float(s3)),
+            (2, 2): complex(float(s2), float(s4)),
+        }
     )
 
 
@@ -262,16 +197,16 @@ def opencv_thin_prism(s1: float, s2: float, s3: float, s4: float) -> DistortionF
 # --------------------------------------------------------------------------
 
 
-def coefficient_keys(funcs: Iterable[DistortionFunction]) -> tuple[MonomialKey, ...]:
+def coefficient_keys(funcs: Iterable[ComplexPoly]) -> tuple[MonomialKey, ...]:
     """Sorted union of the monomials appearing in the given functions."""
     keys: set[MonomialKey] = set()
     for f in funcs:
-        keys.update(f.poly.terms)
+        keys.update(f.terms)
     return tuple(sorted(keys, key=lambda kl: (kl[0] + kl[1], -kl[0])))
 
 
 def coefficient_matrix(
-    funcs: Sequence[DistortionFunction],
+    funcs: Sequence[ComplexPoly],
     keys: Sequence[MonomialKey] | None = None,
 ) -> np.ndarray:
     """Stack real coefficient vectors (Re, Im per monomial), one row per function."""
@@ -279,14 +214,17 @@ def coefficient_matrix(
         keys = coefficient_keys(funcs)
     if not keys:
         return np.zeros((len(funcs), 1))
-    rows = [[f.poly.terms.get(key, 0j) for key in keys] for f in funcs]
+    rows = [[f.terms.get(key, 0j) for key in keys] for f in funcs]
     return np.array(rows, dtype=complex).reshape(len(funcs), len(keys)).view(float)
 
 
 def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of the complex ``matrix`` scaled exactly by a power of two to a
-    largest modulus in [1, 2) (zero rows stay zero), and the powers undoing it."""
-    _, exponents = np.frexp(np.abs(matrix).max(axis=1, initial=0.0))
+    largest modulus in [1, 2) (zero rows stay zero), and the powers undoing it.
+
+    The moduli are np.hypot's, the libm hypot of Python's abs: numpy's complex
+    abs can round a modulus of 1 down to 1 - 2^-53, which doubles the row."""
+    _, exponents = np.frexp(np.hypot(matrix.real, matrix.imag).max(axis=1, initial=0.0))
     unit = np.ldexp(matrix.view(float), 1 - exponents[:, None]).view(complex)
     return unit, np.ldexp(1.0, exponents - 1)
 
@@ -313,7 +251,7 @@ class ModelSpace:
     once; the arrays are read-only.
     """
 
-    basis: tuple[DistortionFunction, ...]
+    basis: tuple[ComplexPoly, ...]
     label: str
     keys: tuple[MonomialKey, ...] = field(init=False, repr=False, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -347,21 +285,21 @@ class ModelSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def member(self, coeffs: Sequence[float]) -> DistortionFunction:
+    def member(self, coeffs: Sequence[float]) -> ComplexPoly:
         """Real linear combination sum c_i basis_i."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (len(self.basis),):
             raise ValueError(
                 f"expected {len(self.basis)} coefficients, got shape {coeffs.shape}"
             )
-        # The products and sums of the chain sum(f.poly * c), in the same
+        # The products and sums of the chain sum(f * c), in the same
         # order, so the result matches it bit for bit.
         total: dict[MonomialKey, complex] = {}
         for c, f in zip(coeffs, self.basis):
             scale = complex(float(c))
-            for key, gamma in f.poly.terms.items():
+            for key, gamma in f.terms.items():
                 total[key] = total.get(key, 0j) + gamma * scale
-        return DistortionFunction.from_poly(ComplexPoly(total))
+        return ComplexPoly(total)
 
 
 @dataclass(frozen=True)
@@ -392,10 +330,7 @@ def irreducible_space(spec: IrreducibleSpec) -> ModelSpace:
     f, g = spec.plus, spec.minus
     b1 = f + g
     b2 = (1j * f) + (-1j * g)
-    return ModelSpace(
-        (DistortionFunction.from_poly(b1), DistortionFunction.from_poly(b2)),
-        f"irreducible(m={spec.m})",
-    )
+    return ModelSpace((b1, b2), f"irreducible(m={spec.m})")
 
 
 def space_sum(a: ModelSpace, b: ModelSpace, label: str | None = None) -> ModelSpace:
@@ -435,11 +370,11 @@ def full_poly_space(degrees: Iterable[int], label: str | None = None) -> ModelSp
     degrees = sorted(set(int(n) for n in degrees))
     if not degrees:
         raise ValueError("need at least one degree")
-    basis: list[DistortionFunction] = []
+    basis: list[ComplexPoly] = []
     for n in degrees:
         for k in range(n, -1, -1):
-            basis.append(DistortionFunction.from_poly(ComplexPoly({(k, n - k): 1.0})))
-            basis.append(DistortionFunction.from_poly(ComplexPoly({(k, n - k): 1j})))
+            basis.append(ComplexPoly({(k, n - k): 1.0}))
+            basis.append(ComplexPoly({(k, n - k): 1j}))
     name = label if label is not None else "full_" + "_".join(map(str, degrees))
     return ModelSpace(tuple(basis), name)
 
@@ -503,7 +438,7 @@ def space_to_json(space: ModelSpace) -> dict:
         "format": SPACE_FORMAT,
         "version": SPACE_VERSION,
         "label": space.label,
-        "basis": [model_to_json(f.poly, form="complex") for f in space.basis],
+        "basis": [model_to_json(f, form="complex") for f in space.basis],
     }
 
 
@@ -512,9 +447,7 @@ def space_from_json(data) -> ModelSpace:
     basis_data = data.get("basis")
     if not isinstance(basis_data, list) or not basis_data:
         raise ValueError("'basis' must be a nonempty list of models")
-    basis = tuple(
-        DistortionFunction.from_poly(model_from_json(entry)) for entry in basis_data
-    )
+    basis = tuple(model_from_json(entry) for entry in basis_data)
     label = data.get("label")
     if not isinstance(label, str):
         raise ValueError("'label' must be a string")

@@ -235,7 +235,8 @@ class ComplexPoly:
 
     ``terms`` maps exponent pairs (k, l) to complex coefficients.  Keys must
     satisfy k, l >= 0 and 2 <= k + l <= MAX_DEGREE.  Exactly-zero
-    coefficients are dropped on construction.
+    coefficients are dropped on construction.  This is the package's one type
+    of displacement: the constructors return it and every layer takes it.
     """
 
     terms: Mapping[MonomialKey, complex]
@@ -256,6 +257,17 @@ class ComplexPoly:
     @classmethod
     def zero(cls) -> "ComplexPoly":
         return cls({})
+
+    # Spellings of the former ``DistortionFunction`` wrapper around one
+    # ComplexPoly, kept because the acceptance tests and the perfbench
+    # workloads still use them; nothing in the package calls them.
+    @classmethod
+    def from_poly(cls, poly: "ComplexPoly") -> "ComplexPoly":
+        return poly
+
+    @property
+    def poly(self) -> "ComplexPoly":
+        return self
 
     @property
     def degree(self) -> int:
@@ -311,6 +323,11 @@ class ComplexPoly:
                 acc += t
         return complex(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)
 
+    def displacement(self, x, y):
+        """Displacement (dx, dy) at (x, y); accepts scalars or arrays."""
+        w = self.evaluate(np.asarray(x, float) + 1j * np.asarray(y, float))
+        return w.real, w.imag
+
     def wirtinger(self, z):
         """Wirtinger derivatives (f_z, f_zbar) at a complex scalar or array.
 
@@ -346,6 +363,11 @@ class ComplexPoly:
                 for (k, l), coeff in self.terms.items()
             }
         )
+
+    @cached_property
+    def real_form(self) -> "RealPolyModel":
+        """``to_real()``, derived on first access and cached."""
+        return self.to_real()
 
     def to_real(self) -> "RealPolyModel":
         """Equivalent per-degree real coefficient blocks."""

@@ -32,8 +32,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .families import INDEPENDENCE_RTOL, DistortionFunction, ModelSpace, _unit_rows
-from .poly import DEFAULT_TOL
+from .families import INDEPENDENCE_RTOL, ModelSpace, _unit_rows
+from .poly import DEFAULT_TOL, ComplexPoly
 
 __all__ = [
     "SymmetryReport",
@@ -135,15 +135,15 @@ def _best_axis(terms, tol: float = DEFAULT_TOL) -> tuple[float | str, float]:
     return best_axis, best_residual
 
 
-def _unit_terms(func: DistortionFunction, tol: float) -> tuple[list, float]:
+def _unit_terms(func: ComplexPoly, tol: float) -> tuple[list, float]:
     """The ((k, l), gamma) terms of func on its span's unit row, and the power undoing it."""
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    unit, scale = _unit_rows(np.array([list(func.poly.terms.values())], dtype=complex))
-    return list(zip(func.poly.terms, unit[0].tolist())), float(scale[0])
+    unit, scale = _unit_rows(np.array([list(func.terms.values())], dtype=complex))
+    return list(zip(func.terms, unit[0].tolist())), float(scale[0])
 
 
-def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> SymmetryReport:
+def reflection_symmetry(func: ComplexPoly, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Decide mirror symmetry of a displacement and recover the axis.
 
     The best axis of the unit terms, as ``classify`` reads span{func}, is
@@ -160,7 +160,7 @@ def reflection_symmetry(func: DistortionFunction, tol: float = DEFAULT_TOL) -> S
     )
 
 
-def pairwise_conditions(func: DistortionFunction, tol: float = DEFAULT_TOL) -> bool:
+def pairwise_conditions(func: ComplexPoly, tol: float = DEFAULT_TOL) -> bool:
     """Necessary two-term conditions Im[gamma^m' conj(gamma')^m] = 0.
 
     Evaluated in phase form, |sin(m' arg gamma - m arg gamma')| <= tol, which
@@ -176,7 +176,7 @@ def pairwise_conditions(func: DistortionFunction, tol: float = DEFAULT_TOL) -> b
     return True
 
 
-def is_rotation_invariant(func: DistortionFunction, tol: float = DEFAULT_TOL) -> bool:
+def is_rotation_invariant(func: ComplexPoly, tol: float = DEFAULT_TOL) -> bool:
     """True when every unit-row coefficient above tol sits on a winding-zero monomial."""
     return all(abs(c) <= tol or k - l - 1 == 0 for (k, l), c in _unit_terms(func, tol)[0])
 
@@ -278,7 +278,7 @@ def classify(space: ModelSpace) -> ClassReport:
     )
 
 
-def radial_tangential_at(func: DistortionFunction, p) -> tuple[float, float]:
+def radial_tangential_at(func: ComplexPoly, p) -> tuple[float, float]:
     """Pointwise radial/tangential split: displacement = (x,y) g_r + (-y,x) g_t."""
     x, y = float(p[0]), float(p[1])
     r2 = x * x + y * y
@@ -290,7 +290,7 @@ def radial_tangential_at(func: DistortionFunction, p) -> tuple[float, float]:
     return g_r, g_t
 
 
-def in_radial_tangential_span(func: DistortionFunction, tol: float = DEFAULT_TOL) -> bool:
+def in_radial_tangential_span(func: ComplexPoly, tol: float = DEFAULT_TOL) -> bool:
     """True when the function lies in the span of radial and tangential fields.
 
     Those are exactly the multiples of z, so the test is that every unit

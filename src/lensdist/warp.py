@@ -21,8 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._io import read_csv, write_csv
-from .families import DistortionFunction
-from .poly import _derivatives, _power_tables, _value
+from .poly import ComplexPoly, _derivatives, _power_tables, _value
 
 __all__ = [
     "NoConvergence",
@@ -61,9 +60,7 @@ class SingularJacobian(RuntimeError):
     """The forward Jacobian became singular at an iterate."""
 
 
-def apply_distortion(
-    func: DistortionFunction, points: Sequence[Point]
-) -> list[Point]:
+def apply_distortion(func: ComplexPoly, points: Sequence[Point]) -> list[Point]:
     """Forward-map each point: output = input + displacement, order preserved."""
     if len(points) == 0:
         return []
@@ -73,19 +70,19 @@ def apply_distortion(
     return list(zip(out[:, 0].tolist(), out[:, 1].tolist()))
 
 
-def jacobian(func: DistortionFunction, p) -> np.ndarray:
+def jacobian(func: ComplexPoly, p) -> np.ndarray:
     """Analytic 2x2 Jacobian of F = id + G at p.
 
     Uses the Wirtinger derivatives of the complex form; every term has total
     degree >= 2, so the result is exactly the identity at the origin.
     """
-    fz, fzb = func.poly.wirtinger(complex(float(p[0]), float(p[1])))
+    fz, fzb = func.wirtinger(complex(float(p[0]), float(p[1])))
     wx = fz + fzb
     wy = 1j * (fz - fzb)
     return np.array([[1.0 + wx.real, wy.real], [wx.imag, 1.0 + wy.imag]])
 
 
-def invert(func: DistortionFunction, target) -> Point:
+def invert(func: ComplexPoly, target) -> Point:
     """Solve F(q) = target by damped Newton from q0 = target.
 
     The iteration runs in complex arithmetic.  With r = q + f(q) - target,
@@ -105,7 +102,7 @@ def invert(func: DistortionFunction, target) -> Point:
     pair = np.asarray(target, dtype=float)
     if pair.shape != (2,) or not cisfinite(t := complex(*pair.tolist())):
         raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
-    plan, steps = func.poly._plan, func.poly._steps
+    plan, steps = func._plan, func._steps
     q = t
     try:
         table = _power_tables(q, steps)
@@ -177,7 +174,7 @@ class FieldSample(NamedTuple):
     displaced: Point
 
 
-def sample_field(func: DistortionFunction, points: Sequence[Point]) -> list[FieldSample]:
+def sample_field(func: ComplexPoly, points: Sequence[Point]) -> list[FieldSample]:
     """Pair each point with its forward image."""
     displaced = apply_distortion(func, points)
     return [FieldSample((float(p[0]), float(p[1])), d) for p, d in zip(points, displaced)]

@@ -23,3 +23,8 @@ def high_degree_poly():
             mag = rng.uniform(0.5, 1.0) * 0.015 / n
             terms[(int(k), n - int(k))] = mag * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     return ComplexPoly(terms)
+
+
+def conjugated(f: ComplexPoly) -> ComplexPoly:
+    """f under the mirror (x, y) -> (x, -y): every coefficient conjugated."""
+    return ComplexPoly({key: c.conjugate() for key, c in f.terms.items()})

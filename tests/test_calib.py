@@ -31,7 +31,6 @@ from lensdist.calib import (
 )
 from lensdist.families import (
     CATALOG_NAMES,
-    DistortionFunction,
     IrreducibleSpec,
     ModelSpace,
     coefficient_keys,
@@ -51,6 +50,8 @@ from lensdist.symmetry import classify
 
 TRUTH = decentering(0.02, -0.01) + rri([0.08, -0.02, 0.005])
 TRUE_COEFFS = np.array([0.02, -0.01, 0.08, -0.02, 0.005])
+
+from conftest import conjugated
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +99,7 @@ def test_target_grid_centered():
 def test_project_examples():
     intr = Intrinsics(1000, 1000, 640, 360)
     pose = Pose((0, 0, 0), (0, 0, 0))
-    ident = DistortionFunction.zero()
+    ident = ComplexPoly.zero()
     assert project(intr, pose, ident, (0, 0, 1)) == pytest.approx((640, 360))
     assert project(intr, pose, ident, (0.1, 0, 1)) == pytest.approx((740, 360))
     u, v = project(intr, pose, rri([0.1]), (0.1, 0, 1))
@@ -110,7 +111,7 @@ def test_project_rejects_nonpositive_depth():
     intr = Intrinsics(1000, 1000, 640, 360)
     pose = Pose((0, 0, 0), (0, 0, 0))
     with pytest.raises(ValueError):
-        project(intr, pose, DistortionFunction.zero(), (0, 0, -1))
+        project(intr, pose, ComplexPoly.zero(), (0, 0, -1))
 
 
 def test_scene_validation():
@@ -119,11 +120,11 @@ def test_scene_validation():
     poses = (Pose((0, 0, 0), (0, 0, 1.0)),) * 3
     with pytest.raises(ValueError):
         Scene(6, 9, 0.08, poses, Intrinsics(800, 800, 640, 360),
-              DistortionFunction.zero(), 0.0, 0)
+              ComplexPoly.zero(), 0.0, 0)
     behind = (Pose((0, 0, 0), (0, 0, -1.0)),) * 4
     with pytest.raises(ValueError):
         Scene(6, 9, 0.08, behind, Intrinsics(800, 800, 640, 360),
-              DistortionFunction.zero(), 0.0, 0)
+              ComplexPoly.zero(), 0.0, 0)
     # A negative seed would fail only later, in np.random.default_rng, and a
     # boolean one would be read as 0 or 1.
     for seed in (-1, True, False):
@@ -193,7 +194,7 @@ def test_synthesize_noise_statistics():
 
 
 def test_fit_zero_truth_recovers_zero():
-    scene = default_scene(truth=DistortionFunction.zero(), noise_sigma=0.0, seed=0)
+    scene = default_scene(truth=ComplexPoly.zero(), noise_sigma=0.0, seed=0)
     obs = synthesize(scene)
     report = calib.fit(scene, obs, "rri3")
     assert report.rms_px < 1e-8
@@ -305,11 +306,11 @@ def _basis_design(scene, obs, basis) -> tuple[np.ndarray, np.ndarray]:
     evaluated on its own, and the residuals at zero: the residuals at c are
     rhs - design @ c.  The oracle of the frozen solves."""
     intr = scene.intrinsics
-    rhs = _reprojection_residuals(scene, obs, DistortionFunction.zero())
+    rhs = _reprojection_residuals(scene, obs, ComplexPoly.zero())
     cam = np.concatenate([scene.target_points @ rotation_matrix(p.axis_angle).T + p.translation
                           for p in scene.poses])
     z = cam[:, 0] / cam[:, 2] + 1j * cam[:, 1] / cam[:, 2]
-    columns = np.array([f.poly.evaluate(z) for f in basis])
+    columns = np.array([f.evaluate(z) for f in basis])
     design = np.stack([intr.fx * columns.real, intr.fy * columns.imag], axis=-1)
     return design.reshape(len(basis), -1).T, rhs
 
@@ -403,8 +404,8 @@ def test_frozen_design_matches_the_reprojection_oracle(noisy_setup, problem):
 def test_shared_axis_members_obey_the_phase_law(theta, phi, amplitudes):
     # Turning the axis by phi turns the member by phi: rotated(-phi).
     family = calib.SharedAxisFamily()
-    turned = family.build(np.array([theta + phi, *amplitudes])).poly
-    want = family.build(np.array([theta, *amplitudes])).poly.rotated(-phi)
+    turned = family.build(np.array([theta + phi, *amplitudes]))
+    want = family.build(np.array([theta, *amplitudes])).rotated(-phi)
     assert turned.isclose(want, tol=1e-12)
 
 
@@ -672,8 +673,9 @@ NOISE_TRUTHS = {
 NOISE_SEEDS = 128
 
 
+@pytest.mark.parametrize("refine", [False, True], ids=["frozen", "refined"])
 @pytest.mark.parametrize("name", NOISE_TRUTHS)
-def test_refine_poses_std_errors_match_the_noise(name):
+def test_refine_poses_std_errors_match_the_noise(name, refine):
     # Refit NOISE_SEEDS seeded scenes at sigma = 0.2.  Each bound is 4 standard
     # deviations of sampling theory, fixed before the runs: the sample spread s of
     # N Gaussian estimates has sd(s) / sigma_c = 1 / sqrt(2 (N - 1)), their mean has
@@ -684,7 +686,7 @@ def test_refine_poses_std_errors_match_the_noise(name):
     reports = []
     for seed in range(NOISE_SEEDS):
         scene = default_scene(truth=family.build(truth), noise_sigma=0.2, seed=seed)
-        reports.append(calib.fit(scene, synthesize(scene), family, FitOptions(refine_poses=True)))
+        reports.append(calib.fit(scene, synthesize(scene), family, FitOptions(refine_poses=refine)))
     coeffs = np.array([r.coefficients for r in reports])
     std_errors = np.array([r.std_errors for r in reports])
     reported = np.sqrt(np.mean(std_errors**2, axis=0))
@@ -693,8 +695,11 @@ def test_refine_poses_std_errors_match_the_noise(name):
     assert np.all(np.abs(coeffs.mean(axis=0) - truth) <= 4.0 * reported / math.sqrt(NOISE_SEEDS))
     # The sigma that the standard errors imply: over sqrt(diag(pinv(J^T J))) of J at the
     # truth, which every scene shares; each fit's own J differs by a zero-mean first-order term.
-    problem = calib._Reprojection(scene, synthesize(scene), family)
-    jac = problem.jacobian(np.concatenate([truth, calib._pack_poses(scene.poses)]))
+    if refine:
+        problem = calib._Reprojection(scene, synthesize(scene), family)
+        jac = problem.jacobian(np.concatenate([truth, calib._pack_poses(scene.poses)]))
+    else:
+        jac = calib._FrozenDesign(scene, synthesize(scene), family.keys).jacobian(family, truth)
     (m, n), p = jac.shape, truth.size
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     sigma = np.mean(std_errors / np.sqrt(np.sum((vt[:, :p] / s[:, None]) ** 2, axis=0)))
@@ -745,7 +750,7 @@ def test_nonlinear_family_fit_recovers_symmetric_truth():
     assert report.rms_px < 0.22
 
 
-def _shared_axis_reference(theta, a, b, c, d, e, f, g, a2, a3) -> DistortionFunction:
+def _shared_axis_reference(theta, a, b, c, d, e, f, g, a2, a3) -> ComplexPoly:
     # The shared-axis member assembled from its three families at the axis:
     # the oracle for SharedAxisFamily.build and its amplitude derivatives.
     return (
@@ -778,11 +783,11 @@ def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
         values = [float(v) for v in coeffs]
         want = _shared_axis_reference(*values)
         got = family.build(coeffs)
-        assert _bits(got.poly) == _bits(want.poly), coeffs
+        assert _bits(got) == _bits(want), coeffs
         # The axis column is minus the rotation generator: gamma_kl times -i (k - l - 1).
-        turn = ComplexPoly({(k, l): -1j * (k - l - 1) * c for (k, l), c in want.poly.terms.items()})
+        turn = ComplexPoly({(k, l): -1j * (k - l - 1) * c for (k, l), c in want.terms.items()})
         derivs = [turn] + [
-            _shared_axis_reference(values[0], *unit).poly for unit in np.eye(9)
+            _shared_axis_reference(values[0], *unit) for unit in np.eye(9)
         ]
         # The columns follow the phase law, so they match to rounding.
         columns = family.coefficients(coeffs) @ table
@@ -963,8 +968,8 @@ def test_fit_commutes_with_camera_roll(noisy_setup, name, refine_poses, tol):
     before = calib.fit(scene, obs, family, options)
     after = calib.fit(*_rolled(scene, obs, ROLL), family, options)
     assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
-    want = family.build(np.array(before.coefficients)).poly.rotated(-ROLL)
-    got = family.build(np.array(after.coefficients)).poly
+    want = family.build(np.array(before.coefficients)).rotated(-ROLL)
+    got = family.build(np.array(after.coefficients))
     assert got.isclose(want, tol=tol)
     if not family.linear:  # the axis turns with the image
         turned = family.canonical([before.coefficients[0] + ROLL, *before.coefficients[1:]])
@@ -1013,9 +1018,9 @@ def test_fits_of_drawn_isotropic_spaces_commute_with_camera_roll(noisy_setup, sp
     before = calib.fit(scene, obs, space)
     after = calib.fit(*_rolled(scene, obs, theta), space)
     assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
-    want = space.member(before.coefficients).poly.rotated(-theta)
+    want = space.member(before.coefficients).rotated(-theta)
     scale = max(abs(c) for c in want.terms.values())
-    assert space.member(after.coefficients).poly.isclose(want, tol=1e-9 * scale)
+    assert space.member(after.coefficients).isclose(want, tol=1e-9 * scale)
 
 
 @pytest.fixture(scope="module")
@@ -1036,13 +1041,13 @@ def test_frozen_shared_axis_fit_turns_its_axis_with_camera_roll(
     assert 0.0 <= after.coefficients[0] < math.pi
     turn = after.coefficients[0] - before.coefficients[0] - theta
     assert abs((turn + math.pi / 2) % math.pi - math.pi / 2) <= 1e-7
-    want = family.build(np.array(before.coefficients)).poly.rotated(-theta)
-    assert family.build(np.array(after.coefficients)).poly.isclose(want, tol=1e-7)
+    want = family.build(np.array(before.coefficients)).rotated(-theta)
+    assert family.build(np.array(after.coefficients)).isclose(want, tol=1e-7)
 
 
 def test_roll_changes_the_fit_of_an_anisotropic_family(noisy_setup):
     # Real multiples of z^2 only: the control for the roll test above.
-    re_z2 = ModelSpace((DistortionFunction.from_poly(ComplexPoly({(2, 0): 1.0})),), "re_z2")
+    re_z2 = ModelSpace((ComplexPoly({(2, 0): 1.0}),), "re_z2")
     space = space_sum(re_z2, named_space("rri3"))
     assert not classify(space).isotropic
     scene, obs = noisy_setup
@@ -1062,8 +1067,7 @@ def _mirrored(scene, obs):
     poses = tuple(Pose(*np.split(flip * np.r_[p.axis_angle, p.translation], 2)) for p in scene.poses)
     pixels = obs.pixels.reshape(len(poses), scene.rows, scene.cols, 2)[:, ::-1]
     pixels = pixels * [1.0, -1.0] + [0.0, 2.0 * scene.intrinsics.cy]
-    truth = ComplexPoly({key: c.conjugate() for key, c in scene.truth.poly.terms.items()})
-    mirrored = replace(scene, poses=poses, truth=DistortionFunction(truth))
+    mirrored = replace(scene, poses=poses, truth=conjugated(scene.truth))
     return mirrored, Observations(pixels.reshape(obs.pixels.shape))
 
 
@@ -1385,7 +1389,7 @@ def test_named_space_cache_is_bounded_and_immutable():
     with pytest.raises(FrozenInstanceError):
         space.label = "other"
     with pytest.raises(TypeError):
-        space.basis[0].poly.terms[(2, 1)] = 1.0
+        space.basis[0].terms[(2, 1)] = 1.0
 
 
 def test_compare_full_table_catalog(noisy_setup):

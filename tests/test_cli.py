@@ -23,14 +23,14 @@ REFINED = calib.FitOptions(refine_poses=True)
 @pytest.fixture()
 def model_file(tmp_path):
     path = tmp_path / "dec.json"
-    save_model(path, decentering(0.02, -0.01).poly)
+    save_model(path, decentering(0.02, -0.01))
     return str(path)
 
 
 @pytest.fixture()
 def rri_file(tmp_path):
     path = tmp_path / "rri.json"
-    save_model(path, rri([1.0]).poly, form="real")
+    save_model(path, rri([1.0]), form="real")
     return str(path)
 
 
@@ -135,7 +135,7 @@ def test_verify_opencv_prism_not_symmetric(tmp_path, capsys):
     from lensdist.families import opencv_thin_prism
 
     path = tmp_path / "prism.json"
-    save_model(path, opencv_thin_prism(1, 1, 2, 3).poly)
+    save_model(path, opencv_thin_prism(1, 1, 2, 3))
     assert main(["verify", "--model", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["symmetric"] is False

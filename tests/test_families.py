@@ -1,6 +1,5 @@
 """Model family constructors, their identities, and linear space machinery."""
 
-import dataclasses
 import json
 import math
 
@@ -12,7 +11,6 @@ from lensdist import calib, families
 from lensdist.families import (
     CATALOG_NAMES,
     INDEPENDENCE_RTOL,
-    DistortionFunction,
     IrreducibleSpec,
     ModelSpace,
     coefficient_keys,
@@ -36,7 +34,18 @@ from lensdist.families import (
     tangential_homogeneous,
     thin_prism,
 )
-from lensdist.poly import ComplexPoly, RealPolyModel
+from lensdist.poly import (
+    ComplexPoly,
+    RealPolyModel,
+    load_model,
+    model_from_json,
+    model_to_json,
+    save_model,
+)
+from lensdist.symmetry import reflection_symmetry
+from lensdist.warp import apply_distortion, invert
+
+from conftest import conjugated
 
 
 def block2(func):
@@ -48,7 +57,7 @@ def block2(func):
 
 def test_rri_single_coefficient_cubic():
     f = rri([1.0])
-    assert dict(f.poly.terms) == {(2, 1): 1 + 0j}
+    assert dict(f.terms) == {(2, 1): 1 + 0j}
     assert np.array_equal(f.real_form.blocks[3], [[1, 0, 1, 0], [0, 1, 0, 1]])
 
 
@@ -72,7 +81,7 @@ def test_rri_rejects_empty():
 
 def test_rri_only_invariant_monomials():
     f = rri([0.3, -0.2, 0.1, 0.05])
-    assert all(k - l - 1 == 0 for k, l in f.poly.terms)
+    assert all(k - l - 1 == 0 for k, l in f.terms)
 
 
 # -- homogeneous radial / tangential ------------------------------------------
@@ -166,11 +175,6 @@ def test_decentering_thin_prism_identifications():
         )
 
 
-def _mirrored(f):
-    """f under the mirror (x, y) -> (x, -y): every coefficient conjugated."""
-    return DistortionFunction(ComplexPoly({key: c.conjugate() for key, c in f.poly.terms.items()}))
-
-
 def test_quadratic_constructors_are_their_paper_coefficients():
     # Each classical constructor stores exactly its z^2 and z zbar coefficients,
     # commutes with the mirror, and derives its classical real block, all
@@ -182,15 +186,15 @@ def test_quadratic_constructors_are_their_paper_coefficients():
             s1, s2, u1, u2, t1, t2, p, q = map(float, rng.uniform(-scale, scale, size=8))
             s, u, t = complex(s1, s2), complex(u1, u2), complex(t1, t2)
             dec, prism, mixed = decentering(s1, s2), thin_prism(u1, u2), mixed_quadratic(p, q, t1, t2)
-            assert dict(dec.poly.terms) == {(2, 0): s.conjugate(), (1, 1): 2 * s}
-            assert dict(prism.poly.terms) == {(1, 1): u}
-            assert dict(mixed.poly.terms) == {
+            assert dict(dec.terms) == {(2, 0): s.conjugate(), (1, 1): 2 * s}
+            assert dict(prism.terms) == {(1, 1): u}
+            assert dict(mixed.terms) == {
                 (2, 0): (p - q) / 2 * t, (1, 1): (p + q) / 2 * t.conjugate()}
             assert dec == mixed_quadratic(3, 1, s1, -s2)
             assert prism == mixed_quadratic(1, 1, u1, -u2)
-            assert _mirrored(dec) == decentering(s1, -s2)
-            assert _mirrored(prism) == thin_prism(u1, -u2)
-            assert _mirrored(mixed) == mixed_quadratic(p, q, t1, -t2)
+            assert conjugated(dec) == decentering(s1, -s2)
+            assert conjugated(prism) == thin_prism(u1, -u2)
+            assert conjugated(mixed) == mixed_quadratic(p, q, t1, -t2)
             assert np.array_equal(dec.real_form.blocks[2], [[3 * s1, 2 * s2, s1], [s2, 2 * s1, 3 * s2]])
             assert np.array_equal(prism.real_form.blocks[2], [[u1, 0, u1], [u2, 0, u2]])
     for n in range(2, 8):
@@ -201,15 +205,15 @@ def test_quadratic_constructors_are_their_paper_coefficients():
 def test_conjugate_quadratic():
     assert np.array_equal(block2(conjugate_quadratic(1, 0)), [[1, 0, -1], [0, -2, 0]])
     assert conjugate_quadratic(0, 0).is_zero()
-    f = DistortionFunction.from_real(conjugate_quadratic(0.4, -1.1).real_form)
-    assert set(f.poly.terms) == {(0, 2)}
-    assert f.poly.terms[(0, 2)] == pytest.approx(0.4 - 1.1j)
+    f = conjugate_quadratic(0.4, -1.1).real_form.to_complex()
+    assert set(f.terms) == {(0, 2)}
+    assert f.terms[(0, 2)] == pytest.approx(0.4 - 1.1j)
 
 
 def test_opencv_thin_prism_terms():
     f = opencv_thin_prism(1.0, 2.0, 3.0, 4.0)
-    assert f.poly.terms[(1, 1)] == 1 + 3j
-    assert f.poly.terms[(2, 2)] == 2 + 4j
+    assert f.terms[(1, 1)] == 1 + 3j
+    assert f.terms[(2, 2)] == 2 + 4j
     assert opencv_thin_prism(1, 0, 0, 0).isclose(thin_prism(1, 0), tol=1e-15)
 
 
@@ -281,7 +285,7 @@ def test_symmetric_constructors_coefficient_phases():
         theta = rng.uniform(0, math.pi)
         amps = rng.normal(size=7)
         f = symmetric_quadratic(theta, *amps[:3]) + symmetric_cubic(theta, *amps[3:])
-        for (k, l), coeff in f.poly.terms.items():
+        for (k, l), coeff in f.terms.items():
             m = k - l - 1
             assert abs((coeff * np.exp(1j * m * theta)).imag) < 1e-12
 
@@ -293,7 +297,7 @@ def test_space_rejects_dependent_basis():
     with pytest.raises(ValueError):
         ModelSpace((decentering(1, 0), decentering(2, 0)), "dup")
     with pytest.raises(ValueError):
-        ModelSpace((DistortionFunction.zero(),), "zero")
+        ModelSpace((ComplexPoly.zero(),), "zero")
 
 
 def test_member_combination():
@@ -420,8 +424,8 @@ def test_space_sum_keeps_the_per_candidate_decisions():
 def test_space_of_two_scales_of_one_monomial_is_independent():
     # The rows (1, 0) and (0, 2^-30) of zbar^2 and 2^-30 i zbar^2 are orthogonal;
     # judged on unscaled rows, their singular-value ratio 2^-30 read as dependent.
-    line = DistortionFunction(ComplexPoly({(0, 2): 1.0}))
-    turned = DistortionFunction(ComplexPoly({(0, 2): 2.0**-30 * 1j}))
+    line = ComplexPoly({(0, 2): 1.0})
+    turned = ComplexPoly({(0, 2): 2.0**-30 * 1j})
     assert ModelSpace((line, turned), "zbar2_pair").dimension == 2
     total = space_sum(ModelSpace((line,), "a"), ModelSpace((turned,), "b"))
     assert total.dimension == 2 and total.basis == (line, turned)
@@ -450,7 +454,7 @@ def _coefficient_matrix_reference(funcs, keys=None):
     rows = np.zeros((len(funcs), max(2 * len(keys), 1)))
     for i, f in enumerate(funcs):
         for j, key in enumerate(keys):
-            c = f.poly.terms.get(key, 0j)
+            c = f.terms.get(key, 0j)
             rows[i, 2 * j] = c.real
             rows[i, 2 * j + 1] = c.imag
     return rows
@@ -476,7 +480,7 @@ _KEYS_5 = [(k, n - k) for n in range(2, 6) for k in range(n + 1)]
 @example(terms=[{}, {}], extra=[], explicit=True)
 @example(terms=[{(2, 0): complex(1.0, -0.0)}, {(1, 1): complex(-0.0, -2.0)}], extra=[], explicit=False)
 def test_coefficient_matrix_matches_the_entry_loop_bit_for_bit(terms, extra, explicit):
-    funcs = [DistortionFunction(ComplexPoly(t)) for t in terms]
+    funcs = [ComplexPoly(t) for t in terms]
     # Explicit keys in another order, possibly repeated or absent from every function.
     keys = coefficient_keys(funcs)[::-1] + tuple(extra) if explicit else None
     got = coefficient_matrix(funcs, keys)
@@ -598,8 +602,25 @@ def test_space_json_round_trip(tmp_path):
         assert a.isclose(b, tol=1e-12)
 
 
-def test_distortion_function_stores_only_the_complex_form():
-    assert [f.name for f in dataclasses.fields(DistortionFunction)] == ["poly"]
+def test_one_type_flows_through_every_api(tmp_path):
+    # A constructor's result, a bare ComplexPoly and a loaded model are one
+    # type, so each goes wherever the others go.
+    dec = decentering(0.02, -0.01)
+    assert type(dec) is ComplexPoly
+    assert model_from_json(model_to_json(dec)) == dec
+    spec = IrreducibleSpec(1, plus=mixed_quadratic(1, -1, 1, 0), minus=thin_prism(1, 0))
+    assert irreducible_space(spec).dimension == 2
+    bare = ComplexPoly({(2, 0): 0.5})
+    both = ComplexPoly({(2, 0): 0.5, (2, 1): 0.1})
+    assert bare + rri([0.1]) == both and rri([0.1]) + bare == both
+    assert ComplexPoly({(2, 1): 0.1}).isclose(rri([0.1]), tol=0.0)
+    save_model(tmp_path / "dec.json", dec)
+    loaded = load_model(tmp_path / "dec.json")
+    (target,) = apply_distortion(loaded, [(0.3, -0.2)])
+    x, y = invert(loaded, target)
+    assert math.hypot(x - 0.3, y + 0.2) < 1e-12
+    assert reflection_symmetry(loaded) == reflection_symmetry(dec)
+    assert reflection_symmetry(loaded).symmetric
 
 
 def test_from_real_derives_an_equivalent_real_form():
@@ -607,14 +628,14 @@ def test_from_real_derives_an_equivalent_real_form():
     for _ in range(50):
         degrees = rng.choice(range(2, 8), size=3, replace=False)
         model = RealPolyModel({int(n): rng.normal(size=(2, n + 1)) for n in degrees})
-        assert DistortionFunction.from_real(model).real_form.isclose(model, tol=1e-12)
+        assert model.to_complex().real_form.isclose(model, tol=1e-12)
 
 
 def _reference_member(space, coeffs):
     # The plain chain of ComplexPoly sums that ModelSpace.member must equal.
     total = ComplexPoly.zero()
     for c, f in zip(coeffs, space.basis):
-        total = total + f.poly * float(c)
+        total = total + f * float(c)
     return total
 
 
@@ -629,9 +650,7 @@ def test_member_matches_reference_sum_bit_for_bit():
     # summation order shows in the last bits.
     keys = [(k, n - k) for n in (2, 3) for k in range(n + 1)]
     dense = [
-        DistortionFunction.from_poly(
-            ComplexPoly({kl: complex(*rng.normal(size=2)) for kl in keys})
-        )
+        ComplexPoly({kl: complex(*rng.normal(size=2)) for kl in keys})
         for _ in range(5)
     ]
     spaces.append(ModelSpace(tuple(dense), "dense"))
@@ -639,7 +658,7 @@ def test_member_matches_reference_sum_bit_for_bit():
         for _ in range(20):
             coeffs = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=space.dimension)
             coeffs[rng.random(space.dimension) < 0.2] = 0.0
-            got = space.member(coeffs).poly.terms
+            got = space.member(coeffs).terms
             want = _reference_member(space, coeffs).terms
             assert list(got) == list(want), space.label
             assert all(

@@ -8,7 +8,7 @@ import pytest
 
 from lensdist import poly as poly_module
 from lensdist import warp
-from lensdist.families import DistortionFunction, decentering, rri
+from lensdist.families import decentering, rri
 from lensdist.poly import ComplexPoly
 from lensdist.warp import (
     FieldSample,
@@ -26,6 +26,8 @@ from lensdist.warp import (
     write_points_csv,
 )
 
+from conftest import conjugated
+
 
 def small_random_poly(rng, scale=0.05, max_degree=5):
     n_terms = int(rng.integers(1, 6))
@@ -38,7 +40,7 @@ def small_random_poly(rng, scale=0.05, max_degree=5):
     total = sum(abs(c) for c in f.terms.values())
     if total > scale:
         f = f * (scale / total)
-    return DistortionFunction.from_poly(f)
+    return f
 
 
 # -- apply ---------------------------------------------------------------------
@@ -46,7 +48,7 @@ def small_random_poly(rng, scale=0.05, max_degree=5):
 
 def test_apply_zero_is_identity():
     pts = [(0.1, 0.2), (-0.5, 0.9), (0.0, 0.0)]
-    assert apply_distortion(DistortionFunction.zero(), pts) == pts
+    assert apply_distortion(ComplexPoly.zero(), pts) == pts
 
 
 def test_apply_rri_on_axis():
@@ -112,7 +114,7 @@ def test_jacobian_matches_central_differences():
 
 
 def test_invert_zero_function():
-    q = invert(DistortionFunction.zero(), (0.3, -0.8))
+    q = invert(ComplexPoly.zero(), (0.3, -0.8))
     assert q == (0.3, -0.8)
 
 
@@ -131,12 +133,12 @@ def test_invert_failure_outside_local_region():
 
 
 FAILURE_CASES = [
-    (rri([0.1]).poly, (1e200, 0.0), NoConvergence, OverflowError, None),
+    (rri([0.1]), (1e200, 0.0), NoConvergence, OverflowError, None),
     (ComplexPoly({(9, 7): 1e-3, (2, 0): 0.01}), (1e20, 0.0), NoConvergence, None, None),
-    (rri([0.1]).poly, (math.nan, 0.1), ValueError, None, None),
-    (rri([0.1]).poly, (0.2, math.inf), ValueError, None, None),
-    (rri([0.1]).poly, (0.1, 0.2, 0.3), ValueError, None, None),
-    (rri([0.1]).poly, (0.1,), ValueError, None, None),
+    (rri([0.1]), (math.nan, 0.1), ValueError, None, None),
+    (rri([0.1]), (0.2, math.inf), ValueError, None, None),
+    (rri([0.1]), (0.1, 0.2, 0.3), ValueError, None, None),
+    (rri([0.1]), (0.1,), ValueError, None, None),
     # f_zbar = -zbar = -1 and f_z = 0 at the target: |det J| = 1 - 1 = 0.
     (ComplexPoly({(0, 2): -0.5}), (1.0, 0.0), SingularJacobian, None, r"\|det J\| = 0\.000e\+00"),
     (ComplexPoly({(0, 2): 0.5}), (0.7, 0.7), NoConvergence, None, "after 50 iterations"),
@@ -162,7 +164,7 @@ FAILURE_CASES = [
 )
 def test_invert_failures_are_typed(poly, target, error, cause, match):
     with pytest.raises(error, match=match) as info:
-        invert(DistortionFunction.from_poly(poly), target)
+        invert(poly, target)
     if cause is not None:
         assert isinstance(info.value.__cause__, cause)
 
@@ -219,9 +221,8 @@ def _newton_cases(high_degree_poly):
     """A fold target and 1,000 disc targets each for a degree-7 and a degree-16 model."""
     rng = np.random.default_rng(55)
     low = decentering(0.01, -0.02) + rri([0.1, -0.05, 0.02])
-    high = DistortionFunction.from_poly(high_degree_poly)
     cases = [(rri([-3.0]), (1.0, 0.0))]
-    for func in (low, high):
+    for func in (low, high_degree_poly):
         r = 0.9 * np.sqrt(rng.uniform(size=1000))
         a = rng.uniform(0, 2 * math.pi, size=1000)
         cases += [(func, (x, y)) for x, y in zip(r * np.cos(a), r * np.sin(a))]
@@ -258,12 +259,11 @@ def _power_form_wirtinger(poly, z):
     return f_z, f_zc
 
 
-def _invert_power_form(func, target):
+def _invert_power_form(poly, target):
     """``invert`` as it reads, on two Python powers per monomial and derivative."""
     pair = np.asarray(target, dtype=float)
     if pair.shape != (2,) or not np.isfinite(pair).all():
         raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
-    poly = func.poly
     t = complex(pair[0], pair[1])
     q = t
     try:
@@ -313,10 +313,25 @@ def _exact_outcome(solve, func, target):
 
 def test_invert_is_bitwise_the_power_form(high_degree_poly):
     cases = _newton_cases(high_degree_poly)
-    cases += [(DistortionFunction.from_poly(p), t) for p, t, *_ in FAILURE_CASES]
+    cases += [(p, t) for p, t, *_ in FAILURE_CASES]
     for func, target in cases:
         got = _exact_outcome(invert, func, target)
         assert got == _exact_outcome(_invert_power_form, func, target), target
+
+
+def test_invert_commutes_with_the_mirror(high_degree_poly):
+    # Complex products and sums commute with conjugation exactly, so inverting
+    # the mirrored function at the mirrored target gives the mirrored point bit
+    # for bit, or fails with the same error.
+    cases = _newton_cases(high_degree_poly)
+    cases += [(p, t) for p, t, error, *_ in FAILURE_CASES if error is not ValueError]
+    for func, (x, y) in cases:
+        want = _outcome(invert, func, (x, y))
+        got = _outcome(invert, conjugated(func), (x, -y))
+        if isinstance(want, type):
+            assert got is want, (x, y)
+        else:
+            assert struct.pack("dd", *got) == struct.pack("dd", want[0], -want[1]), (x, y)
 
 
 def test_invert_tabulates_each_point_once(high_degree_poly, monkeypatch):
@@ -338,7 +353,7 @@ def test_invert_tabulates_each_point_once(high_degree_poly, monkeypatch):
     monkeypatch.setattr(poly_module, "_power_tables", tables_spy)
     monkeypatch.setattr(warp, "_power_tables", tables_spy)
     monkeypatch.setattr(warp, "_value", value_spy)
-    func = DistortionFunction.from_poly(high_degree_poly)
+    func = high_degree_poly
     sources = np.random.default_rng(57).uniform(-0.6, 0.6, (100, 2))
     for target in apply_distortion(func, sources):
         points.clear()
@@ -372,8 +387,8 @@ def test_composition_fits_polynomial_of_product_degree():
 
     pts = grid_points(0.9, 12)
     zs = np.array([complex(x, y) for x, y in pts])
-    after_g = zs + g.poly.evaluate(zs)
-    composed = after_g + f.poly.evaluate(after_g)
+    after_g = zs + g.evaluate(zs)
+    composed = after_g + f.evaluate(after_g)
     h = composed - zs  # displacement of F o G
 
     keys = [(k, n - k) for n in range(2, deg + 1) for k in range(n + 1)]
@@ -419,7 +434,7 @@ def test_sample_field():
     assert len(samples) == 8
     for s in samples:
         assert math.hypot(*s.displaced) == pytest.approx(1.1, abs=1e-12)
-    assert sample_field(DistortionFunction.zero(), [(0.2, 0.3)]) == [
+    assert sample_field(ComplexPoly.zero(), [(0.2, 0.3)]) == [
         FieldSample((0.2, 0.3), (0.2, 0.3))
     ]
 
