@@ -716,8 +716,8 @@ class _Reprojection:
         vel[:, :3] = rx[:, None] @ np.swapaxes(_rotation_derivatives(poses[:, :3], rot), -1, -2)
         vel[:, 3:] = np.eye(3)[:, None, :]
         dz = (vel[..., 0] + 1j * vel[..., 1] - z[:, None] * vel[..., 2]) / cam[:, None, :, 2]
-        # Each entry rounds as in a one-view pass while the arrays stay below numpy's temporary
-        # reuse (see poly._EVAL_BLOCK); much larger rigs may differ from that in the last bit.
+        # Each entry rounds as in a one-view pass: numpy's reuse of temporaries may make a
+        # product in place, which rounds apart only on a lone element (see poly._EVAL_BLOCK).
         dw = dz + f_z * dz + f_zc * np.conj(dz)
         blocks = jac[:, p:].reshape(n_views, 2 * n, n_views, 6)  # a view; zero off the diagonal
         blocks[range(n_views), :, range(n_views)] = _jacobian_rows(self.intrinsics, dw)

@@ -75,9 +75,10 @@ MonomialKey = tuple[int, int]
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _NEG_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
-# Points per block of an array evaluate: a degree-16 power table of one block
-# stays near 1 MB.  Each term goes through explicit out= buffers, so numpy's
-# reuse of temporaries does not reach the arithmetic at any block size.
+# Points per block of an array sum: a degree-16 power table stays near 1 MB.
+# numpy rounds an in-place complex product of one element without the fused
+# multiply-add of every other product, so no product here is in place and a
+# point rounds alike in every batch, at any block size.
 _EVAL_BLOCK = 4096
 
 # z**0 as CPython returns it for a complex z.
@@ -217,16 +218,34 @@ def _value(plan: _Plan, z: complex, pw, pc) -> complex:
     return out
 
 
-def _derivatives(plan: _Plan, z, pw, pc):
-    # (f_z, f_zbar) at z from tables of z**e and zbar**e, summed from 0 * z.
+def _derivatives(plan: _Plan, z: complex, pw, pc) -> tuple[complex, complex]:
+    # (f_z, f_zbar) at a Python complex z from its power tables, summed from 0 * z.
     f_z = f_zc = 0 * z
     for i, j, c in plan.d_z:
         f_z = f_z + c * pw[i] * pc[j]
     for i, j, c in plan.d_zbar:
         f_zc = f_zc + c * pw[i] * pc[j]
-    if type(z) is complex and not (cisfinite(f_z) and cisfinite(f_zc)):
+    if not (cisfinite(f_z) and cisfinite(f_zc)):
         _raise_on_overflow(z, plan.d_z + plan.d_zbar)
     return f_z, f_zc
+
+
+def _array_sums(z, steps, *term_lists) -> tuple:
+    # Sums of c z^i zbar^j over each list of (i, j, c) terms at an array-like
+    # z, in term order from zero, in blocks of _EVAL_BLOCK points with z^e on
+    # one ladder and zbar^j as conj(z^j).  A 0-d z gives Python complex sums.
+    zarr = np.asarray(z, dtype=complex)
+    flat = zarr.reshape(-1)
+    sums = np.full((len(term_lists), flat.size), 0j)
+    for start in range(0, flat.size, _EVAL_BLOCK):
+        block = slice(start, start + _EVAL_BLOCK)
+        pw = _ladder(flat[block], steps)
+        t, zc = np.empty_like(flat[block]), np.empty_like(flat[block])
+        for acc, terms in zip(sums[:, block], term_lists):
+            for i, j, c in terms:
+                np.multiply(c, pw[i], out=t)
+                acc += t * np.conjugate(pw[j], out=zc)
+    return tuple(complex(s[0]) if zarr.ndim == 0 else s.reshape(zarr.shape) for s in sums)
 
 
 @dataclass(frozen=True)
@@ -302,26 +321,12 @@ class ComplexPoly:
         one of zbar**e per call (z^0 = 1 + 0j, zbar^e from its own chain),
         so the value is bit for bit the sum of gamma_kl * z**k * zbar**l in
         term order, and where one of those powers raises OverflowError, so
-        does this (checked only when the value is not finite).  Arrays go in
-        blocks of 4,096 points that take z^e on the same ladder, zbar^l as
-        conj(z^l) and each term as (gamma_kl * z^k) * zbar^l, so a point's
-        value does not depend on its batch; it differs from the numpy z**k
-        form by rounding only.
+        does this (checked only when the value is not finite).  Anything else
+        is summed as an array, as in ``wirtinger``.
         """
         if type(z) is complex:
             return _value(self._plan, z, *_power_tables(z, self._steps))
-        zarr = np.asarray(z, dtype=complex)
-        flat = zarr.reshape(-1)
-        out = np.zeros_like(flat)
-        for start in range(0, flat.size, _EVAL_BLOCK):
-            acc = out[start : start + _EVAL_BLOCK]
-            t, zc = np.empty_like(acc), np.empty_like(acc)
-            pw = _ladder(flat[start : start + _EVAL_BLOCK], self._steps)
-            for (i, j), c in self.terms.items():
-                np.multiply(c, pw[i], out=t)
-                t *= np.conjugate(pw[j], out=zc)
-                acc += t
-        return complex(out[0]) if zarr.ndim == 0 else out.reshape(zarr.shape)
+        return _array_sums(z, self._steps, self._plan.value)[0]
 
     def displacement(self, x, y):
         """Displacement (dx, dy) at (x, y); accepts scalars or arrays."""
@@ -331,23 +336,18 @@ class ComplexPoly:
     def wirtinger(self, z):
         """Wirtinger derivatives (f_z, f_zbar) at a complex scalar or array.
 
-        A step dz moves the value by f_z dz + f_zbar conj(dz).  Each is a
-        sum from 0 * z, in term order, of gamma_kl k z**(k-1) zbar**l (f_z)
-        or gamma_kl l z**k zbar**(l-1) (f_zbar).  A Python complex reads the
-        power tables of ``evaluate``, bit for bit, and raises OverflowError
-        where those powers do; an array takes the same ladders, which differ
-        from the z**k form by rounding only.  Other scalars take each z**e and
-        zbar**e once.  A point's value does not depend on its batch.  Python
-        scalars stay Python numbers; arrays give arrays, also for the zero poly.
+        A step dz moves the value by f_z dz + f_zbar conj(dz).  Each sums, in
+        term order, gamma_kl k z^(k-1) zbar^l (f_z) or gamma_kl l z^k
+        zbar^(l-1) (f_zbar).  A Python complex reads the power tables of
+        ``evaluate``, bit for bit, and raises OverflowError where those powers
+        do.  Anything else, here and in ``evaluate``, takes z^e on one ladder
+        per 4,096 points and zbar^l as conj(z^l): a point's result does not
+        depend on its batch, even of one, and differs from the z**k form by
+        rounding only.  Other scalars give Python complex; arrays give arrays.
         """
-        plan = self._plan
-        if type(z) is complex or isinstance(z, np.ndarray):
-            return _derivatives(plan, z, *_power_tables(z, self._steps))
-        zc = z.conjugate()
-        reads = plan.d_z + plan.d_zbar
-        pw = {i: z**i for i in {i for i, _, _ in reads}}
-        pc = {j: zc**j for j in {j for _, j, _ in reads}}
-        return _derivatives(plan, z, pw, pc)
+        if type(z) is complex:
+            return _derivatives(self._plan, z, *_power_tables(z, self._steps))
+        return _array_sums(z, self._steps, self._plan.d_z, self._plan.d_zbar)
 
     def rotated(self, theta: float) -> "ComplexPoly":
         """Coefficients after a coordinate rotation by theta (radians).

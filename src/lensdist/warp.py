@@ -61,10 +61,15 @@ class SingularJacobian(RuntimeError):
 
 
 def apply_distortion(func: ComplexPoly, points: Sequence[Point]) -> list[Point]:
-    """Forward-map each point: output = input + displacement, order preserved."""
+    """Forward-map each point: output = input + displacement, order preserved.
+
+    ``points`` must have shape (N, 2); any other shape raises ValueError.
+    """
     if len(points) == 0:
         return []
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (N, 2), got shape {pts.shape}")
     dx, dy = func.displacement(pts[:, 0], pts[:, 1])
     out = pts + np.stack([dx, dy], axis=1)
     return list(zip(out[:, 0].tolist(), out[:, 1].tolist()))
@@ -74,9 +79,13 @@ def jacobian(func: ComplexPoly, p) -> np.ndarray:
     """Analytic 2x2 Jacobian of F = id + G at p.
 
     Uses the Wirtinger derivatives of the complex form; every term has total
-    degree >= 2, so the result is exactly the identity at the origin.
+    degree >= 2, so the result is exactly the identity at the origin.  A p
+    that is not an (x, y) pair raises ValueError.
     """
-    fz, fzb = func.wirtinger(complex(float(p[0]), float(p[1])))
+    pair = np.asarray(p, dtype=float)
+    if pair.shape != (2,):
+        raise ValueError(f"p must be an (x, y) pair, got {p!r}")
+    fz, fzb = func.wirtinger(complex(*pair.tolist()))
     wx = fz + fzb
     wy = 1j * (fz - fzb)
     return np.array([[1.0 + wx.real, wy.real], [wx.imag, 1.0 + wy.imag]])

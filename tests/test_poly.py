@@ -184,11 +184,50 @@ def test_eval_value_does_not_depend_on_the_batch(high_degree_poly):
         [high_degree_poly.evaluate(z[i : i + 1000]) for i in range(0, z.size, 1000)]
     )
     assert np.array_equal(whole.view(float), pieces.view(float))
-    # wirtinger multiplies by shared powers, which are never temporaries, so
-    # numpy's in-place reuse keeps each product's operand order.
     pieces = [high_degree_poly.wirtinger(z[i : i + 1000]) for i in range(0, z.size, 1000)]
     for d_whole, d_pieces in zip(high_degree_poly.wirtinger(z), zip(*pieces)):
         assert np.array_equal(d_whole.view(float), np.concatenate(d_pieces).view(float))
+
+
+def _point_bits(values):
+    return np.asarray(values, complex).reshape(-1).view(np.uint64).tolist()
+
+
+def test_a_lone_point_rounds_as_in_its_batch(high_degree_poly):
+    # numpy rounds an in-place complex product of one element without the fused
+    # multiply-add of every other product, so no array sum may take one.
+    from lensdist.families import decentering, rri
+    from lensdist.warp import apply_distortion, grid_points
+
+    rng = np.random.default_rng(71)
+    polys = [high_degree_poly]
+    polys += [random_poly(rng, max_degree=MAX_DEGREE, max_terms=40) for _ in range(4)]
+    z = rng.uniform(-1, 1, 100) + 1j * rng.uniform(-1, 1, 100)
+    for f in polys:
+        batch = [f.evaluate(z), *f.wirtinger(z)]
+        for i in range(z.size):
+            want = _point_bits([b[i] for b in batch])
+            for one in (z[i : i + 1], z[i]):  # a 1-element array and a numpy scalar
+                assert _point_bits([f.evaluate(one), *f.wirtinger(one)]) == want, (i, one)
+    # A 4,097-point array ends in a block of one.
+    z = rng.uniform(-1, 1, 4097) + 1j * rng.uniform(-1, 1, 4097)
+    whole = [high_degree_poly.evaluate(z), *high_degree_poly.wirtinger(z)]
+    for window in (1, 2, 7, 54, 4096):
+        part = [high_degree_poly.evaluate(z[-window:]), *high_degree_poly.wirtinger(z[-window:])]
+        assert _point_bits([p[-1] for p in part]) == _point_bits([w[-1] for w in whole]), window
+    # wirtinger takes a list or a tuple, as evaluate does.
+    for seq in ([0.1, 0.2j], (0.1, 0.2j)):
+        for method in (high_degree_poly.evaluate, high_degree_poly.wirtinger):
+            assert _point_bits(method(seq)) == _point_bits(method(np.array(seq)))
+    f = decentering(0.02, -0.01) + rri([-0.12, 0.03, -0.005])
+    points = grid_points(0.6, 20)
+    xs, ys = np.array(points).T
+    dx, dy = f.displacement(xs, ys)
+    mapped = apply_distortion(f, points)
+    for i, (x, y) in enumerate(points):
+        one_dx, one_dy = f.displacement(x, y)
+        assert type(one_dx) is float and (one_dx, one_dy) == (dx[i], dy[i]), (x, y)
+        assert apply_distortion(f, [(x, y)])[0] == mapped[i], (x, y)
 
 
 def test_eval_keeps_the_input_shape(high_degree_poly):
@@ -452,11 +491,14 @@ def test_scalar_wirtinger_is_bitwise_the_power_form():
     polys = [random_poly(rng, max_degree=MAX_DEGREE, max_terms=40) for _ in range(12)]
     polys += [ComplexPoly.zero(), ComplexPoly({(0, 16): 1.0}), ComplexPoly({(2, 0): 1 + 0j})]
     for f in polys:
-        points = _scalar_points(rng, 30)
-        # Other scalars keep their own arithmetic and result types.
-        points += [0, 3, -2, 10**200, 0.25, -1e200, np.float64(0.3), np.complex128(0.1 - 0.2j)]
-        for z in points:
+        for z in _scalar_points(rng, 30):
             assert _outcome(f.wirtinger, z) == _outcome(_wirtinger_reference, f, z), z
+        # Other scalars take the array path: a Python complex pair with the
+        # bits of the 1-element array.
+        for z in (0, 3, -2, 10**200, 0.25, -1e200, np.float64(0.3), np.complex128(0.1 - 0.2j)):
+            got, row = _outcome(f.wirtinger, z), _outcome(f.wirtinger, np.array([z], complex))
+            assert [kind for kind, _ in got] == [complex, complex], z
+            assert [bits for _, bits in got] == [tobytes for _, _, tobytes in row], z
 
 
 def test_scalar_overflow_raises_as_the_power_form():

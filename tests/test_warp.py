@@ -76,6 +76,22 @@ def test_apply_is_linear_in_the_function():
         assert dyc == pytest.approx(alpha * dyf + beta * dyg, abs=1e-13)
 
 
+def test_points_must_be_xy_pairs():
+    f = rri([0.1])
+    for points in ([(0.1,)], [0.1, 0.2], [(1, 2, 3)]):
+        for fn in (apply_distortion, sample_field):
+            with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
+                fn(f, points)
+    for p in ((0.3, 0.2, 9.0), (0.3,)):
+        with pytest.raises(ValueError, match=r"\(x, y\) pair"):
+            jacobian(f, p)
+    # Only the shape is checked: non-finite values pass through.
+    with np.errstate(invalid="ignore"):
+        out = apply_distortion(f, [(math.nan, 0.1), (math.inf, 0.0), (0.5, 0.0)])
+    assert np.isnan(out[:2]).all() and out[2] == apply_distortion(f, [(0.5, 0.0)])[0]
+    assert np.isnan(jacobian(f, (math.nan, 0.1))).all()
+
+
 # -- jacobian -------------------------------------------------------------------
 
 
