@@ -12,7 +12,8 @@ with seeded Gaussian pixel noise; the same seed always reproduces the same
 observations bit for bit.
 
 ``fit`` estimates family coefficients (optionally refining poses) by
-minimizing the summed squared reprojection residuals.  A fit reads a family
+minimizing the summed squared reprojection residuals.  A family is a linear
+``ModelSpace`` or the nonlinear ``SharedAxisFamily``, and a fit reads it
 only as rows over its monomials z^k zbar^l (``keys``): its coefficients
 ``weights(x)`` and their derivatives ``coefficients(x)``, times one monomial
 table per point set on ``poly._ladder``.  So with frozen poses the residuals
@@ -71,7 +72,6 @@ __all__ = [
     "project",
     "project_points",
     "synthesize",
-    "LinearFamily",
     "SharedAxisFamily",
     "parse_family",
     "TABLE_FAMILIES",
@@ -346,33 +346,6 @@ def default_scene(
 # --------------------------------------------------------------------------
 
 
-class LinearFamily:
-    """Fit wrapper for a linear model space; coefficients are basis weights."""
-
-    linear = True
-
-    def __init__(self, space: ModelSpace):
-        self.space = space
-        self.label = space.label
-        self.n_params = space.dimension
-        self.keys = space.keys
-
-    def build(self, coeffs) -> ComplexPoly:
-        return self.space.member(coeffs)
-
-    def weights(self, coeffs) -> np.ndarray:
-        """The member's complex coefficients over ``keys``."""
-        return np.asarray(coeffs, dtype=float) @ self.space.matrix
-
-    def coefficients(self, coeffs) -> np.ndarray:
-        """The model's derivative in each weight over ``keys``: the basis coefficients."""
-        return self.space.matrix
-
-    def canonical(self, coeffs) -> np.ndarray:
-        """Basis weights are unique, so every coefficient vector is canonical."""
-        return coeffs
-
-
 # The shared-axis amplitudes at axis 0: symmetric_quadratic's 3 and
 # symmetric_cubic's 4 unit members, then the degree-5 and -7 radial terms.
 _SYMMETRIC_BASE = ModelSpace(
@@ -412,14 +385,14 @@ class SharedAxisFamily:
 
     linear = False
     label = "sym_quad_cubic_rri3"
-    n_params = 10
+    dimension = 10
     # Declared classification (the family is not a vector space).
     rri = False
     rsf = True
     keys = _SYMMETRIC_BASE.keys
     windings = _SYMMETRIC_BASE.windings
 
-    def build(self, coeffs) -> ComplexPoly:
+    def member(self, coeffs) -> ComplexPoly:
         return _SYMMETRIC_BASE.member(coeffs[1:]).rotated(-float(coeffs[0]))
 
     def _rows(self, theta) -> np.ndarray:
@@ -459,13 +432,8 @@ class SharedAxisFamily:
 
 
 def _as_family(family):
-    """A LinearFamily or SharedAxisFamily for a family name, a ModelSpace or
-    a family object."""
-    if isinstance(family, str):
-        return parse_family(family)
-    if isinstance(family, ModelSpace):
-        return LinearFamily(family)
-    return family
+    """The ModelSpace or SharedAxisFamily named by a string, or the family itself."""
+    return parse_family(family) if isinstance(family, str) else family
 
 
 def parse_family(name: str):
@@ -476,8 +444,7 @@ def parse_family(name: str):
     parts = name.split("+")
     if not all(parts):
         raise ValueError(f"malformed family name {name!r}")
-    space = reduce(space_sum, map(named_space, parts))
-    return LinearFamily(space)
+    return reduce(space_sum, map(named_space, parts))
 
 
 # The model comparison catalog: nested radial chain, the classical quadratic
@@ -683,7 +650,7 @@ class _Reprojection:
     def _state(self, x: np.ndarray):
         if self._last is not None and np.array_equal(self._last[0], x):
             return self._last[1]
-        p = self.family.n_params
+        p = self.family.dimension
         cam, rot = _to_camera(self.points, x[p:].reshape(-1, 6))
         state = None
         if np.all(cam[..., 2] > 0):
@@ -702,7 +669,7 @@ class _Reprojection:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         w, table, rot, cam, z, _ = self._state(x)
-        p, (n_views, n, _) = self.family.n_params, cam.shape
+        p, (n_views, n, _) = self.family.dimension, cam.shape
         jac = np.zeros((self.meas.size, x.size))
         jac[:, :p] = _jacobian_rows(self.intrinsics, self.family.coefficients(x[:p]) @ table)
         # A step dz of the normalized point moves the distorted point
@@ -732,15 +699,14 @@ def _check_geometry(scene: Scene, obs: Observations) -> None:
 def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = None) -> FitReport:
     """Fit one model family to the observations.
 
-    ``family`` may be a ModelSpace, a LinearFamily/SharedAxisFamily, or a
-    family name accepted by ``parse_family``.  Poses stay frozen at the scene
-    geometry unless ``options.refine_poses`` is set; intrinsics are always
-    frozen.
+    ``family`` may be a ModelSpace, a SharedAxisFamily, or a family name
+    accepted by ``parse_family``.  Poses stay frozen at the scene geometry
+    unless ``options.refine_poses`` is set; intrinsics are always frozen.
     """
     refine_poses = options is not None and options.refine_poses
     family = _as_family(family)
     _check_geometry(scene, obs)
-    p = family.n_params
+    p = family.dimension
     if refine_poses:
         problem = _Reprojection(scene, obs, family)
         start = np.zeros(p) if family.linear else family.start(_FrozenDesign(scene, obs, family.keys))
@@ -749,7 +715,7 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     else:
         design = _FrozenDesign(scene, obs, family.keys)
         if family.linear:
-            coeffs, residuals, factor = design.solve(family.coefficients(None))
+            coeffs, residuals, factor = design.solve(family.matrix)
             return _report_from_residuals(residuals, obs, coeffs, p, 1, True, factor)
         x0 = family.start(design)
         fun, jacobian = partial(design, family), partial(design.jacobian, family)
@@ -772,26 +738,26 @@ def compare(
 
     families = [_as_family(entry) for entry in families]
     _check_geometry(scene, obs)
-    bases = [f.space.basis for f in families if f.linear and not (options and options.refine_poses)]
+    bases = [f.basis for f in families if f.linear and not (options and options.refine_poses)]
     keys = coefficient_keys(f for b in bases for f in b)
     design = _FrozenDesign(scene, obs, keys) if bases else None
     rows = []
     for family in families:
         if family.linear and design is not None:
-            basis = coefficient_matrix(family.space.basis, keys).view(complex)
+            basis = coefficient_matrix(family.basis, keys).view(complex)
             rms, converged = _rms(design.solve(basis)[1]), True
         else:
             report = fit(scene, obs, family, options)
             rms, converged = report.rms_px, report.converged
         if family.linear:
-            cls = classify(family.space)
+            cls = classify(family)
             rri_flag, rsf_flag = cls.rotation_invariant, cls.rsf
         else:
             rri_flag, rsf_flag = family.rri, family.rsf
         rows.append(
             CompareRow(
                 label=family.label,
-                n_params=family.n_params,
+                n_params=family.dimension,
                 linear=family.linear,
                 rri=rri_flag,
                 rsf=rsf_flag,

@@ -249,8 +249,14 @@ class ModelSpace:
     nothing read from it depends on basis scale, and ``span`` holds the
     orthonormal right singular vectors of its real rows.  All are built
     once; the arrays are read-only.
+
+    A space is also the linear family that ``calib.fit`` reads: its
+    parameters are the basis weights, ``weights`` gives a member's complex
+    coefficients over ``keys``, ``coefficients`` their derivatives, and
+    ``canonical`` is the identity.
     """
 
+    linear = True
     basis: tuple[ComplexPoly, ...]
     label: str
     keys: tuple[MonomialKey, ...] = field(init=False, repr=False, compare=False)
@@ -300,6 +306,18 @@ class ModelSpace:
             for key, gamma in f.terms.items():
                 total[key] = total.get(key, 0j) + gamma * scale
         return ComplexPoly(total)
+
+    def weights(self, coeffs) -> np.ndarray:
+        """The member's complex coefficients over ``keys``."""
+        return np.asarray(coeffs, dtype=float) @ self.matrix
+
+    def coefficients(self, coeffs) -> np.ndarray:
+        """The member's derivative in each weight over ``keys``: ``matrix``."""
+        return self.matrix
+
+    def canonical(self, coeffs) -> np.ndarray:
+        """Basis weights are unique, so every weight vector is canonical."""
+        return coeffs
 
 
 @dataclass(frozen=True)

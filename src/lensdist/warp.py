@@ -63,11 +63,17 @@ class SingularJacobian(RuntimeError):
 def apply_distortion(func: ComplexPoly, points: Sequence[Point]) -> list[Point]:
     """Forward-map each point: output = input + displacement, order preserved.
 
-    ``points`` must have shape (N, 2); any other shape raises ValueError.
+    ``points`` must have shape (N, 2); any other shape, a ragged one too,
+    raises ValueError.  So does a non-numeric entry, with numpy's message.
     """
     if len(points) == 0:
         return []
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError:
+        pts = np.asarray(points, dtype=object)  # a ragged list has only its outer shape
+        if pts.ndim == 2 and pts.shape[1] == 2:
+            raise
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (N, 2), got shape {pts.shape}")
     dx, dy = func.displacement(pts[:, 0], pts[:, 1])

@@ -235,7 +235,7 @@ def test_fit_nested_chain_monotone(noisy_setup, chain, refine_poses):
         # and 2e6 (rri5), so a step that drops J's weak directions stops early.
         for name in chain[1:]:
             family = parse_family(name)
-            p = family.n_params
+            p = family.dimension
             problem = calib._Reprojection(scene, obs, family)
             x0 = np.concatenate([np.zeros(p), calib._pack_poses(scene.poses)])
             x, r, _, _ = calib._levenberg_marquardt(problem, x0, problem.jacobian)
@@ -320,9 +320,9 @@ def test_numeric_jacobian_matches_exact_linear_jacobian(noisy_setup):
     # exact Jacobian is minus the basis design -[fx dx_i, fy dy_i].
     scene, obs = noisy_setup
     fam = parse_family("decentering+rri3")
-    exact = -_basis_design(scene, obs, fam.space.basis)[0]
+    exact = -_basis_design(scene, obs, fam.basis)[0]
     x = np.random.default_rng(61).normal(scale=0.01, size=5)
-    numeric = numeric_jacobian(lambda c: _reprojection_residuals(scene, obs, fam.build(c)), x)
+    numeric = numeric_jacobian(lambda c: _reprojection_residuals(scene, obs, fam.member(c)), x)
     assert numeric.shape == exact.shape
     scale = np.maximum(np.abs(exact), 1.0)
     assert np.max(np.abs(numeric - exact) / scale) < 1e-6
@@ -354,11 +354,11 @@ def test_frozen_linear_fit_matches_lstsq_on_the_basis_design(noisy_setup, family
     scene, obs = noisy_setup
     family = calib._as_family(family)
     report = calib.fit(scene, obs, family)
-    design, rhs = _basis_design(scene, obs, family.space.basis)
+    design, rhs = _basis_design(scene, obs, family.basis)
     coeffs = np.linalg.lstsq(design, rhs, rcond=None)[0]
     residuals = rhs - design @ coeffs
     rms = math.sqrt(residuals @ residuals / rhs.size)
-    sigma2 = residuals @ residuals / (rhs.size - family.n_params)
+    sigma2 = residuals @ residuals / (rhs.size - family.dimension)
     std = np.sqrt(sigma2 * np.sum(np.linalg.pinv(design) ** 2, axis=1))
     assert abs(report.rms_px - rms) <= 1e-12 * rms
     got = np.array(report.coefficients)
@@ -376,7 +376,7 @@ def frozen_problems(draw):
     else:
         family = parse_family(draw(st.sampled_from(CATALOG_NAMES if kind == "catalog"
                                                    else LINEAR_TABLE_FAMILIES)))
-    size = family.n_params
+    size = family.dimension
     x = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=size, max_size=size)))
     if not family.linear:
         x[0] = draw(st.floats(-10.0, 10.0))
@@ -390,7 +390,7 @@ def test_frozen_design_matches_the_reprojection_oracle(noisy_setup, problem):
     # pixels of the built model.
     scene, obs = noisy_setup
     family, x = problem
-    want = _reprojection_residuals(scene, obs, family.build(x))
+    want = _reprojection_residuals(scene, obs, family.member(x))
     got = calib._FrozenDesign(scene, obs, family.keys)(family, x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -404,8 +404,8 @@ def test_frozen_design_matches_the_reprojection_oracle(noisy_setup, problem):
 def test_shared_axis_members_obey_the_phase_law(theta, phi, amplitudes):
     # Turning the axis by phi turns the member by phi: rotated(-phi).
     family = calib.SharedAxisFamily()
-    turned = family.build(np.array([theta + phi, *amplitudes]))
-    want = family.build(np.array([theta, *amplitudes])).rotated(-phi)
+    turned = family.member(np.array([theta + phi, *amplitudes]))
+    want = family.member(np.array([theta, *amplitudes])).rotated(-phi)
     assert turned.isclose(want, tol=1e-12)
 
 
@@ -474,7 +474,7 @@ def _per_view_jacobian(problem, x) -> np.ndarray:
     rotation math, its Wirtinger derivatives from the polynomial of the
     family's weights: the oracle of ``_Reprojection.jacobian``."""
     family, intr, pts = problem.family, problem.intrinsics, problem.points
-    p, n = family.n_params, len(pts)
+    p, n = family.dimension, len(pts)
     poses = x[p:].reshape(-1, 6)
     cam = np.concatenate([pts @ _rotation_one(c[:3]).T + c[3:] for c in poses])
     z = cam[:, 0] / cam[:, 2] + 1j * (cam[:, 1] / cam[:, 2])
@@ -501,7 +501,7 @@ def test_refined_jacobian_is_the_per_view_jacobian_bit_for_bit(name):
     scene = replace(default_scene(truth=TRUTH, noise_sigma=0.2, seed=4), poses=tuple(poses))
     obs = synthesize(scene)
     family = parse_family(name)
-    p, n_views, n = family.n_params, len(poses), scene.n_points
+    p, n_views, n = family.dimension, len(poses), scene.n_points
     rng = np.random.default_rng(65)
     x0 = np.concatenate([rng.normal(scale=0.02, size=p), calib._pack_poses(poses)])
     problem = calib._Reprojection(scene, obs, family)
@@ -576,7 +576,7 @@ def test_analytic_jacobian_matches_central_differences(noisy_setup, name, refine
     assert scene.poses[0].axis_angle == (0.0, 0.0, 0.0)
     family = parse_family(name)
     rng = np.random.default_rng(63)
-    coeffs = rng.normal(scale=0.02, size=family.n_params)
+    coeffs = rng.normal(scale=0.02, size=family.dimension)
     if not family.linear:
         coeffs[0] = 0.37  # a generic axis, off the scanned grid
     poses = calib._pack_poses(scene.poses) if refine_poses else np.zeros(0)
@@ -616,7 +616,7 @@ def test_refine_poses_std_errors_of_ill_conditioned_fits(noisy_setup, name):
     # loses the digits that these standard errors need.
     scene, obs = noisy_setup
     family = parse_family(name)
-    p = family.n_params
+    p = family.dimension
     report = calib.fit(scene, obs, family, FitOptions(refine_poses=True))
     problem = calib._Reprojection(scene, obs, family)
     x0 = np.concatenate([np.zeros(p), calib._pack_poses(scene.poses)])
@@ -633,7 +633,7 @@ def test_refine_poses_std_errors_of_ill_conditioned_fits(noisy_setup, name):
 def _dense_refined_report(scene, obs, family) -> calib.FitReport:
     """The refined fit reported from the truncated SVD of R in the dense QR of all
     p + 6 V Jacobian columns: the oracle for the report's per-view pose elimination."""
-    p = family.n_params
+    p = family.dimension
     problem = calib._Reprojection(scene, obs, family)
     start = np.zeros(p) if family.linear else family.start(calib._FrozenDesign(scene, obs, family.keys))
     x0 = np.concatenate([start, calib._pack_poses(scene.poses)])
@@ -685,7 +685,7 @@ def test_refine_poses_std_errors_match_the_noise(name, refine):
     truth = NOISE_TRUTHS[name]
     reports = []
     for seed in range(NOISE_SEEDS):
-        scene = default_scene(truth=family.build(truth), noise_sigma=0.2, seed=seed)
+        scene = default_scene(truth=family.member(truth), noise_sigma=0.2, seed=seed)
         reports.append(calib.fit(scene, synthesize(scene), family, FitOptions(refine_poses=refine)))
     coeffs = np.array([r.coefficients for r in reports])
     std_errors = np.array([r.std_errors for r in reports])
@@ -725,7 +725,7 @@ def test_parse_family_table_counts():
     }
     assert set(calib.TABLE_FAMILIES) == set(expected)
     for name, n in expected.items():
-        assert parse_family(name).n_params == n, name
+        assert parse_family(name).dimension == n, name
 
 
 def test_parse_family_unknown():
@@ -752,7 +752,7 @@ def test_nonlinear_family_fit_recovers_symmetric_truth():
 
 def _shared_axis_reference(theta, a, b, c, d, e, f, g, a2, a3) -> ComplexPoly:
     # The shared-axis member assembled from its three families at the axis:
-    # the oracle for SharedAxisFamily.build and its amplitude derivatives.
+    # the oracle for SharedAxisFamily.member and its amplitude derivatives.
     return (
         symmetric_quadratic(theta, a, b, c)
         + symmetric_cubic(theta, d, e, f, g)
@@ -782,7 +782,7 @@ def test_shared_axis_build_matches_the_three_family_sum_bit_for_bit():
             coeffs[1:] = 0.0
         values = [float(v) for v in coeffs]
         want = _shared_axis_reference(*values)
-        got = family.build(coeffs)
+        got = family.member(coeffs)
         assert _bits(got) == _bits(want), coeffs
         # The axis column is minus the rotation generator: gamma_kl times -i (k - l - 1).
         turn = ComplexPoly({(k, l): -1j * (k - l - 1) * c for (k, l), c in want.terms.items()})
@@ -804,7 +804,7 @@ def test_shared_axis_canonical_form_is_the_same_function():
         canon = family.canonical(coeffs)
         assert 0.0 <= canon[0] < math.pi
         assert np.array_equal(canon[4:], coeffs[4:])
-        assert family.build(canon).isclose(family.build(coeffs), tol=1e-14)
+        assert family.member(canon).isclose(family.member(coeffs), tol=1e-14)
     shifted = np.array([0.5 + math.pi, -1.0, -2.0, -3.0, 4, 5, 6, 7, 8, 9])
     assert np.allclose(family.canonical(shifted), [0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9])
 
@@ -963,13 +963,13 @@ def test_fit_commutes_with_camera_roll(noisy_setup, name, refine_poses, tol):
     scene, obs = noisy_setup
     family = parse_family(name)
     if family.linear:
-        assert classify(family.space).isotropic
+        assert classify(family).isotropic
     options = FitOptions(refine_poses=refine_poses)
     before = calib.fit(scene, obs, family, options)
     after = calib.fit(*_rolled(scene, obs, ROLL), family, options)
     assert abs(after.rms_px - before.rms_px) <= 1e-13 * before.rms_px
-    want = family.build(np.array(before.coefficients)).rotated(-ROLL)
-    got = family.build(np.array(after.coefficients))
+    want = family.member(np.array(before.coefficients)).rotated(-ROLL)
+    got = family.member(np.array(after.coefficients))
     assert got.isclose(want, tol=tol)
     if not family.linear:  # the axis turns with the image
         turned = family.canonical([before.coefficients[0] + ROLL, *before.coefficients[1:]])
@@ -1041,8 +1041,8 @@ def test_frozen_shared_axis_fit_turns_its_axis_with_camera_roll(
     assert 0.0 <= after.coefficients[0] < math.pi
     turn = after.coefficients[0] - before.coefficients[0] - theta
     assert abs((turn + math.pi / 2) % math.pi - math.pi / 2) <= 1e-7
-    want = family.build(np.array(before.coefficients)).rotated(-theta)
-    assert family.build(np.array(after.coefficients)).isclose(want, tol=1e-7)
+    want = family.member(np.array(before.coefficients)).rotated(-theta)
+    assert family.member(np.array(after.coefficients)).isclose(want, tol=1e-7)
 
 
 def test_roll_changes_the_fit_of_an_anisotropic_family(noisy_setup):
@@ -1250,8 +1250,7 @@ def test_a_frozen_sweep_builds_no_space_per_phi(noisy_setup, monkeypatch):
     # Not one ComplexPoly, whatever the step count.
     scene, obs = noisy_setup
     built = Counter()
-    for cls, method in ((ComplexPoly, "__post_init__"), (ModelSpace, "__post_init__"),
-                        (calib.LinearFamily, "__init__")):
+    for cls, method in ((ComplexPoly, "__post_init__"), (ModelSpace, "__post_init__")):
         def counting(self, *args, _cls=cls, _original=getattr(cls, method)):
             built[_cls.__name__] += 1
             _original(self, *args)
@@ -1289,7 +1288,7 @@ def test_sweep_rejects_mismatched_observations(noisy_setup, options):
 def test_compare_classification_columns_are_classify(noisy_setup):
     scene, obs = noisy_setup
     for row in calib.compare(scene, obs, LINEAR_TABLE_FAMILIES):
-        cls = classify(parse_family(row.label).space)
+        cls = classify(parse_family(row.label))
         assert (row.rri, row.rsf) == (cls.rotation_invariant, cls.rsf), row.label
 
 
@@ -1355,7 +1354,7 @@ def test_a_frozen_call_builds_one_design(noisy_setup, monkeypatch):
         return list(built)
 
     union = coefficient_keys(
-        f for name in LINEAR_TABLE_FAMILIES for f in parse_family(name).space.basis)
+        f for name in LINEAR_TABLE_FAMILIES for f in parse_family(name).basis)
     assert designs(calib.compare, LINEAR_TABLE_FAMILIES) == [union]
     # The nonlinear family keeps its own design, built by its fit.
     assert designs(calib.compare, calib.TABLE_FAMILIES) == [union, calib.SharedAxisFamily.keys]

@@ -374,7 +374,7 @@ def test_sweep_refine_poses_rows_are_the_refined_fits(tmp_path, scene_file):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [float(phi) for phi, _ in rows] == [0.0, math.pi / 2]
     for phi, rms in rows:
-        family = calib.LinearFamily(calib._mixed_rri_space(float(phi)))
+        family = calib._mixed_rri_space(float(phi))
         assert float(rms) == calib.fit(scene, obs, family, REFINED).rms_px
 
 

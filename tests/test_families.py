@@ -442,7 +442,7 @@ def test_space_sum_factors_only_the_candidates_of_its_second_space(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     # rri3's cubic z^2 zbar lies in full_cubic already.
-    assert calib.parse_family("full_quad_cubic+rri3").space.dimension == a.dimension + 2
+    assert calib.parse_family("full_quad_cubic+rri3").dimension == a.dimension + 2
     # One factorization per candidate of b, and one for the sum's own ModelSpace.
     assert len(calls) <= b.dimension + 1
 
@@ -639,13 +639,13 @@ def _reference_member(space, coeffs):
     return total
 
 
-def test_member_matches_reference_sum_bit_for_bit():
+def _catalog_table_and_dense_spaces(rng):
+    """Every catalog space, every linear table family and a dense random space."""
     spaces = [named_space(name) for name in CATALOG_NAMES]
     for name in calib.TABLE_FAMILIES:
         family = calib.parse_family(name)
         if family.linear:
-            spaces.append(family.space)
-    rng = np.random.default_rng(63)
+            spaces.append(family)
     # Dense random basis: every coefficient gets several summands, so the
     # summation order shows in the last bits.
     keys = [(k, n - k) for n in (2, 3) for k in range(n + 1)]
@@ -653,7 +653,12 @@ def test_member_matches_reference_sum_bit_for_bit():
         ComplexPoly({kl: complex(*rng.normal(size=2)) for kl in keys})
         for _ in range(5)
     ]
-    spaces.append(ModelSpace(tuple(dense), "dense"))
+    return spaces + [ModelSpace(tuple(dense), "dense")]
+
+
+def test_member_matches_reference_sum_bit_for_bit():
+    rng = np.random.default_rng(63)
+    spaces = _catalog_table_and_dense_spaces(rng)
     for space in spaces:
         for _ in range(20):
             coeffs = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=space.dimension)
@@ -666,3 +671,19 @@ def test_member_matches_reference_sum_bit_for_bit():
                 and got[key].imag.hex() == want[key].imag.hex()
                 for key in want
             ), space.label
+
+
+def test_weights_are_the_member_coefficients():
+    # A fit reads a space through weights and coefficients over its keys,
+    # never through member: both must describe the member.
+    rng = np.random.default_rng(64)
+    for space in _catalog_table_and_dense_spaces(rng):
+        for _ in range(20):
+            coeffs = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=space.dimension)
+            coeffs[rng.random(space.dimension) < 0.2] = 0.0
+            weights = space.weights(coeffs)
+            assert weights.shape == (len(space.keys),), space.label
+            scale = float(np.max(np.abs(coeffs) @ np.abs(space.matrix)))
+            got = ComplexPoly(dict(zip(space.keys, weights)))
+            assert got.isclose(space.member(coeffs), tol=1e-15 * scale), space.label
+            assert np.array_equal(space.coefficients(coeffs), space.matrix), space.label

@@ -2,11 +2,17 @@
 
 import cmath
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lensdist
 from lensdist.poly import (
     MAX_DEGREE,
     ComplexPoly,
@@ -537,6 +543,59 @@ def test_array_wirtinger_agrees_with_the_power_form(size):
         bound = (32 * math.sqrt(5) + 2 * len(f.terms)) * 2.0**-53 * weight * reach
         finite = np.isfinite(ref)
         assert np.all(abs(d[finite] - ref[finite]) <= bound[finite])
+
+
+# Run with every numpy dispatch target off, where no complex product is fused:
+# there the Python-complex kernel and the array kernel take the same roundings.
+_BASELINE_KERNELS_AGREE = textwrap.dedent(
+    """
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    from lensdist.poly import ComplexPoly, _array_sums, _derivatives, _power_tables, _value
+
+    assert not any(__cpu_features__[k] for k in __cpu_dispatch__), "not at the baseline level"
+    rng = np.random.default_rng(92)
+    parts = (0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -0.5, 0.75, -1.0)
+    points = [complex(a, b) for a in parts for b in parts]
+    points += [complex(*rng.uniform(-1, 1, 2)) for _ in range(300)]
+    z = np.array(points)
+
+    def bits(values):
+        return np.array(values, dtype=complex).view(np.uint64)
+
+    for degree in (7, 16):
+        for _ in range(20):
+            terms = {}
+            for n in rng.integers(2, degree + 1, 25):
+                k = int(rng.integers(0, n + 1))
+                terms[(k, int(n) - k)] = complex(rng.normal(), rng.normal())
+            f = ComplexPoly(terms)
+            plan, steps = f._plan, f._steps
+            tables = [(w, *_power_tables(w, steps)) for w in points]
+            value = _array_sums(z, steps, plan.value)[0]
+            d_z, d_zbar = _array_sums(z, steps, plan.d_z, plan.d_zbar)
+            assert np.array_equal(bits([_value(plan, *t) for t in tables]), bits(value)), terms
+            pairs = np.array([_derivatives(plan, *t) for t in tables])
+            assert np.array_equal(bits(pairs[:, 0]), bits(d_z)), terms
+            assert np.array_equal(bits(pairs[:, 1]), bits(d_zbar)), terms
+    """
+)
+
+
+def test_scalar_kernel_is_bitwise_the_array_kernel_at_the_baseline_level():
+    # The child turns off every dispatch target the host enables, and those
+    # this process already runs with off.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    off = set(os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split())
+    off |= {k for k in __cpu_dispatch__ if __cpu_features__[k]}
+    src = str(Path(lensdist.__file__).parents[1])
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(sorted(off)),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    subprocess.run([sys.executable, "-c", _BASELINE_KERNELS_AGREE], env=env, check=True)
 
 
 # -- monomial vector and its rotation matrix ----------------------------------

@@ -522,7 +522,7 @@ def _mirror_spaces():
     spaces += [named_space(f"rri{n}") for n in range(1, 8)]
     spaces += [named_space(name) for name in ("full_quad", "full_cubic", "full_quad_cubic")]
     families = [calib.parse_family(name) for name in calib.TABLE_FAMILIES]
-    spaces += [family.space for family in families if family.linear]
+    spaces += [family for family in families if family.linear]
     spaces += [calib._mixed_rri_space(k * math.pi / 12) for k in range(12)]
     spaces += [ModelSpace(basis, name) for name, basis in COMMON_AXIS_SPANS.items()]
     return spaces + [ModelSpace((tangential_homogeneous(3, (1, 0, 1)),), "swirl")]
@@ -690,7 +690,7 @@ def test_matrix_classification_matches_the_per_basis_reference(space):
     sorted({*CATALOG_NAMES, *(n for n in calib.TABLE_FAMILIES if calib.parse_family(n).linear)}),
 )
 def test_named_spaces_classify_as_the_per_basis_reference(name):
-    space = calib.parse_family(name).space
+    space = calib.parse_family(name)
     assert classify(space) == _reference_classify(space)
 
 
@@ -704,7 +704,7 @@ def test_two_scales_of_zbar2_classify_as_conj_quad():
 
 def test_classify_solves_no_least_squares(monkeypatch):
     names = {*CATALOG_NAMES, *(n for n in calib.TABLE_FAMILIES if calib.parse_family(n).linear)}
-    spaces = [calib.parse_family(name).space for name in sorted(names)]
+    spaces = [calib.parse_family(name) for name in sorted(names)]
     calls = []
     lstsq = np.linalg.lstsq
 
@@ -720,7 +720,7 @@ def test_classify_solves_no_least_squares(monkeypatch):
 
 def test_classify_builds_no_polynomial(monkeypatch):
     names = {*CATALOG_NAMES, *(n for n in calib.TABLE_FAMILIES if calib.parse_family(n).linear)}
-    spaces = [calib.parse_family(name).space for name in sorted(names)]
+    spaces = [calib.parse_family(name) for name in sorted(names)]
     built = []
     init = ComplexPoly.__post_init__
 

@@ -78,7 +78,7 @@ def test_apply_is_linear_in_the_function():
 
 def test_points_must_be_xy_pairs():
     f = rri([0.1])
-    for points in ([(0.1,)], [0.1, 0.2], [(1, 2, 3)]):
+    for points in ([(0.1,)], [0.1, 0.2], [(1, 2, 3)], [(0.1, 0.2), (0.3,)]):
         for fn in (apply_distortion, sample_field):
             with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
                 fn(f, points)
@@ -90,6 +90,9 @@ def test_points_must_be_xy_pairs():
         out = apply_distortion(f, [(math.nan, 0.1), (math.inf, 0.0), (0.5, 0.0)])
     assert np.isnan(out[:2]).all() and out[2] == apply_distortion(f, [(0.5, 0.0)])[0]
     assert np.isnan(jacobian(f, (math.nan, 0.1))).all()
+    # A non-numeric entry in an (N, 2) list keeps numpy's message, which names it.
+    with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+        apply_distortion(f, [(0.1, 0.2), ("a", 0.3)])
 
 
 # -- jacobian -------------------------------------------------------------------
