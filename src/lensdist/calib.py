@@ -18,8 +18,9 @@ only as rows over its monomials z^k zbar^l (``keys``): its coefficients
 ``weights(x)`` and their derivatives ``coefficients(x)``, times one monomial
 table per point set on ``poly._ladder``.  So with frozen poses the residuals
 are rhs + M w, M the scene's monomial design (``_FrozenDesign``).  Linear fits
-and the shared-axis scan solve on one QR of M (Bjorck, 1996) with a truncated
-SVD of the reduced problem.  The rest is one Levenberg-Marquardt run with an
+solve on one QR of M (Bjorck, 1996) with a truncated SVD of the reduced problem;
+the shared-axis scan ranks its axes by one batched QR of their reduced designs
+and solves only the best.  The rest is one Levenberg-Marquardt run with an
 analytic Jacobian (initial lambda 1e-3, times 10 on reject, divided by 10 on
 accept, stop at relative cost decrease below 1e-12 or 200 iterations), on M
 with frozen poses or on ``_Reprojection`` with refined ones, from zero
@@ -131,24 +132,27 @@ class Pose:
         object.__setattr__(self, "translation", tr)
 
 
-def _skew(v) -> np.ndarray:
-    """Cross-product matrices [v]x (..., 3, 3) of vectors (..., 3): [v]x u = v x u."""
-    kx, ky, kz = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
-    zero = np.zeros_like(kx)
-    return np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], -1).reshape(*kx.shape, 3, 3)
+def _skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [v]x (..., 3, 3) of float arrays v (..., 3): [v]x u = v x u."""
+    out = np.zeros((*v.shape[:-1], 9))  # row-major [[0, -kz, ky], [kz, 0, -kx], [-ky, kx, 0]]
+    out[..., [7, 2, 3]], out[..., [5, 6, 1]] = v, -v
+    return out.reshape(*v.shape[:-1], 3, 3)
+
+
+_UNIT_SKEWS = _skew(np.eye(3))  # [e_i]x: the rotation derivatives where Rodrigues is a series
 
 
 def rotation_matrix(axis_angle) -> np.ndarray:
     """Rodrigues matrices (..., 3, 3) of axis-angle vectors (..., 3) in one pass, angles one by one."""
     rvec = np.asarray(axis_angle, dtype=float)
-    a, b = np.empty((2, *rvec.shape[:-1], 1, 1))
-    for i in np.ndindex(rvec.shape[:-1]):
-        theta = float(np.linalg.norm(rvec[i]))
-        if theta < 1e-8:
-            # Series expansion keeps the zero-rotation case exact.
-            a[i], b[i] = 1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0
+    ab = []
+    for r in rvec.reshape(-1, 3):
+        theta = math.sqrt(r @ r)  # the ddot and correctly rounded root of np.linalg.norm
+        if theta < 1e-8:  # series expansion keeps the zero-rotation case exact
+            ab.append((1.0 - theta**2 / 6.0, 0.5 - theta**2 / 24.0))
         else:
-            a[i], b[i] = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta**2
+            ab.append((math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta**2))
+    a, b = np.array(ab).T.reshape(2, *rvec.shape[:-1], 1, 1)
     skew = _skew(rvec)
     return np.eye(3) + a * skew + b * (skew @ skew)
 
@@ -161,8 +165,9 @@ def target_grid(rows: int, cols: int, spacing: float) -> np.ndarray:
         raise ValueError("spacing must be finite and positive")
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
-    pts = [(x, y, 0.0) for y in ys for x in xs]
-    return np.asarray(pts, dtype=float)
+    pts = np.zeros((rows, cols, 3))
+    pts[..., 0], pts[..., 1] = xs, ys[:, None]
+    return pts.reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -378,9 +383,9 @@ class SharedAxisFamily:
     times those rows, and the axis row is -i m times the weights.
 
     At a fixed theta the family is a linear space, so a fit starts from the
-    best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), their amplitudes
-    solved in closed form with the poses frozen (also when poses are refined:
-    no pose columns), all in one ``_FrozenDesign.solve``.
+    best of ``_AXIS_SCAN`` axes evenly spaced over [0, pi), with the poses
+    frozen (also when poses are refined): one batched QR ranks the axes by
+    their least-squares costs, and only the best axis's amplitudes are solved.
     """
 
     linear = False
@@ -419,16 +424,20 @@ class SharedAxisFamily:
             out[1:4] = -out[1:4]
         return out
 
-    def scan(self, design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The scanned axes, and the solved amplitudes and cost at each."""
+    def scan(self, design) -> tuple[np.ndarray, np.ndarray]:
+        """The scanned axes and the frozen-pose cost at each: |rhs|^2 - |Q^T rhs|^2 plus the
+        part of Q^T rhs off the span of the axis's reduced design, from one batched QR."""
         thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
-        amplitudes, residuals, _ = design.solve(self._rows(thetas))
-        return thetas, amplitudes, np.einsum("ij,ij->i", residuals, residuals)
+        span, _ = np.linalg.qr(design.reduced(self._rows(thetas)))
+        off = design.q_rhs - (span @ (design.q_rhs @ span)[..., None])[..., 0]
+        floor = design.rhs @ design.rhs - design.q_rhs @ design.q_rhs
+        return thetas, floor + np.einsum("ij,ij->i", off, off)
 
     def start(self, design) -> np.ndarray:
-        thetas, amplitudes, costs = self.scan(design)
-        best = int(np.argmin(costs))
-        return np.r_[thetas[best], amplitudes[best]]
+        """The best scanned axis and its amplitudes, solved as ``design.solve`` solves one axis."""
+        thetas, costs = self.scan(design)
+        theta = thetas[int(np.argmin(costs))]
+        return np.r_[theta, design.solve(self._rows(theta))[0]]
 
 
 def _as_family(family):
@@ -528,13 +537,14 @@ class _FrozenDesign:
         self.q, self.r = np.linalg.qr(self.matrix)
         self.q_rhs = self.q.T @ self.rhs
 
+    def reduced(self, coefficients: np.ndarray) -> np.ndarray:
+        """R W, the design M W reduced by M = QR, for complex (p, K) rows W or a stack of them."""
+        return self.r @ -np.concatenate([coefficients.real, coefficients.imag], -1).swapaxes(-1, -2)
+
     def solve(self, coefficients: np.ndarray):
-        """Least squares for a complex (p, K) coefficient matrix over the keys,
-        or a stack of them: one QR of M reduces each design M W to R W
-        (Bjorck, 1996).  Returns the amplitudes, full residuals and
-        ``_solve_truncated`` factor."""
-        w = -np.concatenate([coefficients.real, coefficients.imag], -1).swapaxes(-1, -2)
-        designs = self.r @ w
+        """Least squares on ``reduced`` of a complex (p, K) coefficient matrix or a stack of
+        them: the amplitudes, full residuals and ``_solve_truncated`` factor."""
+        designs = self.reduced(coefficients)
         amplitudes, factor = _solve_truncated(designs, self.q_rhs)
         return amplitudes, self.rhs - (designs @ amplitudes[..., None])[..., 0] @ self.q.T, factor
 
@@ -624,7 +634,7 @@ def _rotation_derivatives(w: np.ndarray, rot: np.ndarray) -> np.ndarray:
     w_cross = _skew(w)
     v = np.swapaxes(w_cross @ (np.eye(3) - rot), -1, -2)  # row i is w x (I - R) e_i
     g = (w[..., None, None] * w_cross[:, None] + _skew(v)) / np.where(series, 1.0, theta2)
-    return np.where(series, _skew(np.eye(3)), g)
+    return np.where(series, _UNIT_SKEWS, g)
 
 
 class _Reprojection:

@@ -96,6 +96,15 @@ def test_target_grid_centered():
     assert np.all(pts[:, 2] == 0.0)
 
 
+def test_target_grid_is_the_list_of_points_bit_for_bit():
+    for rows, cols, spacing in ((6, 9, 0.08), (2, 2, 1.0), (5, 4, 0.3), (7, 3, 1e-3)):
+        xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
+        ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
+        want = np.asarray([(x, y, 0.0) for y in ys for x in xs], dtype=float)
+        got = target_grid(rows, cols, spacing)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_project_examples():
     intr = Intrinsics(1000, 1000, 640, 360)
     pose = Pose((0, 0, 0), (0, 0, 0))
@@ -893,11 +902,79 @@ def test_batched_axis_scan_matches_per_axis_solves(truth, seed):
     scene = default_scene(truth, 0.2, seed)
     obs = synthesize(scene)
     family = calib.SharedAxisFamily()
-    thetas, _, costs = family.scan(calib._FrozenDesign(scene, obs, family.keys))
+    thetas, costs = family.scan(calib._FrozenDesign(scene, obs, family.keys))
     assert np.array_equal(thetas, np.linspace(0.0, math.pi, 32, endpoint=False))
     want = _per_axis_scan_costs(scene, obs)
     assert np.max(np.abs(costs - want) / want) <= 1e-10
     assert np.argmin(costs) == np.argmin(want)
+
+
+# The four scan scenes above, at sigma 0.2: (truth, seed).
+SCAN_SCENES = (
+    (
+        symmetric_quadratic(0.6, 0.01, -0.02, 0.005)
+        + symmetric_cubic(0.6, 0.05, 0.01, -0.01, 0.003),
+        1,
+    ),
+    (rri([0.1]), 2),
+    (
+        symmetric_quadratic(0.6, 0.01, -0.004, 0.002)
+        + symmetric_cubic(0.6, 0.08, 0.01, -0.005, 0.003)
+        + rri([0.0, -0.02, 0.005]),
+        1,
+    ),
+    (TRUTH, 0),
+)
+
+
+def _calibrate_scene(seed: int, job: int) -> Scene:
+    """Job ``job`` of the benchmark's calibrate stream: a decentering+rri3 truth and a
+    noise seed drawn from default_rng([seed, job]), at sigma 0.2 (perfbench/workloads.py)."""
+    rng = np.random.default_rng([seed, job])
+    s1, s2 = (float(v) for v in rng.uniform(-0.03, 0.03, size=2))
+    alphas = [float(rng.uniform(-bound, bound)) for bound in (0.15, 0.05, 0.01)]
+    return default_scene(decentering(s1, s2) + rri(alphas), 0.2, int(rng.integers(2**31)))
+
+
+def _stacked_svd_start(design) -> np.ndarray:
+    """The shared-axis start from one stacked truncated-SVD solve of all 32 scanned axes,
+    the lowest residual cost kept: the oracle for the ranked scan."""
+    thetas = np.linspace(0.0, math.pi, 32, endpoint=False)
+    amplitudes, residuals, _ = design.solve(calib.SharedAxisFamily()._rows(thetas))
+    best = int(np.argmin(np.einsum("ij,ij->i", residuals, residuals)))
+    return np.r_[thetas[best], amplitudes[best]]
+
+
+def test_axis_scan_start_is_the_stacked_svd_start_bit_for_bit():
+    family = calib.SharedAxisFamily()
+    scenes = [default_scene(truth, 0.2, seed) for truth, seed in SCAN_SCENES]
+    scenes += [_calibrate_scene(7, job) for job in range(40)]
+    for i, scene in enumerate(scenes):
+        design = calib._FrozenDesign(scene, synthesize(scene), family.keys)
+        assert family.start(design).tobytes() == _stacked_svd_start(design).tobytes(), i
+    # Without noise rri([0.1]) is rotation invariant: all 32 costs tie to rounding, and
+    # either scan may pick any axis, so only the fits are pinned.
+    scene = default_scene(rri([0.1]), 0.0, 2)
+    for refine_poses in (False, True):
+        report = calib.fit(scene, synthesize(scene), family, FitOptions(refine_poses))
+        assert report.converged and report.rms_px <= 1e-12
+
+
+def test_the_axis_scan_factors_one_matrix_by_svd(noisy_setup, monkeypatch):
+    scene, obs = noisy_setup
+    family = calib.SharedAxisFamily()
+    design = calib._FrozenDesign(scene, obs, family.keys)
+    factored = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        factored.append(math.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    family.start(design)
+    # The 32 axes are ranked by QR; only the best one is solved.
+    assert sum(factored) == 1
 
 
 def test_shared_axis_fit_evaluates_its_base_table_once(noisy_setup, monkeypatch):
