@@ -249,9 +249,6 @@ class FitReport:
     per_view_rms: tuple[float, ...]
     std_errors: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class FitOptions:
@@ -267,9 +264,6 @@ class CompareRow:
     rsf: bool
     rms_px: float
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 # --------------------------------------------------------------------------
@@ -425,13 +419,13 @@ class SharedAxisFamily:
         return out
 
     def scan(self, design) -> tuple[np.ndarray, np.ndarray]:
-        """The scanned axes and the frozen-pose cost at each: |rhs|^2 - |Q^T rhs|^2 plus the
+        """The scanned axes and the frozen-pose cost at each: |rhs - Q Q^T rhs|^2 plus the
         part of Q^T rhs off the span of the axis's reduced design, from one batched QR."""
         thetas = np.linspace(0.0, math.pi, _AXIS_SCAN, endpoint=False)
         span, _ = np.linalg.qr(design.reduced(self._rows(thetas)))
         off = design.q_rhs - (span @ (design.q_rhs @ span)[..., None])[..., 0]
-        floor = design.rhs @ design.rhs - design.q_rhs @ design.q_rhs
-        return thetas, floor + np.einsum("ij,ij->i", off, off)
+        rest = design.rhs - design.q @ design.q_rhs
+        return thetas, rest @ rest + np.einsum("ij,ij->i", off, off)
 
     def start(self, design) -> np.ndarray:
         """The best scanned axis and its amplitudes, solved as ``design.solve`` solves one axis."""

@@ -24,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import calib, warp
 from .families import load_space
@@ -133,9 +133,8 @@ def _cmd_verify(args) -> int:
             report = reflection_symmetry(func, tol=tol)
         except ValueError as err:
             raise _InputError(str(err)) from err
-        payload = report.to_json_dict()
         if args.json:
-            print(json.dumps(payload, indent=2))
+            print(json.dumps(asdict(report), indent=2))
         else:
             print(f"symmetric:   {report.symmetric}")
             axis = report.axis
@@ -147,9 +146,8 @@ def _cmd_verify(args) -> int:
             raise _InputError("--tol applies only to --model")
         space = _load_checked(load_space, "space", args.space)
         report = classify(space)
-        payload = report.to_json_dict()
         if args.json:
-            print(json.dumps(payload, indent=2))
+            print(json.dumps(asdict(report), indent=2))
         else:
             print(f"dimension:          {report.dimension}")
             print(f"isotropic:          {report.isotropic}")
@@ -184,7 +182,7 @@ def _cmd_fit(args) -> int:
         raise _InputError(str(err)) from err
     obs = calib.synthesize(scene)
     report = calib.fit(scene, obs, family, calib.FitOptions(args.refine_poses))
-    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    text = json.dumps(asdict(report), indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)
     else:
@@ -206,7 +204,7 @@ def _cmd_bench(args) -> int:
         raise _InputError(str(err)) from err
     obs = calib.synthesize(scene)
     rows = calib.compare(scene, obs, families, calib.FitOptions(args.refine_poses))
-    payload = {"rows": [row.to_json_dict() for row in rows]}
+    payload = {"rows": [asdict(row) for row in rows]}
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         _write_text(args.out, text)

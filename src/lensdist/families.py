@@ -37,6 +37,7 @@ from .poly import (
     ComplexPoly,
     MonomialKey,
     RealPolyModel,
+    _key_order,
     model_from_json,
     model_to_json,
 )
@@ -202,7 +203,7 @@ def coefficient_keys(funcs: Iterable[ComplexPoly]) -> tuple[MonomialKey, ...]:
     keys: set[MonomialKey] = set()
     for f in funcs:
         keys.update(f.terms)
-    return tuple(sorted(keys, key=lambda kl: (kl[0] + kl[1], -kl[0])))
+    return tuple(sorted(keys, key=_key_order))
 
 
 def coefficient_matrix(

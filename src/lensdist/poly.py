@@ -2,8 +2,7 @@
 
 A lens distortion map is F(p) = p + G(p), where the displacement G vanishes
 at the origin together with its Jacobian, so G carries no constant or linear
-terms.  Two interchangeable coefficient representations are used throughout
-the package:
+terms.  The package has one coefficient representation and a real view of it:
 
 ``ComplexPoly``
     G written as one complex polynomial f(z, zbar) = sum gamma_kl z^k zbar^l
@@ -12,12 +11,13 @@ the package:
     trivial: a coordinate rotation by theta multiplies gamma_kl by
     exp(i * theta * (k - l - 1)).  The exponent k - l - 1 is the monomial's
     winding number; monomials with winding 0 (z^(k+1) zbar^k) are fixed by
-    every rotation.
+    every rotation.  Every layer takes it; model files are written from it.
 
 ``RealPolyModel``
-    One real 2 x (n+1) coefficient block per homogeneous degree n, acting on
-    the monomial vector (x^n, x^(n-1) y, ..., y^n); row 0 produces dx, row 1
-    produces dy.
+    The same field as one real 2 x (n+1) coefficient block per homogeneous
+    degree n, acting on the monomial vector (x^n, x^(n-1) y, ..., y^n); row
+    0 produces dx, row 1 produces dy.  It offers only its ``blocks``,
+    ``evaluate`` and ``to_complex``; its algebra is that of ``ComplexPoly``.
 
 Conversions between the forms expand binomials with dyadic-rational weights,
 so round trips are exact up to the final rounding of coefficient sums.
@@ -417,6 +417,8 @@ class RealPolyModel:
 
     ``blocks`` maps each homogeneous degree n present to a 2 x (n+1) real
     matrix; all-zero blocks are dropped so the representation is canonical.
+    A view of ``ComplexPoly.to_real()``: rotate, compare and save the
+    ``ComplexPoly`` that ``to_complex`` returns.
     """
 
     blocks: Mapping[int, np.ndarray]
@@ -440,21 +442,6 @@ class RealPolyModel:
         object.__setattr__(
             self, "blocks", MappingProxyType(dict(sorted(clean.items())))
         )
-
-    @classmethod
-    def zero(cls) -> "RealPolyModel":
-        return cls({})
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self.blocks)
-
-    @property
-    def degree(self) -> int:
-        return max(self.blocks, default=0)
-
-    def is_zero(self) -> bool:
-        return not self.blocks
 
     def evaluate(self, x, y):
         """Displacement (dx, dy) at (x, y); accepts scalars or arrays."""
@@ -485,27 +472,6 @@ class RealPolyModel:
                         key = (k, n - k)
                         acc[key] = acc.get(key, 0j) + cj * w
         return ComplexPoly(acc)
-
-    def rotated(self, theta: float) -> "RealPolyModel":
-        """Blocks after a coordinate rotation by theta: R^T M V_n(R) per degree."""
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        return RealPolyModel(
-            {n: rot.T @ block @ monomial_rotation(n, theta) for n, block in self.blocks.items()}
-        )
-
-    def isclose(self, other: "RealPolyModel", tol: float = DEFAULT_TOL) -> bool:
-        degrees = set(self.blocks) | set(other.blocks)
-        for n in degrees:
-            a = self.blocks.get(n)
-            b = other.blocks.get(n)
-            if a is None:
-                a = np.zeros((2, n + 1))
-            if b is None:
-                b = np.zeros((2, n + 1))
-            if not np.allclose(a, b, rtol=0.0, atol=tol):
-                return False
-        return True
 
 
 def monomial_vector(n: int, x, y) -> np.ndarray:
@@ -552,18 +518,16 @@ def monomial_rotation(n: int, theta: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def model_to_json(model: ComplexPoly | RealPolyModel, form: str = "complex") -> dict:
+def model_to_json(model: ComplexPoly, form: str = "complex") -> dict:
     """JSON-serializable dict for a displacement model, in the chosen form."""
-    if not isinstance(model, (ComplexPoly, RealPolyModel)):
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+    if not isinstance(model, ComplexPoly):
+        raise TypeError(f"models are written from ComplexPoly, got {type(model).__name__}")
     if form == "complex":
-        poly = model.to_complex() if isinstance(model, RealPolyModel) else model
-        body = [{"k": k, "l": l, "re": c.real, "im": c.imag} for (k, l), c in poly.terms.items()]
+        body = [{"k": k, "l": l, "re": c.real, "im": c.imag} for (k, l), c in model.terms.items()]
     elif form == "real":
-        real = model.to_real() if isinstance(model, ComplexPoly) else model
         body = [
             {"degree": n, "rows": [list(map(float, row)) for row in block]}
-            for n, block in real.blocks.items()
+            for n, block in model.to_real().blocks.items()
         ]
     else:
         raise ValueError(f"form must be 'complex' or 'real', got {form!r}")
@@ -613,5 +577,5 @@ def load_model(path) -> ComplexPoly:
     return model_from_json(load_json(path))
 
 
-def save_model(path, model: ComplexPoly | RealPolyModel, form: str = "complex") -> None:
+def save_model(path, model: ComplexPoly, form: str = "complex") -> None:
     save_json(path, model_to_json(model, form=form))

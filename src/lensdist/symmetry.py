@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from cmath import exp as cexp
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -65,9 +65,6 @@ class SymmetryReport:
     pairwise_ok: bool
     residual: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ClassReport:
@@ -82,9 +79,6 @@ class ClassReport:
     rotation_invariant: bool
     rsf: bool
     details: str
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _axis_mod_pi(theta: float) -> float:

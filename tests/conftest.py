@@ -28,3 +28,17 @@ def high_degree_poly():
 def conjugated(f: ComplexPoly) -> ComplexPoly:
     """f under the mirror (x, y) -> (x, -y): every coefficient conjugated."""
     return ComplexPoly({key: c.conjugate() for key, c in f.terms.items()})
+
+
+def blocks_close(a, b, tol: float) -> bool:
+    """True when two RealPolyModels' blocks match entrywise within absolute tol.
+
+    A degree that only one of them stores compares against zeros.
+    """
+    return all(
+        np.allclose(
+            a.blocks.get(n, np.zeros((2, n + 1))), b.blocks.get(n, np.zeros((2, n + 1))),
+            rtol=0.0, atol=tol,
+        )
+        for n in set(a.blocks) | set(b.blocks)
+    )

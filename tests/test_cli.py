@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -266,7 +267,7 @@ def test_fit_refine_poses_is_the_refined_fit(tmp_path, scene_file, family):
     assert main(argv) == 0
     scene = calib.load_scene(scene_file)
     report = calib.fit(scene, calib.synthesize(scene), family, REFINED)
-    assert json.loads(out.read_text()) == json.loads(json.dumps(report.to_json_dict()))
+    assert json.loads(out.read_text()) == json.loads(json.dumps(asdict(report)))
 
 
 def test_bench_refine_poses_rows_are_the_refined_compare(tmp_path, capsys, scene_file):
@@ -277,7 +278,7 @@ def test_bench_refine_poses_rows_are_the_refined_compare(tmp_path, capsys, scene
     capsys.readouterr()
     scene = calib.load_scene(scene_file)
     rows = calib.compare(scene, calib.synthesize(scene), names, REFINED)
-    assert json.loads(out.read_text())["rows"] == [row.to_json_dict() for row in rows]
+    assert json.loads(out.read_text())["rows"] == [asdict(row) for row in rows]
 
 
 @pytest.mark.parametrize(
