@@ -1,9 +1,10 @@
-"""File framing shared by the model, space, scene and CSV formats.
+"""File framing of every JSON and CSV file the package writes.
 
-JSON documents are objects tagged {"format": "lensdist-<kind>", "version":
-N}, written with two-space indentation and a final newline.  CSV files have
-one fixed header row, then rows of numbers written with 17 significant
-digits, so they read back exactly.
+JSON files are written with two-space indentation and a final newline; the
+model, space and scene formats are objects tagged {"format": "lensdist-<kind>",
+"version": N}.  CSV files have one fixed header row, then LF-ended rows whose
+text cells are written as they are and numbers with 17 significant digits, so
+they read back exactly.  The readers accept CRLF line ends too.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ def save_json(path, data: dict) -> None:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the header, then one line per row of numbers."""
+    """Write the header, then one line per row: a str cell as it is, any other as a float."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
+            writer.writerow([v if isinstance(v, str) else format(float(v), ".17g") for v in row])
 
 
 def read_csv(path, header: Sequence[str]) -> list[list[str]]:

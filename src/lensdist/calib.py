@@ -303,13 +303,14 @@ def project(intrinsics: Intrinsics, pose: Pose, func: ComplexPoly, point3):
 
 
 def synthesize(scene: Scene) -> Observations:
-    """Noisy observations of the scene; identical seeds give identical output."""
+    """Noisy observations of the scene, the same for the same seed; overflow raises ValueError."""
     cam = scene.camera_points
     xn, yn = cam[..., 0] / cam[..., 2], cam[..., 1] / cam[..., 2]
-    views = _pixels(scene.intrinsics, xn, yn, scene.truth.evaluate(xn + 1j * yn))
-    rng = np.random.default_rng(scene.seed)
-    noise = rng.normal(0.0, 1.0, size=views.shape) * scene.noise_sigma
-    return Observations(views + noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        views = _pixels(scene.intrinsics, xn, yn, scene.truth.evaluate(xn + 1j * yn))
+        rng = np.random.default_rng(scene.seed)
+        noise = rng.normal(0.0, 1.0, size=views.shape) * scene.noise_sigma
+        return Observations(views + noise)
 
 
 def default_scene(

@@ -26,7 +26,10 @@ import math
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import calib, warp
+from ._io import save_json, write_csv
 from .families import load_space
 from .poly import DEFAULT_TOL, load_model, save_model
 from .symmetry import classify, reflection_symmetry, sphere_point
@@ -49,11 +52,6 @@ def _load_checked(loader, what: str, path):
         return loader(path)
     except (OSError, ValueError) as err:
         raise _InputError(f"cannot read {what} {path}: {err}") from err
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -120,8 +118,13 @@ def _cmd_render(args) -> int:
             points = warp.grid_points(args.extent, count)
     except ValueError as err:
         raise _InputError(str(err)) from err
-    samples = warp.sample_field(func, points)
-    _write_text(args.out, _svg_field(samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = warp.sample_field(func, points)
+    for s in samples:
+        if not all(map(math.isfinite, s.displaced)):
+            raise _InputError(f"the field is not finite at point {s.source}")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(_svg_field(samples))
     return EXIT_OK
 
 
@@ -159,34 +162,38 @@ def _cmd_verify(args) -> int:
 
 def _cmd_convert(args) -> int:
     poly = _load_checked(load_model, "model", getattr(args, "in"))
-    save_model(args.out, poly, form=args.to)
+    try:
+        save_model(args.out, poly, form=args.to)
+    except ValueError as err:
+        raise _InputError(f"cannot convert {getattr(args, 'in')}: {err}") from err
     return EXIT_OK
 
 
-def _load_scene(args) -> calib.Scene:
-    """The --scene file, with its noise seed replaced by --seed if given."""
+def _load_scene(args) -> tuple[calib.Scene, calib.Observations]:
+    """The --scene file, with its noise seed replaced by --seed if given, and its observations."""
     scene = _load_checked(calib.load_scene, "scene", args.scene)
-    if args.seed is None:
-        return scene
+    if args.seed is not None:
+        try:
+            scene = replace(scene, seed=args.seed)
+        except ValueError as err:
+            raise _InputError(f"--seed: {err}") from err
     try:
-        return replace(scene, seed=args.seed)
+        return scene, calib.synthesize(scene)
     except ValueError as err:
-        raise _InputError(f"--seed: {err}") from err
+        raise _InputError(f"cannot synthesize {args.scene}: {err}") from err
 
 
 def _cmd_fit(args) -> int:
-    scene = _load_scene(args)
+    scene, obs = _load_scene(args)
     try:
         family = calib.parse_family(args.family)
     except ValueError as err:
         raise _InputError(str(err)) from err
-    obs = calib.synthesize(scene)
     report = calib.fit(scene, obs, family, calib.FitOptions(args.refine_poses))
-    text = json.dumps(asdict(report), indent=2) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        save_json(args.out, asdict(report))
     else:
-        sys.stdout.write(text)
+        print(json.dumps(asdict(report), indent=2))
     if args.strict and not report.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_NUMERIC
@@ -194,7 +201,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    scene = _load_scene(args)
+    scene, obs = _load_scene(args)
     names = [n for n in args.families.split(",") if n]
     if not names:
         raise _InputError("no families given")
@@ -202,12 +209,9 @@ def _cmd_bench(args) -> int:
         families = [calib.parse_family(n) for n in names]
     except ValueError as err:
         raise _InputError(str(err)) from err
-    obs = calib.synthesize(scene)
     rows = calib.compare(scene, obs, families, calib.FitOptions(args.refine_poses))
-    payload = {"rows": [asdict(row) for row in rows]}
-    text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        save_json(args.out, {"rows": [asdict(row) for row in rows]})
     header = f"{'family':<28} {'np':>3} {'linear':>6} {'rri':>5} {'rsf':>5} {'rms_px':>12}"
     print(header)
     for row in rows:
@@ -224,13 +228,10 @@ def _cmd_bench(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise _InputError("--steps must be >= 1")
-    scene = _load_scene(args)
-    obs = calib.synthesize(scene)
+    scene, obs = _load_scene(args)
     phis = [k * math.pi / args.steps for k in range(args.steps)]
     results = calib.sweep_axis_ratio(scene, obs, phis, calib.FitOptions(args.refine_poses))
-    lines = ["phi,rms"]
-    lines += [f"{phi:.17g},{rms:.17g}" for phi, rms in results]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_csv(args.out, ["phi", "rms"], results)
     return EXIT_OK
 
 
@@ -248,23 +249,17 @@ _SPHERE_TAGS = (
 def _cmd_sphere(args) -> int:
     if args.samples < 1:
         raise _InputError("--samples must be >= 1")
-    lines = ["tag,mu_re,mu_im,nu_re,nu_im,x,y,z"]
-
-    def row(tag, mu, nu):
-        x, y, z = sphere_point(mu, nu)
-        return (
-            f"{tag},{mu.real:.17g},{mu.imag:.17g},{nu.real:.17g},{nu.imag:.17g},"
-            f"{x:.17g},{y:.17g},{z:.17g}"
-        )
-
     # Real-ratio circle: the quadratic blend models whose members are all
     # reflection symmetric.
-    for k in range(args.samples):
-        t = k * math.pi / args.samples
-        lines.append(row("rsf_circle", complex(math.cos(t)), complex(math.sin(t))))
-    for tag, mu, nu in _SPHERE_TAGS:
-        lines.append(row(tag, mu, nu))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    circle = [
+        ("rsf_circle", complex(math.cos(t)), complex(math.sin(t)))
+        for t in (k * math.pi / args.samples for k in range(args.samples))
+    ]
+    rows = [
+        (tag, mu.real, mu.imag, nu.real, nu.imag, *sphere_point(mu, nu))
+        for tag, mu, nu in circle + list(_SPHERE_TAGS)
+    ]
+    write_csv(args.out, ["tag", "mu_re", "mu_im", "nu_re", "nu_im", "x", "y", "z"], rows)
     return EXIT_OK
 
 

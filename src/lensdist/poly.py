@@ -370,14 +370,15 @@ class ComplexPoly:
         return self.to_real()
 
     def to_real(self) -> "RealPolyModel":
-        """Equivalent per-degree real coefficient blocks."""
+        """Equivalent per-degree real coefficient blocks; an entry that overflows raises ValueError."""
         blocks: dict[int, np.ndarray] = {}
-        for (k, l), coeff in self.terms.items():
-            n = k + l
-            block = blocks.setdefault(n, np.zeros((2, n + 1)))
-            col = np.asarray(_monomial_xy(k, l)) * coeff
-            block[0] += col.real
-            block[1] += col.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (k, l), coeff in self.terms.items():
+                n = k + l
+                block = blocks.setdefault(n, np.zeros((2, n + 1)))
+                col = np.asarray(_monomial_xy(k, l)) * coeff
+                block[0] += col.real
+                block[1] += col.imag
         return RealPolyModel(blocks)
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":

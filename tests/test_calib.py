@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict, replace
 from functools import partial, reduce
@@ -1600,6 +1601,16 @@ def test_observations_csv_rejects_bad_rows(tmp_path, body):
     path.write_text("view,point,u,v\n" + body)
     with pytest.raises(ValueError):
         read_observations_csv(path)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_synthesize_pixels_that_overflow_raise_value_error(action):
+    # A valid scene whose noise overflows: ValueError under any warning filter.
+    scene = default_scene(noise_sigma=1e308)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError, match="pixels must be finite"):
+            synthesize(scene)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

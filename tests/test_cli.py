@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -92,6 +93,23 @@ def test_render_bad_model_exit_2(tmp_path, rri_file):
 def test_render_unwritable_output_exit_3(tmp_path, rri_file):
     target = tmp_path / "no_such_dir" / "fig.svg"
     assert main(["render", "--model", rri_file, "--out", str(target)]) == 3
+
+
+@pytest.mark.parametrize(
+    "shape, point",
+    [(["--shape", "grid", "--extent", "1e120"], "(-1e+120, -1e+120)"),
+     (["--shape", "circle", "--radius", "1e200"], "(1e+200, 0.0)")],
+    ids=["grid", "circle"],
+)
+def test_render_field_that_overflows_exit_2(tmp_path, capsys, rri_file, shape, point):
+    # The radial cubic overflows there; no SVG of nan coordinates is written.
+    out = tmp_path / "field.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["render", "--model", rri_file, *shape, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the field is not finite at point {point}\n"
+    assert not out.exists()
 
 
 # -- verify ------------------------------------------------------------------
@@ -213,6 +231,18 @@ def test_convert_malformed_input_exit_2(tmp_path):
     assert main(["convert", "--in", str(bad), "--to", "real", "--out", "x.json"]) == 2
 
 
+def test_convert_to_real_that_overflows_exit_2(tmp_path, capsys):
+    # A valid complex coefficient whose degree-16 real block overflows.
+    path = tmp_path / "big.json"
+    save_model(path, ComplexPoly({(8, 8): 1e307}))
+    out = tmp_path / "big_real.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["convert", "--in", str(path), "--to", "real", "--out", str(out)]) == 2
+    assert "non-finite entries in degree-16 block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- fit / bench --------------------------------------------------------------
 
 
@@ -226,6 +256,15 @@ def test_fit_report(tmp_path, scene_file):
     assert 0.18 <= report["rms_px"] <= 0.22
     assert len(report["coefficients"]) == 5
     assert report["converged"] is True
+
+
+def test_fit_to_stdout_and_to_a_file_give_the_same_bytes(tmp_path, capsys, scene_file):
+    out = tmp_path / "report.json"
+    argv = ["fit", "--scene", scene_file, "--family", "decentering+rri3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
 
 
 def test_bench_table_and_json(tmp_path, capsys, scene_file):
@@ -319,6 +358,27 @@ def test_negative_seed_exit_2(tmp_path, capsys, scene_file, argv):
     code = main(argv + ["--scene", scene_file, "--seed", "-1", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: --seed")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--family", "rri3"],
+        ["bench", "--families", "rri3"],
+        ["sweep", "--steps", "2"],
+    ],
+    ids=["fit", "bench", "sweep"],
+)
+def test_scene_whose_pixels_overflow_exit_2(tmp_path, capsys, argv):
+    # noise_sigma = 1e308 is a valid scene, but its noisy pixels overflow.
+    path = tmp_path / "huge.json"
+    calib.save_scene(path, calib.default_scene(noise_sigma=1e308))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--scene", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot synthesize {path}: pixels must be finite\n"
     assert not out.exists()
 
 

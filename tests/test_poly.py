@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,16 @@ def test_real_model_shape_validation():
     with pytest.raises(ValueError):
         RealPolyModel({1: np.zeros((2, 2))})
     assert not RealPolyModel({2: np.zeros((2, 3))}).blocks
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_to_real_that_overflows_raises_value_error(action):
+    # (x^2 + y^2)^8 has coefficients up to 70, so the degree-16 block overflows.
+    poly = ComplexPoly({(8, 8): 1e307})
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter(action)
+        with pytest.raises(ValueError, match="non-finite entries in degree-16 block"):
+            poly.to_real()
 
 
 # -- evaluation --------------------------------------------------------------
