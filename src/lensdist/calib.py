@@ -161,8 +161,8 @@ def target_grid(rows: int, cols: int, spacing: float) -> np.ndarray:
     """Planar rows x cols grid on z = 0, centered at the origin, row-major."""
     if rows < 2 or cols < 2:
         raise ValueError("target needs at least 2 rows and 2 columns")
-    if not 0 < spacing < math.inf:
-        raise ValueError("spacing must be finite and positive")
+    if not (spacing > 0 and math.isfinite((max(rows, cols) - 1) / 2 * spacing)):
+        raise ValueError("spacing must be positive, and (max(rows, cols) - 1) / 2 * spacing finite")
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     ys = (np.arange(rows) - (rows - 1) / 2.0) * spacing
     pts = np.zeros((rows, cols, 3))

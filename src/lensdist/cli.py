@@ -136,27 +136,18 @@ def _cmd_verify(args) -> int:
             report = reflection_symmetry(func, tol=tol)
         except ValueError as err:
             raise _InputError(str(err)) from err
-        if args.json:
-            print(json.dumps(asdict(report), indent=2))
-        else:
-            print(f"symmetric:   {report.symmetric}")
-            axis = report.axis
-            print(f"axis:        {axis if axis is not None else '-'}")
-            print(f"pairwise_ok: {report.pairwise_ok}")
-            print(f"residual:    {report.residual:.6e}")
+    elif args.tol is not None:
+        raise _InputError("--tol applies only to --model")
     else:
-        if args.tol is not None:
-            raise _InputError("--tol applies only to --model")
-        space = _load_checked(load_space, "space", args.space)
-        report = classify(space)
-        if args.json:
-            print(json.dumps(asdict(report), indent=2))
-        else:
-            print(f"dimension:          {report.dimension}")
-            print(f"isotropic:          {report.isotropic}")
-            print(f"rotation_invariant: {report.rotation_invariant}")
-            print(f"rsf:                {report.rsf}")
-            print(f"details:            {report.details}")
+        report = classify(_load_checked(load_space, "space", args.space))
+    fields = asdict(report)
+    if args.json:
+        print(json.dumps(fields, indent=2))
+    else:  # one "name: value" line per field, the values in one column
+        width = max(map(len, fields)) + 2
+        for name, value in fields.items():
+            text = "-" if value is None else f"{value:.6e}" if name == "residual" else value
+            print(f"{name + ':':<{width}}{text}")
     return EXIT_OK
 
 

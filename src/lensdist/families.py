@@ -25,6 +25,7 @@ space, so they return functions, not spaces.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -40,6 +41,7 @@ from .poly import (
     _key_order,
     model_from_json,
     model_to_json,
+    winding_table,
 )
 
 __all__ = [
@@ -293,20 +295,14 @@ class ModelSpace:
         return len(self.basis)
 
     def member(self, coeffs: Sequence[float]) -> ComplexPoly:
-        """Real linear combination sum c_i basis_i."""
+        """Real linear combination: the chain of ``ComplexPoly`` sums
+        zero + basis_0 * c_0 + basis_1 * c_1 + ..., in basis order."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (len(self.basis),):
             raise ValueError(
                 f"expected {len(self.basis)} coefficients, got shape {coeffs.shape}"
             )
-        # The products and sums of the chain sum(f * c), in the same
-        # order, so the result matches it bit for bit.
-        total: dict[MonomialKey, complex] = {}
-        for c, f in zip(coeffs, self.basis):
-            scale = complex(float(c))
-            for key, gamma in f.terms.items():
-                total[key] = total.get(key, 0j) + gamma * scale
-        return ComplexPoly(total)
+        return sum((f * c for c, f in zip(coeffs, self.basis)), ComplexPoly.zero())
 
     def weights(self, coeffs) -> np.ndarray:
         """The member's complex coefficients over ``keys``."""
@@ -376,26 +372,19 @@ def rri_space(n: int) -> ModelSpace:
     """n-dimensional space of radial rotationally invariant models (degrees 3, 5, ...)."""
     if n < 1:
         raise ValueError("rri space needs n >= 1")
-    basis = []
-    for j in range(1, n + 1):
-        coeffs = [0.0] * n
-        coeffs[j - 1] = 1.0
-        basis.append(rri(coeffs))
-    return ModelSpace(tuple(basis), f"rri{n}")
+    return ModelSpace(tuple(rri(unit) for unit in np.eye(n)), f"rri{n}")
 
 
 def full_poly_space(degrees: Iterable[int], label: str | None = None) -> ModelSpace:
-    """All displacements with monomials of the given total degrees (real span)."""
-    degrees = sorted(set(int(n) for n in degrees))
+    """All displacements with monomials of the given total degrees (real span).
+
+    Each degree must be an integer in [2, MAX_DEGREE] (``winding_table``)."""
+    degrees = sorted({operator.index(n) for n in degrees})
     if not degrees:
         raise ValueError("need at least one degree")
-    basis: list[ComplexPoly] = []
-    for n in degrees:
-        for k in range(n, -1, -1):
-            basis.append(ComplexPoly({(k, n - k): 1.0}))
-            basis.append(ComplexPoly({(k, n - k): 1j}))
+    basis = tuple(ComplexPoly({key: unit}) for key in winding_table(degrees) for unit in (1.0, 1j))
     name = label if label is not None else "full_" + "_".join(map(str, degrees))
-    return ModelSpace(tuple(basis), name)
+    return ModelSpace(basis, name)
 
 
 _CATALOG = {

@@ -118,15 +118,9 @@ def _best_axis(terms, tol: float = DEFAULT_TOL) -> tuple[float | str, float]:
         c0 = -c0
     base = -math.atan2(c0.imag, c0.real) / m0
     candidates = sorted(_axis_mod_pi(base + j * math.pi / m0) for j in range(abs(m0)))
-
-    best_axis = candidates[0]
-    best_residual = math.inf
-    for cand in candidates:
-        res = _axis_residual(terms, cand)
-        if res < best_residual:
-            best_residual = res
-            best_axis = cand
-    return best_axis, best_residual
+    # Tuples order ties by axis, so a tie goes to the smallest candidate.
+    residual, axis = min((_axis_residual(terms, cand), cand) for cand in candidates)
+    return axis, residual
 
 
 def _unit_terms(func: ComplexPoly, tol: float) -> tuple[list, float]:

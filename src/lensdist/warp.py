@@ -63,17 +63,18 @@ class SingularJacobian(RuntimeError):
 def apply_distortion(func: ComplexPoly, points: Sequence[Point]) -> list[Point]:
     """Forward-map each point: output = input + displacement, order preserved.
 
-    ``points`` must have shape (N, 2); any other shape, a ragged one too,
-    raises ValueError.  So does a non-numeric entry, with numpy's message.
+    ``points`` must have shape (N, 2), or be an empty list; any other shape,
+    (0, 3) or a ragged one too, raises ValueError.  So does a non-numeric
+    entry, with numpy's message.
     """
-    if len(points) == 0:
-        return []
     try:
         pts = np.asarray(points, dtype=float)
     except ValueError:
         pts = np.asarray(points, dtype=object)  # a ragged list has only its outer shape
         if pts.ndim == 2 and pts.shape[1] == 2:
             raise
+    if pts.shape == (0,):  # an empty list has no second axis
+        return []
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (N, 2), got shape {pts.shape}")
     dx, dy = func.displacement(pts[:, 0], pts[:, 1])
@@ -176,8 +177,8 @@ def circle_points(radius: float, count: int) -> list[Point]:
 def grid_points(half_extent: float, per_side: int) -> list[Point]:
     """per_side x per_side grid on [-half_extent, half_extent]^2, row-major."""
     per_side = operator.index(per_side)
-    if not 0 < half_extent < math.inf:
-        raise ValueError("half_extent must be finite and positive")
+    if not (half_extent > 0 and math.isfinite(2 * half_extent)):
+        raise ValueError("half_extent must be positive, and 2 * half_extent finite")
     if per_side < 2:
         raise ValueError("per_side must be >= 2")
     coords = np.linspace(-half_extent, half_extent, per_side)

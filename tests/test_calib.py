@@ -106,6 +106,17 @@ def test_target_grid_is_the_list_of_points_bit_for_bit():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_target_grid_rejects_a_spacing_that_overflows():
+    # The 2 x 5 grid reaches 2 * 1e308 from its center; the 2 x 2 one only 5e307.
+    with pytest.raises(ValueError, match="spacing"):
+        target_grid(2, 5, 1e308)
+    assert target_grid(2, 2, 1e308)[0, 0] == -5e307
+    data = scene_to_json(default_scene(truth=TRUTH))
+    data["target"]["spacing"] = 1e308
+    with pytest.raises(ValueError, match="spacing"):
+        scene_from_json(data)
+
+
 def test_project_examples():
     intr = Intrinsics(1000, 1000, 640, 360)
     pose = Pose((0, 0, 0), (0, 0, 0))

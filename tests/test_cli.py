@@ -15,7 +15,7 @@ import pytest
 import lensdist
 from lensdist import calib
 from lensdist.cli import main
-from lensdist.families import decentering, rri
+from lensdist.families import decentering, opencv_thin_prism, rri
 from lensdist.poly import ComplexPoly, load_model, save_model
 
 
@@ -109,6 +109,18 @@ def test_render_field_that_overflows_exit_2(tmp_path, capsys, rri_file, shape, p
         assert main(["render", "--model", rri_file, *shape, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: the field is not finite at point {point}\n"
+    assert not out.exists()
+
+
+def test_render_grid_extent_that_overflows_exit_2(tmp_path, capsys, rri_file):
+    # 2 * 1e308 overflows, so the grid cannot be laid out: an input error
+    # that names the extent, not a point of the grid.
+    out = tmp_path / "field.svg"
+    argv = ["render", "--model", rri_file, "--shape", "grid", "--extent", "1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 2
+    assert "half_extent" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -523,6 +535,41 @@ def test_verify_model_axis_of_minus_z2_prints_zero(tmp_path, capsys):
     save_model(path, ComplexPoly({(2, 0): -1}))
     assert main(["verify", "--model", str(path)]) == 0
     assert "axis:        0.0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "model, text",
+    [
+        (ComplexPoly({(2, 0): 1j}),
+         "symmetric:   True\naxis:        1.5707963267948966\npairwise_ok: True\n"
+         "residual:    6.123234e-17\n"),
+        (ComplexPoly.zero(),
+         "symmetric:   True\naxis:        any\npairwise_ok: True\nresidual:    0.000000e+00\n"),
+        (opencv_thin_prism(1, 1, 2, 3),
+         "symmetric:   False\naxis:        -\npairwise_ok: False\nresidual:    3.162278e-01\n"),
+    ],
+    ids=["float_axis", "any", "asymmetric"],
+)
+def test_verify_model_text(tmp_path, capsys, model, text):
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert main(["verify", "--model", str(path)]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_verify_space_text(tmp_path, capsys):
+    from lensdist.families import named_space, save_space
+
+    path = tmp_path / "weng.json"
+    save_space(path, named_space("weng"))
+    assert main(["verify", "--space", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "dimension:          4\n"
+        "isotropic:          True\n"
+        "rotation_invariant: False\n"
+        "rsf:                False\n"
+        "details:            structural_normal_form=False; common_axis=None\n"
+    )
 
 
 # -- parser ----------------------------------------------------------------------

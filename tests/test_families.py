@@ -591,6 +591,17 @@ def test_full_poly_space_dimensions():
     assert full_poly_space([2, 3]).dimension == 14
 
 
+@pytest.mark.parametrize(
+    "degrees, error",
+    [([-1, 2], ValueError), ([1], ValueError), ([17], ValueError), ([], ValueError),
+     ([2.7], TypeError)],
+)
+def test_full_poly_space_rejects_degrees_outside_the_table(degrees, error):
+    # Every degree is an integer in [2, MAX_DEGREE], as winding_table takes it.
+    with pytest.raises(error):
+        full_poly_space(degrees)
+
+
 def test_space_json_round_trip(tmp_path):
     space = named_space("matlab")
     path = tmp_path / "space.json"

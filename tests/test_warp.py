@@ -78,10 +78,13 @@ def test_apply_is_linear_in_the_function():
 
 def test_points_must_be_xy_pairs():
     f = rri([0.1])
-    for points in ([(0.1,)], [0.1, 0.2], [(1, 2, 3)], [(0.1, 0.2), (0.3,)]):
+    for points in ([(0.1,)], [0.1, 0.2], [(1, 2, 3)], [(0.1, 0.2), (0.3,)], np.zeros((0, 3))):
         for fn in (apply_distortion, sample_field):
             with pytest.raises(ValueError, match=r"shape \(N, 2\)"):
                 fn(f, points)
+    # No points at all is an empty list or an empty (0, 2) array.
+    for fn in (apply_distortion, sample_field):
+        assert fn(f, []) == fn(f, np.zeros((0, 2))) == []
     for p in ((0.3, 0.2, 9.0), (0.3,)):
         with pytest.raises(ValueError, match=r"\(x, y\) pair"):
             jacobian(f, p)
@@ -439,9 +442,11 @@ def test_grid_points_examples():
     assert (0.0, 0.0) in grid_points(1.0, 3)
     with pytest.raises(ValueError):
         grid_points(1.0, 1)
-    for half_extent in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    # 1e308 is finite, but the grid's width 2 * 1e308 is not.
+    for half_extent in (0.0, -1.0, math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match="half_extent"):
             grid_points(half_extent, 3)
+    assert grid_points(8e307, 2)[0] == (-8e307, -8e307)
     with pytest.raises(TypeError):
         grid_points(0.5, 2.5)
     assert grid_points(1.0, np.int64(2)) == corners
