@@ -28,9 +28,13 @@ coefficients or from the best scanned axis of ``SharedAxisFamily``.
 Damped steps solve J^T J + lambda I directly; the truncated SVD serves the
 rank-deficient solves: the frozen solves and the standard errors, where each
 view's refined pose columns are first eliminated (Triggs et al., 2000).
-Non-convergence is reported through ``converged=False``, never silently.
+Non-convergence is reported through ``converged=False``, never silently.  A coefficient
+along a dropped direction has the standard error inf.
 With frozen poses, ``compare`` solves its linear families on one ``_FrozenDesign`` over
 their monomials' union, ``sweep_axis_ratio`` every phi on one over its five monomials.
+Same-size problems share one stacked truncated SVD (one per dimension, one per
+``_SWEEP_CHUNK`` phi), which solves each member bit for bit as alone; each rms comes from
+that member's own residual.
 
 Residual evaluation is sequential with a fixed accumulation order, so a fit
 is reproducible bit for bit on one host, BLAS kernel and numpy dispatch level.
@@ -92,6 +96,9 @@ SCENE_VERSION = 1
 
 # Relative singular-value cutoff for rank-deficient least squares.
 _SVD_RCOND = 1e-10
+# A coefficient whose row of the dropped right singular vectors has a larger norm is not
+# determined, and its standard error is inf; rounding leaves about 1e-15 there.
+_UNDETERMINED = 1e-8
 # Levenberg-Marquardt budget and damping schedule.
 _MAX_ITER = 200
 _LAMBDA0 = 1e-3
@@ -473,17 +480,18 @@ TABLE_FAMILIES = (
 # --------------------------------------------------------------------------
 
 
-def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares by SVD without the singular values at or below _SVD_RCOND
-    times the largest, and F = V diag(1/s) over the kept ones, so F F^T is the
-    truncated pinv(M^T M) of M = ``matrix``, which may be a stack sharing ``rhs``."""
+def _solve_truncated(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares by SVD M = U diag(s) V^T without the singular values at or below
+    _SVD_RCOND times the largest: the solution, V and inv, 1/s where kept and 0 where
+    dropped, so F = V diag(inv) has F F^T the truncated pinv(M^T M) of M = ``matrix``.
+    A stack of matrices sharing ``rhs`` gives each member's solve bit for bit."""
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     inv = np.zeros_like(s)
     keep = s > _SVD_RCOND * s[..., :1]
     inv[keep] = 1.0 / s[keep]
     weights = (np.swapaxes(u, -1, -2) @ rhs) * inv
     v = np.swapaxes(vt, -1, -2)
-    return (v @ weights[..., None])[..., 0], v * inv[..., None, :]
+    return (v @ weights[..., None])[..., 0], v, inv
 
 
 def _pose_eliminated(jac: np.ndarray, p: int) -> np.ndarray:
@@ -538,10 +546,14 @@ class _FrozenDesign:
 
     def solve(self, coefficients: np.ndarray):
         """Least squares on ``reduced`` of a complex (p, K) coefficient matrix or a stack of
-        them: the amplitudes, full residuals and ``_solve_truncated`` factor."""
+        them, in one ``_solve_truncated``: the amplitudes, full residuals and its (V, inv)."""
         designs = self.reduced(coefficients)
-        amplitudes, factor = _solve_truncated(designs, self.q_rhs)
-        return amplitudes, self.rhs - (designs @ amplitudes[..., None])[..., 0] @ self.q.T, factor
+        amplitudes, v, inv = _solve_truncated(designs, self.q_rhs)
+        fitted = (designs @ amplitudes[..., None])[..., 0]
+        # Each member's residual on its own: one stacked product rounds some of them apart.
+        members = fitted.reshape(-1, fitted.shape[-1])
+        residuals = np.array([self.rhs - f @ self.q.T for f in members])
+        return amplitudes, residuals.reshape(*fitted.shape[:-1], -1), (v, inv)
 
     def __call__(self, family, x: np.ndarray) -> np.ndarray:
         w = family.weights(x)
@@ -598,21 +610,24 @@ def _report_from_residuals(
     p: int,
     iterations: int,
     converged: bool,
-    factor: np.ndarray,
+    v: np.ndarray,
+    inv: np.ndarray,
 ) -> FitReport:
     m = residuals.size
     per_view = residuals.reshape(obs.n_views, obs.n_points, 2)
-    per_view_rms = tuple(float(math.sqrt(np.mean(v**2))) for v in per_view)
-    # sigma^2 F F^T is the covariance of x[:p], marginal over any refined poses in x[p:].
+    per_view_rms = tuple(float(math.sqrt(np.mean(r**2))) for r in per_view)
+    # sigma^2 F F^T, F = V diag(inv), is the covariance of x[:p], marginal over any refined
+    # poses in x[p:], except along the dropped directions, where the variance is unbounded.
     sigma2 = float(residuals @ residuals) / max(m - x.size, 1)
-    std = tuple(float(v) for v in np.sqrt(sigma2 * np.sum(factor**2, axis=1)))
+    std = np.sqrt(sigma2 * np.sum((v * inv) ** 2, axis=1))
+    std[np.linalg.norm(v[:, inv == 0], axis=1) > _UNDETERMINED] = math.inf
     return FitReport(
         rms_px=_rms(residuals),
         coefficients=tuple(float(c) for c in x[:p]),
         iterations=iterations,
         converged=converged,
         per_view_rms=per_view_rms,
-        std_errors=std,
+        std_errors=tuple(map(float, std)),
     )
 
 
@@ -720,16 +735,16 @@ def fit(scene: Scene, obs: Observations, family, options: FitOptions | None = No
     else:
         design = _FrozenDesign(scene, obs, family.keys)
         if family.linear:
-            coeffs, residuals, factor = design.solve(family.matrix)
-            return _report_from_residuals(residuals, obs, coeffs, p, 1, True, factor)
+            coeffs, residuals, (v, inv) = design.solve(family.matrix)
+            return _report_from_residuals(residuals, obs, coeffs, p, 1, True, v, inv)
         x0 = family.start(design)
         fun, jacobian = partial(design, family), partial(design.jacobian, family)
     x, r, iterations, converged = _levenberg_marquardt(fun, x0, jacobian)
     x = np.concatenate([family.canonical(x[:p]), x[p:]])
     # Frozen: R of J = QR has J's singular values and vectors. Refined: poses eliminated per view.
     jac = _pose_eliminated(jacobian(x), p) if refine_poses else np.linalg.qr(jacobian(x), mode="r")
-    _, factor = _solve_truncated(jac, np.zeros(len(jac)))
-    return _report_from_residuals(r, obs, x, p, iterations, converged, factor)
+    _, v, inv = _solve_truncated(jac, np.zeros(len(jac)))
+    return _report_from_residuals(r, obs, x, p, iterations, converged, v, inv)
 
 
 def compare(
@@ -743,14 +758,21 @@ def compare(
 
     families = [_as_family(entry) for entry in families]
     _check_geometry(scene, obs)
-    bases = [f.basis for f in families if f.linear and not (options and options.refine_poses)]
-    keys = coefficient_keys(f for b in bases for f in b)
-    design = _FrozenDesign(scene, obs, keys) if bases else None
+    groups = {}  # the frozen linear families' indices by dimension, one stacked solve each
+    for i, family in enumerate(families):
+        if family.linear and not (options and options.refine_poses):
+            groups.setdefault(family.dimension, []).append(i)
+    rms_of = {}
+    if groups:
+        keys = coefficient_keys(f for g in groups.values() for i in g for f in families[i].basis)
+        design = _FrozenDesign(scene, obs, keys)
+        for group in groups.values():
+            bases = [coefficient_matrix(families[i].basis, keys).view(complex) for i in group]
+            rms_of.update(zip(group, map(_rms, design.solve(np.array(bases))[1])))
     rows = []
-    for family in families:
-        if family.linear and design is not None:
-            basis = coefficient_matrix(family.basis, keys).view(complex)
-            rms, converged = _rms(design.solve(basis)[1]), True
+    for i, family in enumerate(families):
+        if i in rms_of:
+            rms, converged = rms_of[i], True
         else:
             report = fit(scene, obs, family, options)
             rms, converged = report.rms_px, report.converged
@@ -777,6 +799,9 @@ def compare(
 # mixed_quadratic(c, s, t) at t = 1 and i, (c - s)/2 t z^2 + (c + s)/2 conj(t) z zbar; rri3 follows.
 _SWEEP_KEYS = ((2, 0), (1, 1), (2, 1), (3, 2), (4, 3))
 _SWEEP_A, _SWEEP_B = np.array([[[0.5, 0.5], [0.5j, -0.5j]], [[-0.5, 0.5], [-0.5j, -0.5j]]])
+# A frozen sweep solves its phi in stacks of at most this many, so its memory stays
+# bounded at any step count.
+_SWEEP_CHUNK = 64
 
 
 def _sweep_matrix(phi: float) -> np.ndarray:
@@ -808,7 +833,12 @@ def sweep_axis_ratio(
     _check_geometry(scene, obs)
     # No rank check: the quadratic rows are orthogonal, of norm 1/sqrt(2), off rri3's monomials.
     design = _FrozenDesign(scene, obs, _SWEEP_KEYS)
-    return [(phi, _rms(design.solve(_sweep_matrix(phi))[1])) for phi in phis]
+    rows = []
+    for start in range(0, len(phis), _SWEEP_CHUNK):
+        chunk = phis[start:start + _SWEEP_CHUNK]
+        residuals = design.solve(np.array([_sweep_matrix(phi) for phi in chunk]))[1]
+        rows += zip(chunk, map(_rms, residuals))
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -59,7 +59,11 @@ def _load_checked(loader, what: str, path):
 # --------------------------------------------------------------------------
 
 
-def _svg_field(samples, size: int = 640, margin: int = 30) -> str:
+_SVG_SIZE = 640  # the square canvas, px
+_SVG_MARGIN = 30  # px left clear on each side
+
+
+def _svg_field(samples) -> str:
     xs = [s.source[0] for s in samples] + [s.displaced[0] for s in samples]
     ys = [s.source[1] for s in samples] + [s.displaced[1] for s in samples]
     lo = min(min(xs), min(ys))
@@ -68,19 +72,19 @@ def _svg_field(samples, size: int = 640, margin: int = 30) -> str:
     pad = 0.05 * span
     lo -= pad
     span += 2 * pad
-    scale = (size - 2 * margin) / span
+    scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / span
 
     def sx(x: float) -> str:
-        return f"{margin + (x - lo) * scale:.3f}"
+        return f"{_SVG_MARGIN + (x - lo) * scale:.3f}"
 
     def sy(y: float) -> str:
-        return f"{size - margin - (y - lo) * scale:.3f}"
+        return f"{_SVG_SIZE - _SVG_MARGIN - (y - lo) * scale:.3f}"
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="#ffffff"/>\n',
         '<g stroke="#808080" stroke-width="1">\n',
     ]
     for s in samples:
@@ -181,10 +185,13 @@ def _cmd_fit(args) -> int:
     except ValueError as err:
         raise _InputError(str(err)) from err
     report = calib.fit(scene, obs, family, calib.FitOptions(args.refine_poses))
+    # Strict JSON has no infinity: an undetermined coefficient's standard error is null.
+    std_errors = [s if math.isfinite(s) else None for s in report.std_errors]
+    fields = asdict(report) | {"std_errors": std_errors}
     if args.out:
-        save_json(args.out, asdict(report))
+        save_json(args.out, fields)
     else:
-        print(json.dumps(asdict(report), indent=2))
+        print(json.dumps(fields, indent=2))
     if args.strict and not report.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_NUMERIC

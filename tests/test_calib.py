@@ -10,7 +10,7 @@ from functools import partial, reduce
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lensdist import calib
 from lensdist.calib import (
@@ -660,7 +660,8 @@ def _dense_refined_report(scene, obs, family) -> calib.FitReport:
     x0 = np.concatenate([start, calib._pack_poses(scene.poses)])
     x, r, iterations, converged = calib._levenberg_marquardt(problem, x0, problem.jacobian)
     x = np.concatenate([family.canonical(x[:p]), x[p:]])
-    _, factor = calib._solve_truncated(np.linalg.qr(problem.jacobian(x), mode="r"), np.zeros(x.size))
+    _, v, inv = calib._solve_truncated(np.linalg.qr(problem.jacobian(x), mode="r"), np.zeros(x.size))
+    factor = v * inv
     sigma2 = float(r @ r) / (r.size - x.size)
     return calib.FitReport(
         rms_px=math.sqrt(float(r @ r) / r.size),
@@ -981,6 +982,22 @@ def test_axis_scan_start_is_the_stacked_svd_start_bit_for_bit():
     for refine_poses in (False, True):
         report = calib.fit(scene, synthesize(scene), family, FitOptions(refine_poses))
         assert report.converged and report.rms_px <= 1e-12
+
+
+@pytest.mark.parametrize("refine", [False, True], ids=["frozen", "refined"])
+def test_an_undetermined_axis_has_no_finite_std_error(refine):
+    # Without noise a radial truth leaves the fitted member no term of nonzero winding, so
+    # every axis fits alike: the truncated SVD drops the axis direction, whose marginal
+    # standard error is unbounded, not the 1e-29 that the kept directions would give it.
+    truth = rri([-0.12, 0.03, -0.005])
+    family, options = calib.SharedAxisFamily(), FitOptions(refine)
+    scene = default_scene(truth, 0.0, 3)
+    report = calib.fit(scene, synthesize(scene), family, options)
+    assert report.std_errors[0] == math.inf
+    assert all(math.isfinite(s) for s in report.std_errors[1:])
+    # With noise the axis is determined, if poorly (about 0.2 rad).
+    scene = default_scene(truth, 0.2, 3)
+    assert all(map(math.isfinite, calib.fit(scene, synthesize(scene), family, options).std_errors))
 
 
 def test_the_axis_scan_factors_one_matrix_by_svd(noisy_setup, monkeypatch):
@@ -1314,7 +1331,8 @@ def test_sweep_rows_equal_one_fit_per_phi(noisy_setup):
     # the same design and matrix as that phi's own fit, so every row is its
     # fit bit for bit; refined rows are their refined fits.
     scene, obs = noisy_setup
-    for phis in (*SWEEP_GRIDS, [0.0, math.pi / 2]):
+    longer = 2 * calib._SWEEP_CHUNK + 1  # two whole stacks and one of a single phi
+    for phis in (*SWEEP_GRIDS, [k * math.pi / longer for k in range(longer)], [0.0, math.pi / 2]):
         rows = calib.sweep_axis_ratio(scene, obs, phis)
         assert [phi for phi, _ in rows] == phis
         for phi, rms in rows:
@@ -1435,6 +1453,57 @@ def test_compare_rows_on_the_union_design_are_each_own_fit(noisy_setup, families
             assert row.rms_px == want
         else:
             assert abs(row.rms_px - want) <= 1e-12 * want
+
+
+def _single_union_solves(scene, obs, families) -> list:
+    """Each linear family's rms from its own ``_FrozenDesign.solve`` on the design over
+    the union of the linear families' monomials, None for the nonlinear family: the
+    oracle for compare's stacked solves."""
+    families = [calib._as_family(f) for f in families]
+    keys = coefficient_keys(g for f in families if f.linear for g in f.basis)
+    design = calib._FrozenDesign(scene, obs, keys)
+    return [calib._rms(design.solve(coefficient_matrix(f.basis, keys).view(complex))[1])
+            if f.linear else None for f in families]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(families=st.lists(union_families(), min_size=1, max_size=6))
+@example(families=list(calib.TABLE_FAMILIES))
+def test_compare_rows_are_single_union_solves_bit_for_bit(noisy_setup, families):
+    # compare solves the frozen linear families of one dimension in one stacked SVD,
+    # and each row is still that family's single solve on the same union design.
+    scene, obs = noisy_setup
+    rows = calib.compare(scene, obs, families)
+    for row, want in zip(rows, _single_union_solves(scene, obs, families), strict=True):
+        if want is not None:
+            assert row.rms_px == want, row.label
+
+
+def test_frozen_compare_and_sweep_solve_each_size_in_one_stacked_svd(noisy_setup, monkeypatch):
+    scene, obs = noisy_setup
+    stacks = []
+    solve = calib._solve_truncated
+
+    def counting(matrix, rhs):
+        stacks.append(matrix.shape[:-2])
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(calib, "_solve_truncated", counting)
+
+    def solves(call, *args):
+        stacks.clear()
+        call(scene, obs, *args)
+        return list(stacks)
+
+    # One solve per distinct dimension (1, 2, 3, 4, 5 four times, 7 and 16), in order.
+    sizes = Counter(parse_family(name).dimension for name in LINEAR_TABLE_FAMILIES)
+    assert len(sizes) == 7
+    assert solves(calib.compare, LINEAR_TABLE_FAMILIES) == [(n,) for n in sizes.values()]
+    # The sweep solves its phi in stacks of at most _SWEEP_CHUNK.
+    assert solves(calib.sweep_axis_ratio, [k * math.pi / 12 for k in range(12)]) == [(12,)]
+    chunk = calib._SWEEP_CHUNK
+    assert solves(calib.sweep_axis_ratio, [0.5] * (2 * chunk + 1)) == [(chunk,), (chunk,), (1,)]
 
 
 def test_a_frozen_call_builds_one_design(noisy_setup, monkeypatch):

@@ -279,6 +279,22 @@ def test_fit_to_stdout_and_to_a_file_give_the_same_bytes(tmp_path, capsys, scene
     assert out.read_bytes() == printed.encode()
 
 
+def test_fit_writes_an_undetermined_std_error_as_null(tmp_path):
+    # A noise-free radial scene leaves the shared axis undetermined: its standard error is
+    # inf in the report and null in the JSON, which a strict parser reads.
+    scene = tmp_path / "radial.json"
+    calib.save_scene(scene, calib.default_scene(rri([-0.12, 0.03, -0.005]), 0.0, 3))
+    out = tmp_path / "report.json"
+    assert main(["fit", "--scene", str(scene), "--family", "sym_quad_cubic_rri3", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    std_errors = json.loads(out.read_text(), parse_constant=reject)["std_errors"]
+    assert std_errors[0] is None
+    assert all(isinstance(s, float) and math.isfinite(s) for s in std_errors[1:])
+
+
 def test_bench_table_and_json(tmp_path, capsys, scene_file):
     out = tmp_path / "bench.json"
     code = main(
