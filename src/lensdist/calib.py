@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial, reduce
 from typing import Sequence
 
@@ -206,6 +206,10 @@ class Scene:
         for i, cam in enumerate(self.camera_points):
             if np.any(cam[:, 2] <= 0):
                 raise ValueError(f"pose {i} places target points behind the camera")
+
+    def __reduce__(self):
+        # Rebuilt by the constructor: ``camera_points`` is not carried.
+        return Scene, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def target_points(self) -> np.ndarray:

@@ -290,6 +290,10 @@ class ModelSpace:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "span", span)
 
+    def __reduce__(self):
+        # Rebuilt by the constructor, so the arrays come back read-only.
+        return ModelSpace, (self.basis, self.label)
+
     @property
     def dimension(self) -> int:
         return len(self.basis)

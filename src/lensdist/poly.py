@@ -28,7 +28,9 @@ capped at ``MAX_DEGREE``.
 Zero coefficients are never stored (pruning happens at exactly zero, never at
 a tolerance), so the set of monomials present in a ``ComplexPoly`` is
 meaningful structure.  Use ``isclose`` for tolerance-based comparison.  All
-types are immutable after construction and safe to share between threads.
+types are immutable after construction, safe to share between threads, and
+pickle by their terms or blocks alone.  A ``ComplexPoly`` evaluates a Python
+complex in straight-line code it generates on first use (see ``evaluate``).
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ MonomialKey = tuple[int, int]
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _NEG_I_POW = (1 + 0j, -1j, -1 + 0j, 1j)
 
-# Points per block of an array sum: a degree-16 power table stays near 1 MB.
+# Points per block of an array sum: a degree-16 power table stays near 1 MB,
+# and as much again for its conjugates.
 # numpy rounds an in-place complex product of one element without the fused
 # multiply-add of every other product, so no product here is in place and a
 # point rounds alike in every batch, at any block size.
@@ -188,17 +191,6 @@ def _ladder(z, steps) -> list:
     return pw
 
 
-def _power_tables(z, steps) -> tuple[list, list]:
-    """Lists of z**e and zbar**e for e = 0 .. len(steps), bit for bit at a complex z.
-
-    CPython's complex ** int starts from 1 + 0j and multiplies in z^h for
-    each set bit h of e, low bit first, squaring as it goes: ``_ladder``
-    takes the same products.  zbar runs its own chain, since conj(z**e) can
-    differ from zbar**e in the sign of a zero.
-    """
-    return _ladder(z, steps), _ladder(z.conjugate(), steps)
-
-
 def _raise_on_overflow(z: complex, terms) -> None:
     # A Python complex product overflows to inf where z**e raises
     # OverflowError.  Take the powers the z**i * zbar**j form takes, so the
@@ -208,43 +200,88 @@ def _raise_on_overflow(z: complex, terms) -> None:
         z**i, zc**j
 
 
-def _value(plan: _Plan, z: complex, pw, pc) -> complex:
-    # Value at a Python complex z from its tables of z**e and zbar**e.
-    out = 0j
-    for i, j, c in plan.value:
-        out = out + c * pw[i] * pc[j]
-    if not cisfinite(out):
-        _raise_on_overflow(z, plan.value)
-    return out
+# The scalar kernels of one model: one line per step of the table-and-sum
+# loops they replace.  Only names and integer exponents are written; the
+# coefficients a<n> of the value, b<n> of f_z and c<n> of f_zbar are arguments,
+# since the repr of a -0.0 imaginary part does not round-trip.
+_KERNELS = """\
+def kernels(one, zero, isfinite, overflow, value_terms, d_terms, {coeffs}):
+    def value(z):
+{value_powers}
+        out = {value}
+        if not isfinite(out):
+            overflow(z, value_terms)
+        return out
+    def wirtinger(z):
+{d_powers}
+        o = 0 * z
+        f_z = {d_z}
+        f_zc = {d_zbar}
+        if not (isfinite(f_z) and isfinite(f_zc)):
+            overflow(z, d_terms)
+        return f_z, f_zc
+    return value, wirtinger
+"""
 
 
-def _derivatives(plan: _Plan, z: complex, pw, pc) -> tuple[complex, complex]:
-    # (f_z, f_zbar) at a Python complex z from its power tables, summed from 0 * z.
-    f_z = f_zc = 0 * z
-    for i, j, c in plan.d_z:
-        f_z = f_z + c * pw[i] * pc[j]
-    for i, j, c in plan.d_zbar:
-        f_zc = f_zc + c * pw[i] * pc[j]
-    if not (cisfinite(f_z) and cisfinite(f_zc)):
-        _raise_on_overflow(z, plan.d_z + plan.d_zbar)
-    return f_z, f_zc
+def _powers(terms) -> str:
+    # p<e> = z**e and q<e> = zbar**e, bit for bit: CPython's complex ** int
+    # starts from 1 + 0j and multiplies in z^h for each set bit h of e, low
+    # bit first, squaring as it goes, and ``_ladder`` takes the same products.
+    # zbar runs its own chain, since conj(z**e) can differ from zbar**e in the
+    # sign of a zero.  Each chain stops at the largest exponent the terms read.
+    lines = []
+    for name, base, side in (("p", "z", 0), ("q", "z.conjugate()", 1)):
+        lines += [f"{name}0 = one", f"s = {base}"]
+        for e, (rest, new) in enumerate(_power_steps(max((t[side] for t in terms), default=0)), 1):
+            lines += ["s = s * s"] * new + [f"{name}{e} = {name}{rest} * s"]
+    return "\n".join(" " * 8 + line for line in lines)
+
+
+def _sum(start: str, coeff: str, terms) -> str:
+    # start + coeff0 * p<i> * q<j> + ..., added left to right in term order.
+    return " + ".join([start] + [f"{coeff}{n} * p{i} * q{j}" for n, (i, j, _) in enumerate(terms)])
+
+
+def _kernel_source(plan: _Plan) -> str:
+    return _KERNELS.format(
+        coeffs=", ".join(f"{a}{n}" for a, terms in zip("abc", plan) for n in range(len(terms))),
+        value_powers=_powers(plan.value),
+        value=_sum("zero", "a", plan.value),
+        d_powers=_powers(plan.d_z + plan.d_zbar),
+        d_z=_sum("o", "b", plan.d_z),
+        d_zbar=_sum("o", "c", plan.d_zbar),
+    )
+
+
+def _compile_kernels(plan: _Plan) -> tuple:
+    # (value, wirtinger) at a Python complex z.
+    namespace: dict = {}
+    exec(_kernel_source(plan), namespace)
+    coeffs = (c for terms in plan for _, _, c in terms)
+    return namespace["kernels"](
+        _ONE, 0j, cisfinite, _raise_on_overflow, plan.value, plan.d_z + plan.d_zbar, *coeffs
+    )
 
 
 def _array_sums(z, steps, *term_lists) -> tuple:
     # Sums of c z^i zbar^j over each list of (i, j, c) terms at an array-like
     # z, in term order from zero, in blocks of _EVAL_BLOCK points with z^e on
-    # one ladder and zbar^j as conj(z^j).  A 0-d z gives Python complex sums.
+    # one ladder and zbar^j as conj(z^j), taken once per block for each j the
+    # terms read.  A 0-d z gives Python complex sums.
     zarr = np.asarray(z, dtype=complex)
     flat = zarr.reshape(-1)
     sums = np.full((len(term_lists), flat.size), 0j)
+    conj_exponents = {j for terms in term_lists for _, j, _ in terms}
     for start in range(0, flat.size, _EVAL_BLOCK):
         block = slice(start, start + _EVAL_BLOCK)
         pw = _ladder(flat[block], steps)
-        t, zc = np.empty_like(flat[block]), np.empty_like(flat[block])
+        pc = {j: np.conjugate(pw[j]) for j in conj_exponents}
+        t = np.empty_like(flat[block])
         for acc, terms in zip(sums[:, block], term_lists):
             for i, j, c in terms:
                 np.multiply(c, pw[i], out=t)
-                acc += t * np.conjugate(pw[j], out=zc)
+                acc += t * pc[j]
     return tuple(complex(s[0]) if zarr.ndim == 0 else s.reshape(zarr.shape) for s in sums)
 
 
@@ -300,9 +337,13 @@ class ComplexPoly:
         """Winding numbers of all stored monomials."""
         return {k - l - 1 for k, l in self.terms}
 
+    def __reduce__(self):
+        # Rebuilt from its terms: no cached table or kernel travels.
+        return ComplexPoly, (dict(self.terms),)
+
     @cached_property
     def _steps(self) -> tuple:
-        # The power ladder up to the largest exponent, for scalars and arrays.
+        # The array kernel's power ladder, up to the largest exponent.
         return _power_steps(max((max(key) for key in self.terms), default=0))
 
     @cached_property
@@ -314,18 +355,25 @@ class ComplexPoly:
             tuple((k, l - 1, c * l) for (k, l), c in terms if l),
         )
 
+    @cached_property
+    def _kernels(self) -> tuple:
+        # (value, wirtinger) at a Python complex, generated on first use.
+        return _compile_kernels(self._plan)
+
     def evaluate(self, z):
         """Value sum gamma_kl z^k zbar^l at a complex scalar or array.
 
-        A Python complex stays in Python arithmetic: one table of z**e and
-        one of zbar**e per call (z^0 = 1 + 0j, zbar^e from its own chain),
-        so the value is bit for bit the sum of gamma_kl * z**k * zbar**l in
-        term order, and where one of those powers raises OverflowError, so
-        does this (checked only when the value is not finite).  Anything else
-        is summed as an array, as in ``wirtinger``.
+        A Python complex stays in Python arithmetic, in straight-line code
+        generated for this model on its first scalar call: z**e on
+        CPython's products (z^0 = 1 + 0j), zbar**e on a chain of its own, and
+        the terms added in order.  So the value is bit for bit the sum of
+        gamma_kl * z**k * zbar**l in term order, and where one of those powers
+        raises OverflowError, so does this (checked only when the value is
+        not finite).  Anything else is summed as an array, as in
+        ``wirtinger``.
         """
         if type(z) is complex:
-            return _value(self._plan, z, *_power_tables(z, self._steps))
+            return self._kernels[0](z)
         return _array_sums(z, self._steps, self._plan.value)[0]
 
     def displacement(self, x, y):
@@ -338,15 +386,16 @@ class ComplexPoly:
 
         A step dz moves the value by f_z dz + f_zbar conj(dz).  Each sums, in
         term order, gamma_kl k z^(k-1) zbar^l (f_z) or gamma_kl l z^k
-        zbar^(l-1) (f_zbar).  A Python complex reads the power tables of
-        ``evaluate``, bit for bit, and raises OverflowError where those powers
-        do.  Anything else, here and in ``evaluate``, takes z^e on one ladder
-        per 4,096 points and zbar^l as conj(z^l): a point's result does not
-        depend on its batch, even of one, and differs from the z**k form by
-        rounding only.  Other scalars give Python complex; arrays give arrays.
+        zbar^(l-1) (f_zbar).  A Python complex runs the generated code on the
+        powers of ``evaluate``, bit for bit, and raises OverflowError where
+        those powers do.  Anything else, here and in ``evaluate``, takes z^e
+        on one ladder per 4,096 points and zbar^l as conj(z^l), taken once per
+        exponent: a point's result does not depend on its batch, even of one,
+        and differs from the z**k form by rounding only.  Other scalars give
+        Python complex; arrays give arrays.
         """
         if type(z) is complex:
-            return _derivatives(self._plan, z, *_power_tables(z, self._steps))
+            return self._kernels[1](z)
         return _array_sums(z, self._steps, self._plan.d_z, self._plan.d_zbar)
 
     def rotated(self, theta: float) -> "ComplexPoly":
@@ -443,6 +492,10 @@ class RealPolyModel:
         object.__setattr__(
             self, "blocks", MappingProxyType(dict(sorted(clean.items())))
         )
+
+    def __reduce__(self):
+        # Rebuilt from its blocks, which come back read-only.
+        return RealPolyModel, (dict(self.blocks),)
 
     def evaluate(self, x, y):
         """Displacement (dx, dy) at (x, y); accepts scalars or arrays."""

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._io import read_csv, write_csv
-from .poly import ComplexPoly, _derivatives, _power_tables, _value
+from .poly import ComplexPoly
 
 __all__ = [
     "NoConvergence",
@@ -65,7 +65,9 @@ def apply_distortion(func: ComplexPoly, points: Sequence[Point]) -> list[Point]:
 
     ``points`` must have shape (N, 2), or be an empty list; any other shape,
     (0, 3) or a ragged one too, raises ValueError.  So does a non-numeric
-    entry, with numpy's message.
+    entry, with numpy's message.  The points are read as complex x + iy
+    through a view, without arithmetic, and each output is that point plus
+    ``func.evaluate`` there, in one complex sum.
     """
     try:
         pts = np.asarray(points, dtype=float)
@@ -77,8 +79,8 @@ def apply_distortion(func: ComplexPoly, points: Sequence[Point]) -> list[Point]:
         return []
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (N, 2), got shape {pts.shape}")
-    dx, dy = func.displacement(pts[:, 0], pts[:, 1])
-    out = pts + np.stack([dx, dy], axis=1)
+    z = np.ascontiguousarray(pts).view(complex)  # (N, 1)
+    out = (z + func.evaluate(z)).view(float)
     return list(zip(out[:, 0].tolist(), out[:, 1].tolist()))
 
 
@@ -118,16 +120,15 @@ def invert(func: ComplexPoly, target) -> Point:
     pair = np.asarray(target, dtype=float)
     if pair.shape != (2,) or not cisfinite(t := complex(*pair.tolist())):
         raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
-    plan, steps = func._plan, func._steps
+    value, wirtinger = func._kernels
     q = t
     try:
-        table = _power_tables(q, steps)
-        r = q + _value(plan, q, *table) - t
+        r = q + value(q) - t
         rnorm = abs(r)
         for k in range(_MAX_ITER):
             if rnorm < _RESIDUAL_TOL:
                 return q.real, q.imag
-            f_z, b = _derivatives(plan, q, *table)  # the accepted iterate's table
+            f_z, b = wirtinger(q)
             a = 1.0 + f_z
             det = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
             if abs(det) < _SINGULAR_DET:
@@ -143,11 +144,10 @@ def invert(func: ComplexPoly, target) -> Point:
             alpha = 1.0
             while True:
                 q_try = q - alpha * step
-                table_try = _power_tables(q_try, steps)
-                r_try = q_try + _value(plan, q_try, *table_try) - t
+                r_try = q_try + value(q_try) - t
                 rnorm_try = abs(r_try)
                 if rnorm_try < rnorm:
-                    q, r, rnorm, table = q_try, r_try, rnorm_try, table_try
+                    q, r, rnorm = q_try, r_try, rnorm_try
                     break
                 alpha *= 0.5
                 if alpha < _MIN_STEP_SCALE:

@@ -1,8 +1,10 @@
 """Synthetic calibration: projection, synthesis, fitting, comparison, sweep."""
 
+import copy
 import json
 import math
 import operator
+import pickle
 import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict, replace
@@ -180,6 +182,37 @@ def test_scene_camera_points_are_the_projection_transform():
     for pose, view in zip(scene.poses, pixels, strict=True):
         want = calib.project_points(scene.intrinsics, pose, TRUTH, pts)
         assert view.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+)
+def test_models_spaces_and_scenes_pickle_and_copy(clone):
+    # Each is rebuilt by its constructor: caches stay behind and arrays stay read-only.
+    model = ComplexPoly({(2, 0): 1.0, (1, 1): -0.25j, (9, 7): 0.5 - 2e-3j})
+    points = [0.3 - 0.4j, complex(-0.0, 0.7), complex(0.6, -0.0)]
+    bits = [np.array([model.evaluate(z), *model.wirtinger(z)]).tobytes() for z in points]
+    copied = clone(model)
+    assert copied == model
+    assert [np.array([copied.evaluate(z), *copied.wirtinger(z)]).tobytes() for z in points] == bits
+    real = model.to_real()
+    copied = clone(real)
+    assert list(copied.blocks) == list(real.blocks)
+    for n, block in copied.blocks.items():
+        assert block.tobytes() == real.blocks[n].tobytes() and not block.flags.writeable
+    space = parse_family("decentering+rri3")
+    copied = clone(space)
+    assert copied == space and copied.keys == space.keys
+    for name in ("matrix", "windings", "unit", "span"):
+        assert getattr(copied, name).tobytes() == getattr(space, name).tobytes()
+        assert not getattr(copied, name).flags.writeable
+    scene = default_scene(truth=TRUTH, noise_sigma=0.2, seed=5)
+    cam = scene.camera_points
+    copied = clone(scene)
+    assert copied == scene
+    assert copied.camera_points.tobytes() == cam.tobytes()
+    assert not copied.camera_points.flags.writeable
+    assert synthesize(copied).pixels.tobytes() == synthesize(scene).pixels.tobytes()
 
 
 # -- synthesis -------------------------------------------------------------------

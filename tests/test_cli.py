@@ -15,7 +15,7 @@ import pytest
 import lensdist
 from lensdist import calib
 from lensdist.cli import main
-from lensdist.families import decentering, opencv_thin_prism, rri
+from lensdist.families import ModelSpace, decentering, opencv_thin_prism, rri
 from lensdist.poly import ComplexPoly, load_model, save_model
 
 
@@ -293,6 +293,24 @@ def test_fit_writes_an_undetermined_std_error_as_null(tmp_path):
     std_errors = json.loads(out.read_text(), parse_constant=reject)["std_errors"]
     assert std_errors[0] is None
     assert all(isinstance(s, float) and math.isfinite(s) for s in std_errors[1:])
+
+
+def test_frozen_fit_writes_a_dropped_basis_difference_as_null(tmp_path, monkeypatch):
+    # The two basis functions differ by 1e-8 z^16: independent as coefficient rows,
+    # but on the scene, where |z| <= 0.52, the design drops their difference.  The
+    # frozen linear fit leaves both coefficients undetermined, and fit writes both as null.
+    basis = (ComplexPoly({(2, 0): 1.0}), ComplexPoly({(2, 0): 1.0, (16, 0): 1e-8}))
+    space = ModelSpace(basis, "near_pair")
+    scene = calib.default_scene(rri([-0.1]), 0.2, 3)
+    report = calib.fit(scene, calib.synthesize(scene), space)
+    assert report.std_errors == (math.inf, math.inf)
+    assert all(map(math.isfinite, report.coefficients))
+    path = tmp_path / "scene.json"
+    calib.save_scene(path, scene)
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(calib, "parse_family", lambda name: space)
+    assert main(["fit", "--scene", str(path), "--family", "near_pair", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["std_errors"] == [None, None]
 
 
 def test_bench_table_and_json(tmp_path, capsys, scene_file):

@@ -1,7 +1,9 @@
 """Forward warping, Jacobians, Newton inversion, and dataset generators."""
 
+import io
 import math
 import struct
+import tokenize
 
 import numpy as np
 import pytest
@@ -356,33 +358,63 @@ def test_invert_commutes_with_the_mirror(high_degree_poly):
             assert struct.pack("dd", *got) == struct.pack("dd", want[0], -want[1]), (x, y)
 
 
-def test_invert_tabulates_each_point_once(high_degree_poly, monkeypatch):
-    # One power table for the target and one per line-search trial, each
-    # read by that point's residual: the derivatives at an accepted iterate
-    # read the table of its trial.
-    points, residuals = [], []
+def _spy_on_kernels(monkeypatch, log: list, compiled: list) -> None:
+    # Each model compiled from here on logs ("value", z) and ("wirtinger", z)
+    # per scalar call, and its plan once per compilation.
+    compile_kernels = poly_module._compile_kernels
 
-    def tables_spy(z, steps):
-        points.append(z)
-        return power_tables(z, steps)
+    def compile_spy(plan):
+        compiled.append(plan)
+        value, wirtinger = compile_kernels(plan)
 
-    def value_spy(plan, z, pw, pc):
-        residuals.append(z)
-        return value(plan, z, pw, pc)
+        def value_spy(z):
+            log.append(("value", z))
+            return value(z)
 
-    power_tables, value = poly_module._power_tables, poly_module._value
-    # Both modules: a table built through evaluate or wirtinger counts too.
-    monkeypatch.setattr(poly_module, "_power_tables", tables_spy)
-    monkeypatch.setattr(warp, "_power_tables", tables_spy)
-    monkeypatch.setattr(warp, "_value", value_spy)
-    func = high_degree_poly
+        def wirtinger_spy(z):
+            log.append(("wirtinger", z))
+            return wirtinger(z)
+
+        return value_spy, wirtinger_spy
+
+    monkeypatch.setattr(poly_module, "_compile_kernels", compile_spy)
+
+
+def test_invert_evaluates_each_point_once(high_degree_poly, monkeypatch):
+    # The value once at the target and once per line-search trial, each at a
+    # new point.  The derivatives only at an accepted iterate, right after the
+    # value that accepted it, and never at the solution.
+    log = []
+    _spy_on_kernels(monkeypatch, log, [])
+    func = ComplexPoly(dict(high_degree_poly.terms))
     sources = np.random.default_rng(57).uniform(-0.6, 0.6, (100, 2))
     for target in apply_distortion(func, sources):
-        points.clear()
-        residuals.clear()
+        log.clear()
         solved = invert(func, target)
-        assert points == residuals and len(set(points)) == len(points) >= 2, target
-        assert points[0] == complex(*target) and points[-1] == complex(*solved)
+        values = [z for kind, z in log if kind == "value"]
+        assert len(set(values)) == len(values) >= 2, target
+        assert log[0] == ("value", complex(*target)) and log[-1] == ("value", complex(*solved))
+        for i, (kind, z) in enumerate(log):
+            if kind == "wirtinger":
+                assert log[i - 1] == ("value", z), target
+
+
+def test_a_model_compiles_its_kernels_once(high_degree_poly, monkeypatch):
+    compiled = []
+    _spy_on_kernels(monkeypatch, [], compiled)
+    func = ComplexPoly(dict(high_degree_poly.terms))
+    sources = np.random.default_rng(58).uniform(-0.6, 0.6, (100, 2))
+    for target in apply_distortion(func, sources):
+        invert(func, target)
+    assert compiled == [func._plan]
+    # The coefficients are arguments: the source holds no float literal.
+    source = poly_module._kernel_source(func._plan)
+    numbers = [
+        tok.string
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.NUMBER
+    ]
+    assert numbers and all(n.isdigit() for n in numbers)
 
 
 def test_invert_round_trip_many_small_functions():
