@@ -55,6 +55,7 @@ from .families import (
     ModelSpace,
     coefficient_keys,
     coefficient_matrix,
+    mixed_quadratic,
     named_space,
     rri,
     space_sum,
@@ -227,7 +228,7 @@ class Scene:
         return cam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observations:
     """Measured pixels per view; every target point observed in every view."""
 
@@ -573,10 +574,7 @@ def _levenberg_marquardt(fun, x0, jacobian):
     r = np.asarray(fun(x), dtype=float)
     cost = float(r @ r)
     lam = _LAMBDA0
-    iterations = 0
-    converged = False
-    while iterations < _MAX_ITER:
-        iterations += 1
+    for iterations in range(1, _MAX_ITER + 1):
         jac = jacobian(x)
         grad = jac.T @ r
         hess = jac.T @ jac
@@ -591,16 +589,13 @@ def _levenberg_marquardt(fun, x0, jacobian):
                 x, r, cost = x_try, r_try, cost_try
                 lam = max(lam / 10.0, 1e-15)
                 if rel_decrease < _COST_TOL:
-                    converged = True
+                    return x, r, iterations, True
                 break
             lam *= 10.0
         else:
             # No descent direction at available precision: at a minimum.
-            converged = True
-            break
-        if converged:
-            break
-    return x, r, iterations, converged
+            return x, r, iterations, True
+    return x, r, _MAX_ITER, False
 
 
 def _rms(residuals: np.ndarray) -> float:
@@ -799,10 +794,13 @@ def compare(
     return rows
 
 
-# The sweep space's (5, 5) coefficients at phi: cos phi A + sin phi B over z^2 and z zbar is
-# mixed_quadratic(c, s, t) at t = 1 and i, (c - s)/2 t z^2 + (c + s)/2 conj(t) z zbar; rri3 follows.
+# The sweep space's (5, 5) coefficients at phi: cos phi A + sin phi B over z^2 and z zbar, A and
+# B mixed_quadratic's rows at (p, q) = (1, 0) and (0, 1), each at t = 1 and i; rri3 follows.
 _SWEEP_KEYS = ((2, 0), (1, 1), (2, 1), (3, 2), (4, 3))
-_SWEEP_A, _SWEEP_B = np.array([[[0.5, 0.5], [0.5j, -0.5j]], [[-0.5, 0.5], [-0.5j, -0.5j]]])
+_SWEEP_A, _SWEEP_B = (
+    coefficient_matrix([mixed_quadratic(p, q, *t) for t in np.eye(2)], _SWEEP_KEYS[:2]).view(complex)
+    for p, q in np.eye(2)
+)
 # A frozen sweep solves its phi in stacks of at most this many, so its memory stays
 # bounded at any step count.
 _SWEEP_CHUNK = 64

@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -52,6 +53,15 @@ def _load_checked(loader, what: str, path):
         return loader(path)
     except (OSError, ValueError) as err:
         raise _InputError(f"cannot read {what} {path}: {err}") from err
+
+
+@contextmanager
+def _input_error(context: str = ""):
+    """Run the block with a ValueError raised as an input error, its message after ``context``."""
+    try:
+        yield
+    except ValueError as err:
+        raise _InputError(context + str(err)) from err
 
 
 # --------------------------------------------------------------------------
@@ -113,15 +123,13 @@ def _svg_field(samples) -> str:
 
 def _cmd_render(args) -> int:
     func = _load_checked(load_model, "model", args.model)
-    try:
+    with _input_error():
         if args.shape == "circle":
             count = args.count if args.count is not None else 64
             points = warp.circle_points(args.radius, count)
         else:
             count = args.count if args.count is not None else 9
             points = warp.grid_points(args.extent, count)
-    except ValueError as err:
-        raise _InputError(str(err)) from err
     with np.errstate(over="ignore", invalid="ignore"):
         samples = warp.sample_field(func, points)
     for s in samples:
@@ -136,10 +144,8 @@ def _cmd_verify(args) -> int:
     if args.model:
         func = _load_checked(load_model, "model", args.model)
         tol = DEFAULT_TOL if args.tol is None else args.tol
-        try:
+        with _input_error():
             report = reflection_symmetry(func, tol=tol)
-        except ValueError as err:
-            raise _InputError(str(err)) from err
     elif args.tol is not None:
         raise _InputError("--tol applies only to --model")
     else:
@@ -157,10 +163,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_convert(args) -> int:
     poly = _load_checked(load_model, "model", getattr(args, "in"))
-    try:
+    with _input_error(f"cannot convert {getattr(args, 'in')}: "):
         save_model(args.out, poly, form=args.to)
-    except ValueError as err:
-        raise _InputError(f"cannot convert {getattr(args, 'in')}: {err}") from err
     return EXIT_OK
 
 
@@ -168,22 +172,16 @@ def _load_scene(args) -> tuple[calib.Scene, calib.Observations]:
     """The --scene file, with its noise seed replaced by --seed if given, and its observations."""
     scene = _load_checked(calib.load_scene, "scene", args.scene)
     if args.seed is not None:
-        try:
+        with _input_error("--seed: "):
             scene = replace(scene, seed=args.seed)
-        except ValueError as err:
-            raise _InputError(f"--seed: {err}") from err
-    try:
+    with _input_error(f"cannot synthesize {args.scene}: "):
         return scene, calib.synthesize(scene)
-    except ValueError as err:
-        raise _InputError(f"cannot synthesize {args.scene}: {err}") from err
 
 
 def _cmd_fit(args) -> int:
     scene, obs = _load_scene(args)
-    try:
+    with _input_error():
         family = calib.parse_family(args.family)
-    except ValueError as err:
-        raise _InputError(str(err)) from err
     report = calib.fit(scene, obs, family, calib.FitOptions(args.refine_poses))
     # Strict JSON has no infinity: an undetermined coefficient's standard error is null.
     std_errors = [s if math.isfinite(s) else None for s in report.std_errors]
@@ -203,10 +201,8 @@ def _cmd_bench(args) -> int:
     names = [n for n in args.families.split(",") if n]
     if not names:
         raise _InputError("no families given")
-    try:
+    with _input_error():
         families = [calib.parse_family(n) for n in names]
-    except ValueError as err:
-        raise _InputError(str(err)) from err
     rows = calib.compare(scene, obs, families, calib.FitOptions(args.refine_poses))
     if args.out:
         save_json(args.out, {"rows": [asdict(row) for row in rows]})

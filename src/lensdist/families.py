@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -372,11 +372,16 @@ def space_sum(a: ModelSpace, b: ModelSpace, label: str | None = None) -> ModelSp
     return ModelSpace(basis, label if label is not None else f"{a.label}+{b.label}")
 
 
+def _unit_span(ctor, n: int, label: str) -> ModelSpace:
+    """The span of ``ctor`` at each unit vector of its n parameters, in order."""
+    return ModelSpace(tuple(ctor(*unit) for unit in np.eye(n)), label)
+
+
 def rri_space(n: int) -> ModelSpace:
     """n-dimensional space of radial rotationally invariant models (degrees 3, 5, ...)."""
     if n < 1:
         raise ValueError("rri space needs n >= 1")
-    return ModelSpace(tuple(rri(unit) for unit in np.eye(n)), f"rri{n}")
+    return _unit_span(lambda *alphas: rri(alphas), n, f"rri{n}")
 
 
 def full_poly_space(degrees: Iterable[int], label: str | None = None) -> ModelSpace:
@@ -393,29 +398,19 @@ def full_poly_space(degrees: Iterable[int], label: str | None = None) -> ModelSp
 
 _CATALOG = {
     "rri3": lambda: rri_space(3),
-    "decentering": lambda: ModelSpace((decentering(1, 0), decentering(0, 1)), "decentering"),
-    "thin_prism": lambda: ModelSpace((thin_prism(1, 0), thin_prism(0, 1)), "thin_prism"),
-    "radial_quad": lambda: ModelSpace(
-        (radial_homogeneous(2, (1, 0)), radial_homogeneous(2, (0, 1))), "radial_quad"
+    "decentering": lambda: _unit_span(decentering, 2, "decentering"),
+    "thin_prism": lambda: _unit_span(thin_prism, 2, "thin_prism"),
+    "radial_quad": lambda: _unit_span(lambda *w: radial_homogeneous(2, w), 2, "radial_quad"),
+    "tangential_quad": lambda: _unit_span(
+        lambda *w: tangential_homogeneous(2, w), 2, "tangential_quad"
     ),
-    "tangential_quad": lambda: ModelSpace(
-        (tangential_homogeneous(2, (1, 0)), tangential_homogeneous(2, (0, 1))),
-        "tangential_quad",
-    ),
-    "conj_quad": lambda: ModelSpace(
-        (conjugate_quadratic(1, 0), conjugate_quadratic(0, 1)), "conj_quad"
-    ),
+    "conj_quad": lambda: _unit_span(conjugate_quadratic, 2, "conj_quad"),
     # The sums reuse the memoized parts, so they share their basis functions.
     "weng": lambda: space_sum(named_space("decentering"), named_space("thin_prism"), label="weng"),
     "matlab": lambda: space_sum(named_space("decentering"), named_space("rri3"), label="matlab"),
-    "opencv_prism4": lambda: ModelSpace(
-        (
-            opencv_thin_prism(1, 0, 0, 0),
-            opencv_thin_prism(0, 0, 1, 0),
-            opencv_thin_prism(0, 1, 0, 0),
-            opencv_thin_prism(0, 0, 0, 1),
-        ),
-        "opencv_prism4",
+    # Basis order s1, s3, s2, s4: the r^2 terms, then the r^4 ones.
+    "opencv_prism4": lambda: _unit_span(
+        lambda s1, s3, s2, s4: opencv_thin_prism(s1, s2, s3, s4), 4, "opencv_prism4"
     ),
 }
 
@@ -426,7 +421,7 @@ _FULL_DEGREES = {"full_quad": [2], "full_cubic": [3], "full_quad_cubic": [2, 3]}
 _RRI_NAMES = {f"rri{n}": n for n in range(1, (MAX_DEGREE + 1) // 2)}
 
 
-@lru_cache(maxsize=64)
+@cache
 def named_space(name: str) -> ModelSpace:
     """The model space of one name (memoized, immutable): a CATALOG_NAMES
     entry, rri1..rri7, or full_quad, full_cubic and full_quad_cubic."""

@@ -341,6 +341,10 @@ class ComplexPoly:
         # Rebuilt from its terms: no cached table or kernel travels.
         return ComplexPoly, (dict(self.terms),)
 
+    def __hash__(self):
+        # Terms are stored pruned and sorted, so equal models give equal tuples.
+        return hash(tuple(self.terms.items()))
+
     @cached_property
     def _steps(self) -> tuple:
         # The array kernel's power ladder, up to the largest exponent.

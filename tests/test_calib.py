@@ -215,6 +215,19 @@ def test_models_spaces_and_scenes_pickle_and_copy(clone):
     assert synthesize(copied).pixels.tobytes() == synthesize(scene).pixels.tobytes()
 
 
+def test_models_spaces_and_scenes_hash_and_observations_compare():
+    # Terms are stored sorted, so equal models hash alike whatever order they came in.
+    model = ComplexPoly({(2, 0): 1.0, (1, 1): -0.25j, (3, 2): 0.5})
+    reordered = ComplexPoly({(3, 2): 0.5, (1, 1): -0.25j, (2, 0): 1.0})
+    assert model == reordered and len({model, reordered}) == 1
+    table = {parse_family("rri3"): "space", default_scene(): "scene"}
+    assert table[rri_space(3)] == "space" and table[default_scene()] == "scene"
+    # Observations compare by identity: an array has no single truth value.
+    obs = synthesize(default_scene())
+    copied = Observations(obs.pixels.copy())
+    assert obs == obs and obs != copied and len({obs, copied}) == 2
+
+
 # -- synthesis -------------------------------------------------------------------
 
 
@@ -323,6 +336,45 @@ def test_fast_path_matches_generic_lm(noisy_setup):
     _, r, _, converged = calib._levenberg_marquardt(fun, np.zeros(5), jacobian)
     assert converged
     assert abs(fast.rms_px - math.sqrt(r @ r / r.size)) < 1e-8
+
+
+def _counted(fun):
+    """fun, and the list that gets one entry per call of it."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fun(x)
+
+    return counted, calls
+
+
+def test_lm_stops_when_lambda_passes_its_cap_without_descent():
+    fun, calls = _counted(lambda x: np.ones(1))
+    x, r, iterations, converged = calib._levenberg_marquardt(fun, np.zeros(1), lambda x: np.eye(1))
+    # One iteration whose 16 trials, lambda 1e-3 to 1e12, all fail to descend.
+    assert (iterations, converged, len(calls)) == (1, True, 17)
+    assert x.tolist() == [0.0] and r.tolist() == [1.0]
+
+
+def test_lm_stops_on_the_cost_test_at_the_least_squares_solution():
+    a = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 4.0]])
+    b = np.array([1.0, -2.0, 3.0])
+    fun, calls = _counted(lambda x: a @ x - b)
+    x, r, iterations, converged = calib._levenberg_marquardt(fun, np.zeros(2), lambda x: a)
+    # Every trial is accepted; the third decreases the cost by less than _COST_TOL.
+    assert (iterations, converged, len(calls)) == (3, True, 4)
+    np.testing.assert_allclose(x, np.linalg.lstsq(a, b, rcond=None)[0], rtol=0, atol=1e-14)
+
+
+def test_lm_stops_after_max_iter_iterations_without_converging():
+    # The Jacobian overstates the slope 1e6 times, so each step closes about 1e-6 of the gap.
+    fun, calls = _counted(lambda x: x - 1)
+    x, _, iterations, converged = calib._levenberg_marquardt(
+        fun, np.zeros(1), lambda x: 1e6 * np.eye(1)
+    )
+    assert (iterations, converged, len(calls)) == (calib._MAX_ITER, False, calib._MAX_ITER + 1)
+    assert 0 < x[0] < 1e-3
 
 
 def test_fit_with_pose_refinement():
@@ -862,6 +914,10 @@ def test_shared_axis_canonical_form_is_the_same_function():
         assert family.member(canon).isclose(family.member(coeffs), tol=1e-14)
     shifted = np.array([0.5 + math.pi, -1.0, -2.0, -3.0, 4, 5, 6, 7, 8, 9])
     assert np.allclose(family.canonical(shifted), [0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+    # divmod(-1e-300, pi) is (-1.0, pi): that axis is axis 0 with the amplitudes as they are.
+    assert divmod(-1e-300, math.pi) == (-1.0, math.pi)
+    amplitudes = [1, 2, 3, 4, 5, 6, 7, 8, 9]
+    assert family.canonical([-1e-300, *amplitudes]).tolist() == [0.0, *amplitudes]
 
 
 def _four_start_fit(scene, obs, refine_poses: bool):
@@ -1584,7 +1640,15 @@ def test_compare_builds_at_most_one_polynomial_per_linear_family(monkeypatch):
 
 
 def test_named_space_cache_is_bounded_and_immutable():
-    assert named_space.cache_info().maxsize is not None
+    # The cache holds at most one entry per valid name: an unknown name raises, and a
+    # raised call stores nothing.
+    names = set(CATALOG_NAMES) | {f"rri{n}" for n in range(1, 8)}
+    names |= {"full_quad", "full_cubic", "full_quad_cubic"}
+    for name in names:
+        named_space(name)
+    with pytest.raises(ValueError):
+        named_space("rri8")
+    assert len(names) == named_space.cache_info().currsize == 18
     space = named_space("rri3")
     assert named_space("rri3") is space
     with pytest.raises(FrozenInstanceError):

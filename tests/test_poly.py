@@ -90,6 +90,16 @@ def test_zero_coefficients_pruned():
     assert ComplexPoly({(2, 0): 0.0}).is_zero()
 
 
+def test_difference_and_negation_are_per_key_with_zeros_pruned():
+    f = ComplexPoly({(2, 0): 1.5 - 2j, (1, 1): 0.25, (3, 2): -1j})
+    g = ComplexPoly({(2, 0): 0.5 - 2j, (1, 1): 0.25, (0, 2): 3.0})
+    # (1, 1) cancels exactly and is pruned; a key of one side alone keeps its sign.
+    assert dict((f - g).terms) == {(2, 0): 1.0 + 0j, (3, 2): -1j, (0, 2): -3.0 + 0j}
+    assert list((f - g).terms) == list(ComplexPoly(dict((f - g).terms)).terms)
+    assert dict((-f).terms) == {key: -c for key, c in f.terms.items()}
+    assert (f - f).is_zero() and -ComplexPoly.zero() == ComplexPoly.zero()
+
+
 def test_real_model_shape_validation():
     with pytest.raises(ValueError):
         RealPolyModel({2: np.zeros((2, 4))})
@@ -335,6 +345,22 @@ def test_evaluation_consistency_complex_vs_real():
         w = f.evaluate(complex(x, y))
         dx, dy = model.evaluate(x, y)
         assert abs(w - complex(dx, dy)) < 1e-10
+
+
+def test_real_form_evaluates_arrays_as_the_complex_form_and_as_its_scalars():
+    rng = np.random.default_rng(16)
+    x, y = rng.uniform(-1, 1, size=(2, 3, 4))
+    for _ in range(20):
+        f = random_poly(rng, max_degree=7, max_terms=8)
+        dx, dy = f.to_real().evaluate(x, y)
+        assert dx.shape == dy.shape == x.shape
+        want_x, want_y = f.displacement(x, y)
+        np.testing.assert_allclose(dx, want_x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dy, want_y, rtol=0, atol=1e-12)
+        # A scalar call's dot product may round apart from the array's.
+        scalars = [f.to_real().evaluate(float(a), float(b)) for a, b in zip(x.flat, y.flat)]
+        arrays = np.stack([dx.ravel(), dy.ravel()], 1)
+        np.testing.assert_allclose(arrays, scalars, rtol=0, atol=1e-14)
 
 
 # -- rotation of coefficients -------------------------------------------------
