@@ -30,7 +30,10 @@ a tolerance), so the set of monomials present in a ``ComplexPoly`` is
 meaningful structure.  Use ``isclose`` for tolerance-based comparison.  All
 types are immutable after construction, safe to share between threads, and
 pickle by their terms or blocks alone.  A ``ComplexPoly`` evaluates a Python
-complex in straight-line code it generates on first use (see ``evaluate``).
+complex in straight-line code generated per monomial pattern (see
+``evaluate``), and ``warp.invert`` runs a Newton routine generated the same
+way.  Each is compiled once per pattern into one cache of bounded size, and a
+model binds its coefficients to it on first use.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def _xy_monomial(n: int, j: int) -> tuple[complex, ...]:
 class _Plan(NamedTuple):
     # Terms (i, j, c) for c z^i zbar^j of one polynomial: of the value,
     # (k, l, gamma), of f_z, (k - 1, l, gamma k), and of f_zbar,
-    # (k, l - 1, gamma l).
+    # (k, l - 1, gamma l).  A model's pattern is its plan of pairs (i, j).
     value: tuple
     d_z: tuple
     d_zbar: tuple
@@ -191,77 +194,135 @@ def _ladder(z, steps) -> list:
     return pw
 
 
-def _raise_on_overflow(z: complex, terms) -> None:
+def _raise_on_overflow(z: complex, pairs) -> None:
     # A Python complex product overflows to inf where z**e raises
     # OverflowError.  Take the powers the z**i * zbar**j form takes, so the
     # same inputs raise.
     zc = z.conjugate()
-    for i, j, _ in terms:
+    for i, j in pairs:
         z**i, zc**j
 
 
-# The scalar kernels of one model: one line per step of the table-and-sum
-# loops they replace.  Only names and integer exponents are written; the
-# coefficients a<n> of the value, b<n> of f_z and c<n> of f_zbar are arguments,
-# since the repr of a -0.0 imaginary part does not round-trip.
-_KERNELS = """\
-def kernels(one, zero, isfinite, overflow, value_terms, d_terms, {coeffs}):
+# The scalar kernels of one monomial pattern, each compiled on its own so that
+# a model compiles only what it runs: one line per step of the loops they
+# replace.  Only names and integer exponents
+# are written; the coefficients a<n> of the value, b<n> of f_z and c<n> of
+# f_zbar are arguments, since the repr of a -0.0 imaginary part does not
+# round-trip, and so are newton's tolerances.  ``newton`` is ``warp.invert``'s
+# loop: the value code once, at the target and at each line-search trial, and
+# an accepted iterate's derivatives on the powers its value left behind.  k
+# counts accepted steps, from -1 before the target is taken as the first iterate.
+_BIND = "def bind(one, zero, unit, isfinite, overflow, value_terms, d_terms, {coeffs}):\n"
+_KERNELS = {
+    "value": _BIND + """\
     def value(z):
-{value_powers}
-        out = {value}
-        if not isfinite(out):
-            overflow(z, value_terms)
-        return out
+{value}
+        return v
+    return value
+""",
+    "wirtinger": _BIND + """\
     def wirtinger(z):
-{d_powers}
-        o = 0 * z
-        f_z = {d_z}
-        f_zc = {d_zbar}
-        if not (isfinite(f_z) and isfinite(f_zc)):
-            overflow(z, d_terms)
+{wirtinger}
         return f_z, f_zc
-    return value, wirtinger
-"""
+    return wirtinger
+""",
+    "newton": _BIND + """\
+    def newton(t, max_iter, residual_tol, step_tol, singular_det, min_step_scale, max_step):
+        q = z = t
+        k = -1
+        try:
+            while True:
+{newton_value}
+                r_try = z + v - t
+                rnorm_try = abs(r_try)
+                if k < 0 or rnorm_try < rnorm:
+                    k += 1
+                    q, r, rnorm = z, r_try, rnorm_try
+                    if rnorm < residual_tol:
+                        return "solved", q, k, rnorm
+                    if k == max_iter:
+                        return "budget", q, k, rnorm
+{newton_derivatives}
+                    a = unit + f_z
+                    det = a.real**2 + a.imag**2 - f_zc.real**2 - f_zc.imag**2
+                    if abs(det) < singular_det:
+                        return "singular", q, k, abs(det)
+                    step = (a.conjugate() * r - f_zc * r.conjugate()) / det
+                    step_norm = abs(step)
+                    if step_norm < step_tol:
+                        return "step", q, k, rnorm
+                    if step_norm > max_step:
+                        step = step * (max_step / step_norm)
+                    alpha = unit
+                else:
+                    alpha = alpha / 2
+                    if alpha < min_step_scale:
+                        return "stalled", q, k, rnorm
+                z = q - alpha * step
+        except OverflowError as err:
+            return "overflow", q, k, err
+    return newton
+""",
+}
+
+# Compiled kernels kept, one per pattern and routine: about 1 ms to compile a
+# 30-term ``newton``, 17 kB to keep it, and 30 us to bind a model's coefficients.
+_KERNEL_CACHE = 64
 
 
-def _powers(terms) -> str:
+def _powers(pairs) -> list[str]:
     # p<e> = z**e and q<e> = zbar**e, bit for bit: CPython's complex ** int
     # starts from 1 + 0j and multiplies in z^h for each set bit h of e, low
     # bit first, squaring as it goes, and ``_ladder`` takes the same products.
     # zbar runs its own chain, since conj(z**e) can differ from zbar**e in the
-    # sign of a zero.  Each chain stops at the largest exponent the terms read.
+    # sign of a zero.  Each chain stops at the largest exponent the pairs read,
+    # and a longer chain starts with the same products.
     lines = []
     for name, base, side in (("p", "z", 0), ("q", "z.conjugate()", 1)):
         lines += [f"{name}0 = one", f"s = {base}"]
-        for e, (rest, new) in enumerate(_power_steps(max((t[side] for t in terms), default=0)), 1):
+        for e, (rest, new) in enumerate(_power_steps(max((t[side] for t in pairs), default=0)), 1):
             lines += ["s = s * s"] * new + [f"{name}{e} = {name}{rest} * s"]
-    return "\n".join(" " * 8 + line for line in lines)
+    return lines
 
 
-def _sum(start: str, coeff: str, terms) -> str:
+def _sum(start: str, coeff: str, pairs) -> str:
     # start + coeff0 * p<i> * q<j> + ..., added left to right in term order.
-    return " + ".join([start] + [f"{coeff}{n} * p{i} * q{j}" for n, (i, j, _) in enumerate(terms)])
+    return " + ".join([start] + [f"{coeff}{n} * p{i} * q{j}" for n, (i, j) in enumerate(pairs)])
 
 
-def _kernel_source(plan: _Plan) -> str:
-    return _KERNELS.format(
-        coeffs=", ".join(f"{a}{n}" for a, terms in zip("abc", plan) for n in range(len(terms))),
-        value_powers=_powers(plan.value),
-        value=_sum("zero", "a", plan.value),
-        d_powers=_powers(plan.d_z + plan.d_zbar),
-        d_z=_sum("o", "b", plan.d_z),
-        d_zbar=_sum("o", "c", plan.d_zbar),
+def _block(lines, depth: int) -> str:
+    return "\n".join(" " * depth + line for line in lines)
+
+
+def _kernel_source(pattern: _Plan, routine: str) -> str:
+    value = _powers(pattern.value) + [
+        f"v = {_sum('zero', 'a', pattern.value)}",
+        "if not isfinite(v):",
+        "    overflow(z, value_terms)",
+    ]
+    derivatives = [
+        "o = 0 * z",
+        f"f_z = {_sum('o', 'b', pattern.d_z)}",
+        f"f_zc = {_sum('o', 'c', pattern.d_zbar)}",
+        "if not (isfinite(f_z) and isfinite(f_zc)):",
+        "    overflow(z, d_terms)",
+    ]
+    return _KERNELS[routine].format(
+        coeffs=", ".join(f"{a}{n}" for a, pairs in zip("abc", pattern) for n in range(len(pairs))),
+        value=_block(value, 8),
+        wirtinger=_block(_powers(pattern.d_z + pattern.d_zbar) + derivatives, 8),
+        newton_value=_block(value, 16),
+        newton_derivatives=_block(derivatives, 20),
     )
 
 
-def _compile_kernels(plan: _Plan) -> tuple:
-    # (value, wirtinger) at a Python complex z.
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _kernel_factory(pattern: _Plan, routine: str):
+    # The compiled ``routine`` of every model with this pattern; a call binds
+    # one model's coefficients.
     namespace: dict = {}
-    exec(_kernel_source(plan), namespace)
-    coeffs = (c for terms in plan for _, _, c in terms)
-    return namespace["kernels"](
-        _ONE, 0j, cisfinite, _raise_on_overflow, plan.value, plan.d_z + plan.d_zbar, *coeffs
-    )
+    exec(_kernel_source(pattern, routine), namespace)
+    return namespace["bind"]
 
 
 def _array_sums(z, steps, *term_lists) -> tuple:
@@ -359,25 +420,34 @@ class ComplexPoly:
             tuple((k, l - 1, c * l) for (k, l), c in terms if l),
         )
 
-    @cached_property
-    def _kernels(self) -> tuple:
-        # (value, wirtinger) at a Python complex, generated on first use.
-        return _compile_kernels(self._plan)
+    def _bind(self, routine: str):
+        # The compiled ``routine`` of this model's pattern, bound to its coefficients.
+        pattern = _Plan(*(tuple((i, j) for i, j, _ in terms) for terms in self._plan))
+        coeffs = (c for terms in self._plan for _, _, c in terms)
+        return _kernel_factory(pattern, routine)(
+            _ONE, 0j, 1.0, cisfinite, _raise_on_overflow,
+            pattern.value, pattern.d_z + pattern.d_zbar, *coeffs,
+        )
+
+    # The scalar kernels, each bound on first use.
+    _value = cached_property(lambda self: self._bind("value"))
+    _wirtinger = cached_property(lambda self: self._bind("wirtinger"))
+    _newton = cached_property(lambda self: self._bind("newton"))
 
     def evaluate(self, z):
         """Value sum gamma_kl z^k zbar^l at a complex scalar or array.
 
         A Python complex stays in Python arithmetic, in straight-line code
-        generated for this model on its first scalar call: z**e on
-        CPython's products (z^0 = 1 + 0j), zbar**e on a chain of its own, and
-        the terms added in order.  So the value is bit for bit the sum of
-        gamma_kl * z**k * zbar**l in term order, and where one of those powers
-        raises OverflowError, so does this (checked only when the value is
-        not finite).  Anything else is summed as an array, as in
+        compiled once per monomial pattern and bound to this model on its
+        first scalar call: z**e on CPython's products (z^0 = 1 + 0j), zbar**e
+        on a chain of its own, and the terms added in order.  So the value
+        is bit for bit the sum of gamma_kl * z**k * zbar**l in term order,
+        and where one of those powers raises OverflowError, so does this
+        (checked only when the value is not finite).  Anything else is summed as an array, as in
         ``wirtinger``.
         """
         if type(z) is complex:
-            return self._kernels[0](z)
+            return self._value(z)
         return _array_sums(z, self._steps, self._plan.value)[0]
 
     def displacement(self, x, y):
@@ -399,7 +469,7 @@ class ComplexPoly:
         Python complex; arrays give arrays.
         """
         if type(z) is complex:
-            return self._kernels[1](z)
+            return self._wirtinger(z)
         return _array_sums(z, self._steps, self._plan.d_z, self._plan.d_zbar)
 
     def rotated(self, theta: float) -> "ComplexPoly":
@@ -510,8 +580,10 @@ class RealPolyModel:
         dy = np.zeros(shape)
         for n, block in self.blocks.items():
             v = monomial_vector(n, xa, ya)
-            dx = dx + np.tensordot(block[0], v, axes=1)
-            dy = dy + np.tensordot(block[1], v, axes=1)
+            # Elementwise, in index order: a point rounds alike alone and in a batch.
+            for j in range(n + 1):
+                dx = dx + block[0, j] * v[j]
+                dy = dy + block[1, j] * v[j]
         if np.ndim(x) == 0 and np.ndim(y) == 0:
             return float(dx), float(dy)
         return dx, dy

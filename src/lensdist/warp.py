@@ -5,7 +5,9 @@ with the analytic Jacobian, starting from the target point (valid because F
 has identity Jacobian at the origin and practical coefficients are small).
 Step acceptance is monotone in the residual norm, so the iteration reports
 failure instead of jumping to a far-away preimage when the target leaves the
-local invertibility region.
+local invertibility region.  The iteration runs in straight-line code that
+``poly`` generates and compiles once per monomial pattern; this module passes
+it the tolerances and turns its exit into a point or a typed error.
 
 The working domain is the unit disc in normalized coordinates; callers own
 domain validity, nothing is clamped.
@@ -105,7 +107,10 @@ def invert(func: ComplexPoly, target) -> Point:
 
     The iteration runs in complex arithmetic.  With r = q + f(q) - target,
     a = 1 + f_z and b = f_zbar, the Newton step solves a s + b conj(s) = r:
-    s = (conj(a) r - b conj(r)) / det J, where det J = |a|^2 - |b|^2.
+    s = (conj(a) r - b conj(r)) / det J, where det J = |a|^2 - |b|^2.  One
+    routine generated for the model's monomial pattern runs it: the value at
+    the target and at each line-search trial, the derivatives at each
+    accepted iterate short of the solution, on the powers of its value.
 
     The budget is fixed: at most 50 Newton iterations, success once the
     residual norm is below 1e-12, and a stop when the Newton step is below
@@ -120,47 +125,22 @@ def invert(func: ComplexPoly, target) -> Point:
     pair = np.asarray(target, dtype=float)
     if pair.shape != (2,) or not cisfinite(t := complex(*pair.tolist())):
         raise ValueError(f"target must be a finite (x, y) pair, got {target!r}")
-    value, wirtinger = func._kernels
-    q = t
-    try:
-        r = q + value(q) - t
-        rnorm = abs(r)
-        for k in range(_MAX_ITER):
-            if rnorm < _RESIDUAL_TOL:
-                return q.real, q.imag
-            f_z, b = wirtinger(q)
-            a = 1.0 + f_z
-            det = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
-            if abs(det) < _SINGULAR_DET:
-                raise SingularJacobian(f"|det J| = {abs(det):.3e} at iterate {q}")
-            step = (a.conjugate() * r - b * r.conjugate()) / det
-            step_norm = abs(step)
-            if step_norm < _STEP_TOL:
-                raise NoConvergence(
-                    f"Newton step below {_STEP_TOL:g} after {k} iterations (residual {rnorm:.3e})"
-                )
-            if step_norm > _MAX_STEP:
-                step *= _MAX_STEP / step_norm
-            alpha = 1.0
-            while True:
-                q_try = q - alpha * step
-                r_try = q_try + value(q_try) - t
-                rnorm_try = abs(r_try)
-                if rnorm_try < rnorm:
-                    q, r, rnorm = q_try, r_try, rnorm_try
-                    break
-                alpha *= 0.5
-                if alpha < _MIN_STEP_SCALE:
-                    raise NoConvergence(
-                        f"line search stalled with residual {rnorm:.3e}"
-                    )
-    except OverflowError as err:
-        raise NoConvergence(f"iterate overflowed near {q}") from err
-    if rnorm < _RESIDUAL_TOL:
-        return q.real, q.imag
-    raise NoConvergence(
-        f"no convergence after {_MAX_ITER} iterations (residual {rnorm:.3e})"
+    stop, q, k, x = func._newton(
+        t, _MAX_ITER, _RESIDUAL_TOL, _STEP_TOL, _SINGULAR_DET, _MIN_STEP_SCALE, _MAX_STEP
     )
+    if stop == "solved":
+        return q.real, q.imag
+    if stop == "singular":
+        raise SingularJacobian(f"|det J| = {x:.3e} at iterate {q}")
+    if stop == "overflow":
+        raise NoConvergence(f"iterate overflowed near {q}") from x
+    if stop == "step":
+        raise NoConvergence(
+            f"Newton step below {_STEP_TOL:g} after {k} iterations (residual {x:.3e})"
+        )
+    if stop == "stalled":
+        raise NoConvergence(f"line search stalled with residual {x:.3e}")
+    raise NoConvergence(f"no convergence after {_MAX_ITER} iterations (residual {x:.3e})")
 
 
 def circle_points(radius: float, count: int) -> list[Point]:

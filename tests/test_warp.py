@@ -1,9 +1,12 @@
 """Forward warping, Jacobians, Newton inversion, and dataset generators."""
 
+import cmath
 import io
 import math
 import struct
+import threading
 import tokenize
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -175,6 +178,8 @@ FAILURE_CASES = [
         None,
         r"Newton step below 1e-14 after 15 iterations \(residual 5\.278e-12\)",
     ),
+    # Inside the fold no halved step lowers the residual.
+    (rri([-3.0]), (1.0, 0.0), NoConvergence, None, r"line search stalled with residual 7\.778e-01"),
 ]
 
 
@@ -183,7 +188,7 @@ FAILURE_CASES = [
     FAILURE_CASES,
     ids=[
         "overflow", "degree16-far", "nan", "inf", "three-values", "one-value",
-        "singular-jacobian", "iteration-budget", "step-stop",
+        "singular-jacobian", "iteration-budget", "step-stop", "line-search-stall",
     ],
 )
 def test_invert_failures_are_typed(poly, target, error, cause, match):
@@ -358,63 +363,116 @@ def test_invert_commutes_with_the_mirror(high_degree_poly):
             assert struct.pack("dd", *got) == struct.pack("dd", want[0], -want[1]), (x, y)
 
 
-def _spy_on_kernels(monkeypatch, log: list, compiled: list) -> None:
-    # Each model compiled from here on logs ("value", z) and ("wirtinger", z)
-    # per scalar call, and its plan once per compilation.
-    compile_kernels = poly_module._compile_kernels
-
-    def compile_spy(plan):
-        compiled.append(plan)
-        value, wirtinger = compile_kernels(plan)
-
-        def value_spy(z):
-            log.append(("value", z))
-            return value(z)
-
-        def wirtinger_spy(z):
-            log.append(("wirtinger", z))
-            return wirtinger(z)
-
-        return value_spy, wirtinger_spy
-
-    monkeypatch.setattr(poly_module, "_compile_kernels", compile_spy)
+def _bits(z: complex) -> bytes:
+    return struct.pack("dd", z.real, z.imag)
 
 
 def test_invert_evaluates_each_point_once(high_degree_poly, monkeypatch):
-    # The value once at the target and once per line-search trial, each at a
-    # new point.  The derivatives only at an accepted iterate, right after the
-    # value that accepted it, and never at the solution.
-    log = []
-    _spy_on_kernels(monkeypatch, log, [])
-    func = ComplexPoly(dict(high_degree_poly.terms))
+    # The generated routine checks each value it takes and each pair of
+    # derivatives for finiteness.  Its checks follow the power-form loop's
+    # calls: the value once at the target and once per line-search trial, the
+    # derivatives once per accepted iterate short of the solution.
+    checked, calls = [], []
+    value, wirtinger = _power_form_value, _power_form_wirtinger
+
+    def isfinite_spy(w):
+        checked.append(_bits(w))
+        return cmath.isfinite(w)
+
+    def value_log(poly, z):
+        out = value(poly, z)
+        calls.append(_bits(out))
+        return out
+
+    def wirtinger_log(poly, z):
+        f_z, f_zc = wirtinger(poly, z)
+        calls.append(_bits(f_z))
+        if cmath.isfinite(f_z):
+            calls.append(_bits(f_zc))
+        return f_z, f_zc
+
+    monkeypatch.setattr(poly_module, "cisfinite", isfinite_spy)
+    monkeypatch.setitem(globals(), "_power_form_value", value_log)
+    monkeypatch.setitem(globals(), "_power_form_wirtinger", wirtinger_log)
+    func = ComplexPoly(dict(high_degree_poly.terms))  # binds its kernels to the spy
     sources = np.random.default_rng(57).uniform(-0.6, 0.6, (100, 2))
-    for target in apply_distortion(func, sources):
-        log.clear()
-        solved = invert(func, target)
-        values = [z for kind, z in log if kind == "value"]
-        assert len(set(values)) == len(values) >= 2, target
-        assert log[0] == ("value", complex(*target)) and log[-1] == ("value", complex(*solved))
-        for i, (kind, z) in enumerate(log):
-            if kind == "wirtinger":
-                assert log[i - 1] == ("value", z), target
+    cases = [(func, t) for t in apply_distortion(func, sources)]
+    # An overflowing power raises before the power form has a value to log.
+    cases += [
+        (ComplexPoly(dict(p.terms)), t)
+        for p, t, error, cause, _ in FAILURE_CASES
+        if error is not ValueError and cause is None
+    ]
+    for poly, target in cases:
+        calls.clear()
+        want = _exact_outcome(_invert_power_form, poly, target)
+        checked.clear()
+        assert _exact_outcome(invert, poly, target) == want, target
+        assert checked == calls, target
 
 
 def test_a_model_compiles_its_kernels_once(high_degree_poly, monkeypatch):
-    compiled = []
-    _spy_on_kernels(monkeypatch, [], compiled)
-    func = ComplexPoly(dict(high_degree_poly.terms))
-    sources = np.random.default_rng(58).uniform(-0.6, 0.6, (100, 2))
-    for target in apply_distortion(func, sources):
-        invert(func, target)
-    assert compiled == [func._plan]
-    # The coefficients are arguments: the source holds no float literal.
-    source = poly_module._kernel_source(func._plan)
+    # Two models with the same monomials and different coefficients compile
+    # their pattern once between them, however many points they invert.
+    sources = []
+    kernel_source = poly_module._kernel_source
+
+    def source_spy(pattern, routine):
+        sources.append((pattern, routine))
+        return kernel_source(pattern, routine)
+
+    monkeypatch.setattr(poly_module, "_kernel_source", source_spy)
+    poly_module._kernel_factory.cache_clear()
+    points = np.random.default_rng(58).uniform(-0.6, 0.6, (100, 2))
+    for func in (ComplexPoly(dict(high_degree_poly.terms)), 0.5 * high_degree_poly):
+        for target in apply_distortion(func, points):
+            invert(func, target)
+    assert [routine for _, routine in sources] == ["newton"]
+    # The coefficients and tolerances are arguments: no source holds a float literal.
     numbers = [
         tok.string
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        for routine in ("value", "wirtinger", "newton")
+        for tok in tokenize.generate_tokens(io.StringIO(kernel_source(sources[0][0], routine)).readline)
         if tok.type == tokenize.NUMBER
     ]
     assert numbers and all(n.isdigit() for n in numbers)
+
+
+def test_the_kernel_cache_is_bounded():
+    factory = poly_module._kernel_factory
+    bound = factory.cache_info().maxsize
+    targets = [tuple(t) for t in np.random.default_rng(59).uniform(-0.6, 0.6, (50, 2))]
+
+    def outcomes(func):
+        return [_exact_outcome(invert, func, t) for t in targets]
+
+    func = ComplexPoly({(3, 4): 0.02, (2, 0): 0.03j})
+    want = [_exact_outcome(_invert_power_form, func, t) for t in targets]
+    assert outcomes(func) == want
+    # More new patterns than the bound: one monomial each.
+    for n, k in [(n, k) for n in range(2, 17) for k in range(n + 1)][: bound + 8]:
+        ComplexPoly({(k, n - k): 0.01}).evaluate(0.1 + 0.2j)
+        assert factory.cache_info().currsize <= bound
+    assert factory.cache_info().currsize == bound
+    # func's pattern was evicted: func runs the kernels it bound, and a new
+    # model of its terms compiles the pattern again; both keep the bits.
+    misses = factory.cache_info().misses
+    assert outcomes(func) == want
+    assert outcomes(ComplexPoly(dict(func.terms))) == want
+    assert factory.cache_info().misses == misses + 1
+    # Threads that invert one new model at once agree with a serial run.
+    shared = ComplexPoly({(5, 2): 0.01, (1, 1): -0.02, (0, 3): 0.01j})
+    barrier = threading.Barrier(4)
+
+    def run():
+        barrier.wait()
+        return outcomes(shared)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [job.result() for job in [pool.submit(run) for _ in range(4)]]
+    serial = outcomes(ComplexPoly(dict(shared.terms)))
+    assert serial == [_exact_outcome(_invert_power_form, shared, t) for t in targets]
+    assert runs == [serial] * 4
 
 
 def test_invert_round_trip_many_small_functions():
