@@ -63,6 +63,7 @@ from .families import (
     symmetric_quadratic,
 )
 from .poly import ComplexPoly, _ladder, _power_steps, model_from_json, model_to_json
+from .symmetry import classify
 
 __all__ = [
     "Intrinsics",
@@ -753,8 +754,6 @@ def compare(
     options: FitOptions | None = None,
 ) -> list[CompareRow]:
     """Fit every family, frozen linear ones on one design, and tabulate rms and property columns."""
-    from .symmetry import classify
-
     families = [_as_family(entry) for entry in families]
     _check_geometry(scene, obs)
     groups = {}  # the frozen linear families' indices by dimension, one stacked solve each

@@ -221,13 +221,19 @@ def coefficient_matrix(
     return np.array(rows, dtype=complex).reshape(len(funcs), len(keys)).view(float)
 
 
+def _modulus(a: np.ndarray) -> np.ndarray:
+    """|a| by libm hypot, as Python's abs takes it: numpy's complex abs is an
+    ulp off on about a third of values, enough to cross a threshold."""
+    return np.hypot(a.real, a.imag)
+
+
 def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of the complex ``matrix`` scaled exactly by a power of two to a
     largest modulus in [1, 2) (zero rows stay zero), and the powers undoing it.
 
-    The moduli are np.hypot's, the libm hypot of Python's abs: numpy's complex
-    abs can round a modulus of 1 down to 1 - 2^-53, which doubles the row."""
-    _, exponents = np.frexp(np.hypot(matrix.real, matrix.imag).max(axis=1, initial=0.0))
+    The moduli are ``_modulus``'s: numpy's complex abs can round a modulus
+    of 1 down to 1 - 2^-53, which doubles the row."""
+    _, exponents = np.frexp(_modulus(matrix).max(axis=1, initial=0.0))
     unit = np.ldexp(matrix.view(float), 1 - exponents[:, None]).view(complex)
     return unit, np.ldexp(1.0, exponents - 1)
 

@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .families import INDEPENDENCE_RTOL, ModelSpace, _unit_rows
+from .families import INDEPENDENCE_RTOL, ModelSpace, _modulus, _unit_rows
 from .poly import DEFAULT_TOL, ComplexPoly
 
 __all__ = [
@@ -184,7 +184,7 @@ def _rotation_closed(rows: np.ndarray, windings: np.ndarray, span: np.ndarray) -
     blocks = rows * (sizes == np.flatnonzero(np.bincount(sizes))[:, None])[:, None, :]
     vectors = np.concatenate([blocks, blocks * (1j * np.sign(windings))]).view(float)
     off = (vectors - (vectors @ span.T) @ span).view(complex)
-    return bool(np.all(np.abs(off) <= DEFAULT_TOL))
+    return bool(np.all(_modulus(off) <= DEFAULT_TOL))
 
 
 def is_isotropic(space: ModelSpace) -> bool:
@@ -208,7 +208,7 @@ def structural_rsf(space: ModelSpace) -> bool:
     unit, windings = space.unit, space.windings
     if np.any(np.abs(unit[:, windings == 0].imag) > DEFAULT_TOL):
         return False
-    swirling = set(np.abs(windings[(np.abs(unit) > DEFAULT_TOL).any(axis=0) & (windings != 0)]))
+    swirling = set(np.abs(windings[(_modulus(unit) > DEFAULT_TOL).any(axis=0) & (windings != 0)]))
     if len(swirling) != 1:  # all content winds 0, or two |m| turn at two rates
         return not swirling
 
@@ -260,7 +260,7 @@ def classify(space: ModelSpace) -> ClassReport:
     return ClassReport(
         space.dimension,
         is_isotropic(space),
-        not np.any(np.abs(space.unit[:, space.windings != 0]) > DEFAULT_TOL),
+        not np.any(_modulus(space.unit[:, space.windings != 0]) > DEFAULT_TOL),
         structural or common is not None,
         f"structural_normal_form={structural}; common_axis={common}",
     )

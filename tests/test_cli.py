@@ -49,16 +49,18 @@ def scene_file(tmp_path):
 
 
 def test_render_deterministic_bytes(tmp_path, rri_file):
-    out1 = tmp_path / "a.svg"
-    out2 = tmp_path / "b.svg"
-    argv = ["render", "--model", rri_file, "--shape", "circle", "--count", "16"]
-    assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2)]) == 0
-    data = out1.read_bytes()
-    assert data == out2.read_bytes()
-    assert data.startswith(b"<?xml")
-    assert data.count(b"<line") == 16
-    assert data.count(b"<circle") == 32
+    # A circle of 16 points and a 3 x 3 grid: one line and two dots per point.
+    for shape, count, points in (("circle", "16", 16), ("grid", "3", 9)):
+        out1 = tmp_path / f"{shape}_a.svg"
+        out2 = tmp_path / f"{shape}_b.svg"
+        argv = ["render", "--model", rri_file, "--shape", shape, "--count", count]
+        assert main(argv + ["--out", str(out1)]) == 0
+        assert main(argv + ["--out", str(out2)]) == 0
+        data = out1.read_bytes()
+        assert data == out2.read_bytes()
+        assert data.startswith(b"<?xml")
+        assert data.count(b"<line") == points
+        assert data.count(b"<circle") == 2 * points
 
 
 def test_render_zero_model_zero_length_segments(tmp_path):
@@ -216,14 +218,24 @@ def test_verify_space_rejects_tol(tmp_path, capsys, tol):
 
 
 def test_convert_round_trip(tmp_path, model_file):
-    real = tmp_path / "real.json"
-    back = tmp_path / "back.json"
-    assert main(["convert", "--in", model_file, "--to", "real", "--out", str(real)]) == 0
+    def convert(source, form, name):
+        out = tmp_path / name
+        assert main(["convert", "--in", str(source), "--to", form, "--out", str(out)]) == 0
+        return out
+
+    real = convert(model_file, "real", "real.json")
     data = json.loads(real.read_text())
     assert "real" in data and "complex" not in data
-    assert main(["convert", "--in", str(real), "--to", "complex", "--out", str(back)]) == 0
-    original = load_model(model_file)
-    assert load_model(back).isclose(original, tol=1e-12)
+    back = convert(real, "complex", "back.json")
+    assert load_model(back).isclose(load_model(model_file), tol=1e-12)
+    # The real blocks of z^3 + i z zbar^2 are exact: complex -> real -> complex
+    # and real -> complex -> real each give back the file they started from.
+    counter = tmp_path / "counter.json"
+    save_model(counter, ComplexPoly({(3, 0): 1.0, (1, 2): 1j}))
+    counter_real = convert(counter, "real", "counter_real.json")
+    counter_back = convert(counter_real, "complex", "counter_back.json")
+    assert counter_back.read_bytes() == counter.read_bytes()
+    assert convert(counter_back, "real", "counter_real2.json").read_bytes() == counter_real.read_bytes()
 
 
 def test_convert_decentering_gamma_values(tmp_path, model_file):
@@ -345,14 +357,21 @@ def test_bench_deterministic(tmp_path, capsys, scene_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("family", ["decentering+rri3", "sym_quad_cubic_rri3"])
-def test_fit_refine_poses_is_the_refined_fit(tmp_path, scene_file, family):
+@pytest.mark.parametrize(
+    "family, n_coefficients",
+    [("decentering+rri3", 5), ("sym_quad_cubic_rri3", 10)],
+    ids=["decentering+rri3", "sym_quad_cubic_rri3"],
+)
+def test_fit_refine_poses_is_the_refined_fit(tmp_path, scene_file, family, n_coefficients):
+    # --strict exits 4 unless the refined fit converged.
     out = tmp_path / "report.json"
-    argv = ["fit", "--scene", scene_file, "--family", family, "--refine-poses", "--out", str(out)]
-    assert main(argv) == 0
+    argv = ["fit", "--scene", scene_file, "--family", family, "--refine-poses", "--strict"]
+    assert main(argv + ["--out", str(out)]) == 0
     scene = calib.load_scene(scene_file)
     report = calib.fit(scene, calib.synthesize(scene), family, REFINED)
-    assert json.loads(out.read_text()) == json.loads(json.dumps(asdict(report)))
+    written = json.loads(out.read_text())
+    assert written == json.loads(json.dumps(asdict(report)))
+    assert len(written["coefficients"]) == n_coefficients
 
 
 def test_bench_refine_poses_rows_are_the_refined_compare(tmp_path, capsys, scene_file):
@@ -579,10 +598,12 @@ def test_verify_model_axis_of_minus_z2_prints_zero(tmp_path, capsys):
          "residual:    6.123234e-17\n"),
         (ComplexPoly.zero(),
          "symmetric:   True\naxis:        any\npairwise_ok: True\nresidual:    0.000000e+00\n"),
+        (rri([1.0]),
+         "symmetric:   True\naxis:        any\npairwise_ok: True\nresidual:    0.000000e+00\n"),
         (opencv_thin_prism(1, 1, 2, 3),
          "symmetric:   False\naxis:        -\npairwise_ok: False\nresidual:    3.162278e-01\n"),
     ],
-    ids=["float_axis", "any", "asymmetric"],
+    ids=["float_axis", "any", "radial", "asymmetric"],
 )
 def test_verify_model_text(tmp_path, capsys, model, text):
     path = tmp_path / "model.json"

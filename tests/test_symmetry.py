@@ -734,7 +734,7 @@ def test_classify_builds_no_polynomial(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("scale", [1.0, -1.0, 1e-6, 1e-9, 1e-10, 2.0**-40, 2.0**20, 1e6])
+@pytest.mark.parametrize("scale", [1.0, -1.0, 1e-6, 1e-9, 1e-10, 2.0**-30, 2.0**-40, 2.0**20, 1e6])
 def test_span_of_z2_classifies_alike_at_every_scale(scale):
     report = classify(ModelSpace((ComplexPoly({(2, 0): scale}),), "span_z2"))
     assert (report.isotropic, report.rotation_invariant, report.rsf) == (False, False, True)
@@ -830,11 +830,12 @@ def test_scaled_symmetric_quadratic_is_symmetric_like_its_span():
 
 
 def test_small_counterexample_is_not_symmetric():
-    g = 1e-11 * ComplexPoly(COUNTEREXAMPLE)
-    report = reflection_symmetry(g)
-    assert not classify(_line(g)).rsf
-    assert (report.symmetric, report.axis, report.pairwise_ok) == (False, None, True)
-    assert report.residual == 1e-11
+    for scale in (1e-11, 2.0**-40):
+        g = scale * ComplexPoly(COUNTEREXAMPLE)
+        report = reflection_symmetry(g)
+        assert not classify(_line(g)).rsf
+        assert (report.symmetric, report.axis, report.pairwise_ok) == (False, None, True)
+        assert report.residual == scale
 
 
 def test_small_z2_is_not_rotation_invariant():
@@ -939,7 +940,8 @@ def test_single_function_verdicts_are_those_of_its_span(f, s):
 # Lines with terms about DEFAULT_TOL, with their (isotropic, rsf) flags: an
 # imaginary part or winding terms of 5e-10, above it; a z^16 term of 1e-10,
 # at it, whose generator image 1.5e-9 is not; an imaginary part of 1e-10; a
-# winding term of 5e-11, below it, that must not choose the candidate axes.
+# winding term of 5e-11, below it, that must not choose the candidate axes; a
+# z^2 term whose modulus is 1e-10 by hypot and an ulp above by numpy's abs.
 BAND_CASES = {
     "z^4 + 5e-11 i z zbar": ({(4, 0): 1, (1, 1): 5e-11j}, (False, True)),
     "z^2 zbar (1 + 5e-10 i)": ({(2, 1): 1 + 5e-10j}, (True, False)),
@@ -947,6 +949,8 @@ BAND_CASES = {
     "z^2 zbar + 1e-10 z^16": ({(2, 1): 1, (16, 0): 1e-10}, (True, True)),
     "z^2 zbar + 5e-10 z^3": ({(2, 1): 1, (3, 0): 5e-10}, (False, True)),
     "z^2 zbar (1 + 1e-10 i)": ({(2, 1): 1 + 1e-10j}, (True, True)),
+    "z^2 zbar + (9.52e-11 - 3.06e-11 i) z^2": (
+        {(2, 1): 1, (2, 0): 9.519527964440392e-11 - 3.0624479316777605e-11j}, (True, True)),
 }
 
 
